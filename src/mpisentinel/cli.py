@@ -5,7 +5,8 @@ ablate (excluded-label study), predict (single IR file against a saved
 model).  Errors are emitted as JSON lines on stderr; exit codes: 0 success,
 1 completed with per-sample failures recorded, 2 usage/config error,
 3 internal error.  Settings resolve flags > environment > config file >
-defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).
+defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the
+number of compile workers for ingest; folds always run one after another.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
-from . import embed as embed_mod
 from . import evaluate as eval_mod
 from . import gnn as gnn_mod
 from . import graph as graph_mod
@@ -58,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Static MPI error detection over LLVM IR")
     parser.add_argument("--config", help="JSON config file overlay")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count for compilation and folds")
+                        help="compile workers for ingest")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="ingest a benchmark directory into a manifest")
@@ -116,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_options(args, jobs: int) -> eval_mod.ScenarioOptions:
+def _scenario_options(args) -> eval_mod.ScenarioOptions:
     ga_cfg = tabular.GaConfig()
-    if getattr(args, "ga_population", None):
+    if getattr(args, "ga_population", None) is not None:
         ga_cfg.population = args.ga_population
     if getattr(args, "ga_generations", None) is not None:
         ga_cfg.generations = args.ga_generations
@@ -176,7 +174,7 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_evaluate(args, file_cfg, jobs: int) -> int:
-    options = _scenario_options(args, jobs)
+    options = _scenario_options(args)
     try:
         scenario = eval_mod.Scenario(
             kind=args.scenario, suite=args.suite,
@@ -189,9 +187,10 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
     except (OSError, corpus_mod.SchemaViolation, json.JSONDecodeError) as exc:
         return _error(type(exc).__name__, str(exc), 2)
     try:
-        report = eval_mod.run_scenario(manifest, scenario, jobs=jobs)
+        report = eval_mod.run_scenario(manifest, scenario)
     except (eval_mod.SuiteMissing, eval_mod.TooFewSamples,
-            eval_mod.InvalidScenario) as exc:
+            eval_mod.InvalidScenario, tabular.InvalidConfig,
+            gnn_mod.InvalidGnnConfig) as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     if args.report_csv:
@@ -206,15 +205,14 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:
     excluded = set(args.exclude)
-    options = _scenario_options(args, jobs)
+    options = _scenario_options(args)
     try:
         manifest = corpus_mod.read_manifest(args.manifest)
-        report = eval_mod.ablation(manifest, excluded, options,
-                                   suite=args.suite, jobs=jobs)
+        report = eval_mod.ablation(manifest, excluded, options, suite=args.suite)
     except (eval_mod.LabelAbsent,) as exc:
         return _error("LabelAbsent", f"label has no samples: {exc}", 2)
     except (eval_mod.InvalidScenario, eval_mod.TooFewSamples,
-            corpus_mod.SchemaViolation, OSError) as exc:
+            tabular.InvalidConfig, corpus_mod.SchemaViolation, OSError) as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},
@@ -228,50 +226,34 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
             head = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _error("ModelLoadError", str(exc), 2)
+    kind = head.get("kind") if isinstance(head, dict) else None
+    loaders = {"ir2vec-dt": tabular.DtModel.load, "gnn": gnn_mod.load_checkpoint}
+    if kind not in loaders:
+        return _error("ModelIncompatible", f"unknown model kind {kind!r}", 2)
     try:
-        ir_text = Path(args.ir).read_text()
-        module = ircore.parse_ir(ir_text, Path(args.ir).name)
+        model = loaders[kind](args.model)
+    except (KeyError, TypeError, ValueError, tabular.WidthMismatch,
+            gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch) as exc:
+        return _error("ModelIncompatible", f"{type(exc).__name__}: {exc}", 2)
+    try:
+        module = ircore.parse_ir(Path(args.ir).read_text(), Path(args.ir).name)
     except OSError as exc:
         return _error("IrLoadError", str(exc), 2)
     except ircore.MalformedIr as exc:
         return _error("MalformedIr", str(exc), 2)
-    kind = head.get("kind")
     if kind == "ir2vec-dt":
-        needed = ("normalization", "seed", "label_space")
-        if any(k not in head for k in needed):
-            return _error("ModelIncompatible",
-                          "decision-tree model lacks normalization metadata", 2)
-        doc = tabular.load_model(args.model)
-        meta = doc["normalization"]
-        vocab = embed_mod.SeedVocab(doc["seed"], meta.get("dim", embed_mod.DEFAULT_DIM))
-        vec = embed_mod.embed(module, vocab,
-                              tuple(meta.get("weights", embed_mod.DEFAULT_WEIGHTS)))
-        row = vec.values
-        strategy = meta.get("strategy", "vector")
-        if strategy == "index":
-            scaler = embed_mod.IndexScaler(np.array(meta["mins"]),
-                                           np.array(meta["maxs"]))
-            row = embed_mod.normalize(row, scaler)
-        else:
-            row = embed_mod.normalize(row, strategy)
-        if doc.get("feature_subset"):
-            row = row[list(doc["feature_subset"])]
-        tree = doc["tree"]
-        leaf = tabular.predict_leaf(tree, row)
+        leaf = model.leaf(model.embed(module))
         print(json.dumps({"label": leaf.label, "leaf_class_counts": leaf.class_counts},
                          sort_keys=True))
         return 0
-    if kind == "gnn":
-        try:
-            model = gnn_mod.load_checkpoint(args.model)
-            g = graph_mod.build_graph(module)
-            probs = gnn_mod.softmax_probabilities(model, g)
-        except gnn_mod.EmptyGraph as exc:
-            return _error("EmptyGraph", str(exc), 2)
-        label = max(probs, key=lambda lab: (probs[lab], -model.label_space.index(lab)))
-        print(json.dumps({"label": label, "probabilities": probs}, sort_keys=True))
-        return 0
-    return _error("ModelIncompatible", f"unknown model kind {kind!r}", 2)
+    try:
+        g = graph_mod.build_graph(module)
+        label = gnn_mod.predict_gnn(model, g)
+        probs = gnn_mod.softmax_probabilities(model, g)
+    except gnn_mod.EmptyGraph as exc:
+        return _error("EmptyGraph", str(exc), 2)
+    print(json.dumps({"label": label, "probabilities": probs}, sort_keys=True))
+    return 0
 
 
 def main(argv=None) -> int:

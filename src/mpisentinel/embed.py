@@ -78,11 +78,6 @@ class SeedVocab:
         return out
 
 
-def seed_vocabulary(seed: int, dim: int = DEFAULT_DIM) -> SeedVocab:
-    """Deterministic vocabulary keyed by (seed, token)."""
-    return SeedVocab(seed, dim)
-
-
 @dataclass
 class EmbeddingVector:
     values: np.ndarray  # length 2*dim: symbolic then flow-aware

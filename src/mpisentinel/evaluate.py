@@ -10,7 +10,7 @@ degenerate denominators surface as null metrics, never silent 0 or 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,44 +236,25 @@ class _DtBackend:
             except Exception as exc:  # propagated per sample as RE
                 self.failed[sid] = str(exc)
 
-    def train_fold(self, train_ids, labels_by_id, label_space, fold_seed: int):
-        rows = [i for i in train_ids if i in self.raw]
-        x = np.vstack([self.raw[i] for i in rows])
-        scaler = None
-        if self.options.normalization == "index":
-            scaler = embed_mod.fit_index_scaler(x)
-            x = embed_mod.normalize(x, scaler)
-        else:
-            x = embed_mod.normalize(x, self.options.normalization)
+    def train_fold(self, train_ids, labels_by_id, label_space,
+                   fold_seed: int) -> tabular.DtModel:
+        opts = self.options
+        x = np.vstack([self.raw[i] for i in train_ids])
+        strategy = opts.normalization
+        if strategy == "index":
+            strategy = embed_mod.fit_index_scaler(x)
+        x = embed_mod.normalize(x, strategy)
         subset = None
-        data = tabular.LabeledVectors(x, [labels_by_id[i] for i in rows], label_space)
-        if self.options.ga_enabled:
-            ga_cfg = tabular.GaConfig(**{**asdict(self.options.ga),
-                                         "rng_seed": fold_seed})
-            subset = tabular.ga_select(data, ga_cfg)
+        data = tabular.LabeledVectors(x, [labels_by_id[i] for i in train_ids],
+                                      label_space)
+        if opts.ga_enabled:
+            subset = tabular.ga_select(data, replace(opts.ga, rng_seed=fold_seed))
             data = data.restrict(subset.indices)
-        tree = tabular.train_tree(data)
-        return _DtFoldModel(self, tree, scaler, subset)
+        return tabular.DtModel(tabular.train_tree(data), strategy, subset,
+                               opts.seed, opts.embed_dim, opts.weights)
 
-
-class _DtFoldModel:
-    def __init__(self, backend: _DtBackend, tree, scaler, subset):
-        self.backend = backend
-        self.tree = tree
-        self.scaler = scaler
-        self.subset = subset
-
-    def predict(self, sample_id: str) -> str:
-        if sample_id in self.backend.failed:
-            raise RuntimeError(self.backend.failed[sample_id])
-        row = self.backend.raw[sample_id]
-        if self.scaler is not None:
-            row = embed_mod.normalize(row, self.scaler)
-        else:
-            row = embed_mod.normalize(row, self.backend.options.normalization)
-        if self.subset is not None:
-            row = row[list(self.subset.indices)]
-        return tabular.predict_tree(self.tree, row)
+    def predict(self, model: tabular.DtModel, sample_id: str) -> str:
+        return model.predict(self.raw[sample_id])
 
 
 class _GnnBackend:
@@ -290,28 +271,18 @@ class _GnnBackend:
             except Exception as exc:
                 self.failed[sid] = str(exc)
 
-    def train_fold(self, train_ids, labels_by_id, label_space, fold_seed: int):
-        ids = [i for i in train_ids if i in self.graphs]
-        cfg_doc = asdict(self.options.gnn)
-        cfg_doc.update(rng_seed=fold_seed, num_classes=len(label_space))
-        cfg_doc["layer_sizes"] = tuple(cfg_doc["layer_sizes"])
-        cfg = gnn_mod.GnnConfig(**cfg_doc)
-        vocab = gnn_mod.build_vocab([self.graphs[i] for i in ids])
+    def train_fold(self, train_ids, labels_by_id, label_space,
+                   fold_seed: int) -> gnn_mod.GnnModel:
+        cfg = replace(self.options.gnn, rng_seed=fold_seed,
+                      num_classes=len(label_space))
+        vocab = gnn_mod.build_vocab([self.graphs[i] for i in train_ids])
         model = gnn_mod.init_model(cfg, vocab, list(label_space))
         model, _ = gnn_mod.train(
-            model, [(self.graphs[i], labels_by_id[i]) for i in ids], cfg)
-        return _GnnFoldModel(self, model)
+            model, [(self.graphs[i], labels_by_id[i]) for i in train_ids], cfg)
+        return model
 
-
-class _GnnFoldModel:
-    def __init__(self, backend: _GnnBackend, model):
-        self.backend = backend
-        self.model = model
-
-    def predict(self, sample_id: str) -> str:
-        if sample_id in self.backend.failed:
-            raise RuntimeError(self.backend.failed[sample_id])
-        return gnn_mod.predict_gnn(self.model, self.backend.graphs[sample_id])
+    def predict(self, model: gnn_mod.GnnModel, sample_id: str) -> str:
+        return gnn_mod.predict_gnn(model, self.graphs[sample_id])
 
 
 def _load_modules(samples: list[CorpusSample]) -> tuple[dict, dict]:
@@ -335,6 +306,17 @@ def _make_backend(options: ScenarioOptions, samples: list[CorpusSample]):
         raise InvalidScenario(f"unknown backend {options.backend!r}")
     backend.failed.update(parse_failures)
     return backend
+
+
+def _train_fold(backend, fold_index: int, train_ids, labels_by_id, label_space,
+                fold_seed: int):
+    """Fit one fold on its loadable training samples."""
+    loaded = [i for i in train_ids if i not in backend.failed]
+    if not loaded:
+        raise TooFewSamples(
+            f"fold {fold_index}: all {len(train_ids)} training samples "
+            f"failed to load")
+    return backend.train_fold(loaded, labels_by_id, label_space, fold_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +347,8 @@ def _label_for_mode(sample: CorpusSample, mode: str) -> str:
     return to_binary(sample.label) if mode == "binary" else sample.label
 
 
-def run_scenario(manifest: Manifest, scenario: Scenario, jobs: int = 1) -> dict:
-    """Full protocol run; returns the (JSON-serializable) scenario report.
-
-    Folds are independent; jobs > 1 evaluates them on a worker pool.  Results
-    are merged in fold order so the report is identical either way.
-    """
+def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
+    """Full protocol run; returns the (JSON-serializable) scenario report."""
     opts = scenario.options
     scope = _scope_samples(manifest, scenario)
     evaluable = [s for s in scope if not s.quarantined and s.compile_status == "ok"]
@@ -385,41 +363,6 @@ def run_scenario(manifest: Manifest, scenario: Scenario, jobs: int = 1) -> dict:
 
     backend = _make_backend(opts, evaluable)
 
-    def evaluate_fold(fold_index, train_ids, val_ids, fold_seed):
-        model = backend.train_fold(train_ids, labels_by_id, label_space, fold_seed)
-        preds, truths = [], []
-        fold_re = []
-        label_hits: list[tuple[str, int]] = []
-        for sid in val_ids:
-            truth = labels_by_id[sid]
-            try:
-                pred = model.predict(sid)
-            except Exception:
-                fold_re.append(sid)
-                continue
-            preds.append(to_binary(pred) if opts.label_mode == "error-type"
-                         else pred)
-            truths.append(to_binary(truth) if opts.label_mode == "error-type"
-                          else truth)
-            label_hits.append((by_id[sid].label, int(pred == truth)))
-        counts = confusion(preds, truths, (0, 0, len(fold_re)))
-        entry = {
-            "fold": fold_index,
-            "train_ids": sorted(train_ids),
-            "validation_ids": sorted(val_ids),
-            "seed": fold_seed,
-            "counts": asdict(counts),
-            "metrics": metrics_to_dict(metrics(counts, opts.specificity_formula)),
-        }
-        if isinstance(model, _DtFoldModel):
-            if model.subset is not None:
-                entry["ga_subset"] = list(model.subset.indices)
-                entry["ga_fitness"] = model.subset.fitness
-            if model.scaler is not None:
-                entry["index_scaler"] = {"mins": model.scaler.mins.tolist(),
-                                         "maxs": model.scaler.maxs.tolist()}
-        return counts, entry, label_hits, fold_re
-
     fold_args = []
     if scenario.kind in ("intra", "mix"):
         plan = make_folds(evaluable, opts.folds, opts.seed)
@@ -433,21 +376,40 @@ def run_scenario(manifest: Manifest, scenario: Scenario, jobs: int = 1) -> dict:
             raise SuiteMissing("cross scenario needs samples in both suites")
         fold_args.append((0, train_ids, val_ids, opts.seed))
 
-    if jobs > 1 and len(fold_args) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fold_results = list(pool.map(lambda a: evaluate_fold(*a), fold_args))
-    else:
-        fold_results = [evaluate_fold(*a) for a in fold_args]
-
     aggregate = ConfusionCounts(ce=ce_count)
     per_label_hits: dict[str, list[int]] = {}
     re_samples: list[str] = []
-    for counts, _, label_hits, fold_re in fold_results:
+    fold_docs = []
+    for fold_index, train_ids, val_ids, fold_seed in fold_args:
+        model = _train_fold(backend, fold_index, train_ids, labels_by_id,
+                            label_space, fold_seed)
+        preds, truths = [], []
+        fold_re = []
+        for sid in val_ids:
+            if sid in backend.failed:
+                fold_re.append(sid)
+                continue
+            truth = labels_by_id[sid]
+            pred = backend.predict(model, sid)
+            preds.append(to_binary(pred) if opts.label_mode == "error-type"
+                         else pred)
+            truths.append(to_binary(truth) if opts.label_mode == "error-type"
+                          else truth)
+            per_label_hits.setdefault(by_id[sid].label, []).append(int(pred == truth))
+        counts = confusion(preds, truths, (0, 0, len(fold_re)))
         aggregate.add(counts)
-        for lab, hit in label_hits:
-            per_label_hits.setdefault(lab, []).append(hit)
         re_samples.extend(fold_re)
+        entry = {
+            "fold": fold_index,
+            "train_ids": sorted(train_ids),
+            "validation_ids": sorted(val_ids),
+            "seed": fold_seed,
+            "counts": asdict(counts),
+            "metrics": metrics_to_dict(metrics(counts, opts.specificity_formula)),
+        }
+        if isinstance(model, tabular.DtModel):
+            entry.update(model.fold_artifacts())
+        fold_docs.append(entry)
 
     per_label = {}
     for s in evaluable:
@@ -472,7 +434,7 @@ def run_scenario(manifest: Manifest, scenario: Scenario, jobs: int = 1) -> dict:
             "seed_vocabulary": "deterministic hash-seeded token vectors",
             "manifest_provenance": manifest.provenance,
         },
-        "folds": [entry for _, entry, _, _ in fold_results],
+        "folds": fold_docs,
         "aggregate": {
             "counts": asdict(aggregate),
             "metrics": metrics_to_dict(metrics(aggregate, opts.specificity_formula)),
@@ -502,7 +464,7 @@ def ablation_fold_plan(evaluable: list[CorpusSample], excluded: set[str],
 
 
 def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
-             suite: str | None = None, jobs: int = 1) -> dict:
+             suite: str | None = None) -> dict:
     """Excluded-label protocol: binary training without the excluded labels;
     reported accuracy per label = excluded-label samples predicted Incorrect
     over that label's total."""
@@ -523,42 +485,22 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
     backend = _make_backend(options, samples)
     plan = ablation_fold_plan(samples, excluded, options.folds, options.seed)
 
-    def run_fold(fi, train_ids, val_ids):
+    hits = {lab: [0, 0] for lab in excluded}
+    fold_docs = []
+    for fi, (train_ids, val_ids) in enumerate(plan):
         leaked = [i for i in train_ids if orig_label[i] in excluded]
         if leaked:
             raise AssertionError(
                 f"excluded-label samples leaked into training fold {fi}: {leaked}")
-        model = backend.train_fold(train_ids, labels_by_id, BINARY_SPACE,
-                                   options.seed + fi)
-        fold_hits = []
+        model = _train_fold(backend, fi, train_ids, labels_by_id, BINARY_SPACE,
+                            options.seed + fi)
         for sid in val_ids:
             lab = orig_label[sid]
-            if lab not in excluded:
-                continue
-            try:
-                pred = model.predict(sid)
-            except Exception:
-                continue
-            fold_hits.append((lab, pred == INCORRECT))
-        doc = {"fold": fi, "train_size": len(train_ids),
-               "excluded_in_train": 0, "validation_ids": sorted(val_ids)}
-        return doc, fold_hits
-
-    args = [(fi, train, val) for fi, (train, val) in enumerate(plan)]
-    if jobs > 1 and len(args) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda a: run_fold(*a), args))
-    else:
-        results = [run_fold(*a) for a in args]
-
-    hits = {lab: [0, 0] for lab in excluded}
-    fold_docs = []
-    for doc, fold_hits in results:
-        fold_docs.append(doc)
-        for lab, detected in fold_hits:
-            hits[lab][1] += 1
-            hits[lab][0] += int(detected)
+            if lab in excluded and sid not in backend.failed:
+                hits[lab][1] += 1
+                hits[lab][0] += int(backend.predict(model, sid) == INCORRECT)
+        fold_docs.append({"fold": fi, "train_size": len(train_ids),
+                          "excluded_in_train": 0, "validation_ids": sorted(val_ids)})
     return {
         "report_version": 1,
         "excluded": sorted(excluded),

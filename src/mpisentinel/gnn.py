@@ -84,6 +84,8 @@ class GnnConfig:
                 self.num_classes)
         if any(d < 1 for d in dims):
             raise InvalidGnnConfig("all dimensions must be >= 1")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise InvalidGnnConfig("batch_size must be >= 1 and epochs >= 0")
         if self.heads != 1:
             raise InvalidGnnConfig("only single-head attention is supported")
 
@@ -359,10 +361,6 @@ def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
             total += float(loss.data) * len(rows)
         log.append((epoch, total / n))
     return model, log
-
-
-class EmptyDataset(Exception):
-    pass
 
 
 def predict_gnn(model: GnnModel, graph: ProgramGraph) -> str:

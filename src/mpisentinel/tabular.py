@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import embed as embed_mod
+
 
 class EmptyDataset(Exception):
     pass
@@ -158,18 +160,7 @@ def train_tree(data: LabeledVectors) -> DecisionTree:
     return DecisionTree(root, data.x.shape[1], list(data.label_space))
 
 
-def predict_tree(tree: DecisionTree, row) -> str:
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.shape[0] != tree.n_features:
-        raise WidthMismatch(
-            f"row width {row.shape[0]} != training width {tree.n_features}")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.label
-
-
-def predict_leaf(tree: DecisionTree, row) -> TreeNode:
+def _descend(tree: DecisionTree, row) -> TreeNode:
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.shape[0] != tree.n_features:
         raise WidthMismatch(
@@ -178,6 +169,10 @@ def predict_leaf(tree: DecisionTree, row) -> TreeNode:
     while not node.is_leaf:
         node = node.left if row[node.feature] <= node.threshold else node.right
     return node
+
+
+def predict_tree(tree: DecisionTree, row) -> str:
+    return _descend(tree, row).label
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +200,7 @@ class GaConfig:
 @dataclass(frozen=True)
 class FeatureSubset:
     indices: tuple[int, ...]
-    fitness: float
+    fitness: float | None = None  # None when loaded from a model file
 
 
 @dataclass
@@ -375,25 +370,93 @@ def _node_from_dict(doc: dict) -> TreeNode:
                     right=_node_from_dict(doc["right"]))
 
 
-def save_model(path, tree: DecisionTree, feature_subset, label_space,
-               normalization: dict, seed: int):
-    doc = {
-        "kind": "ir2vec-dt",
-        "tree": _node_to_dict(tree.root),
-        "n_features": tree.n_features,
-        "feature_subset": list(feature_subset) if feature_subset is not None else None,
-        "label_space": list(label_space),
-        "normalization": normalization,
-        "seed": seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+@dataclass
+class DtModel:
+    """A fitted ir2vec-dt pipeline.  A module is embedded with the seed, dim
+    and weights; the raw vector is normalized (a named strategy or a fitted
+    IndexScaler), restricted to the optional GA subset, and walked down the
+    tree."""
+    tree: DecisionTree
+    normalization: str | embed_mod.IndexScaler
+    subset: FeatureSubset | None = None
+    seed: int = 0
+    dim: int = embed_mod.DEFAULT_DIM
+    weights: tuple[float, float, float] = embed_mod.DEFAULT_WEIGHTS
 
+    def embed(self, module) -> np.ndarray:
+        vocab = embed_mod.SeedVocab(self.seed, self.dim)
+        return embed_mod.embed(module, vocab, self.weights).values
 
-def load_model(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["tree"] = DecisionTree(_node_from_dict(doc["tree"]), doc["n_features"],
-                               doc["label_space"])
-    return doc
+    def _features(self, raw: np.ndarray) -> np.ndarray:
+        row = embed_mod.normalize(raw, self.normalization)
+        return row if self.subset is None else row[list(self.subset.indices)]
+
+    def predict(self, raw: np.ndarray) -> str:
+        return predict_tree(self.tree, self._features(raw))
+
+    def leaf(self, raw: np.ndarray) -> TreeNode:
+        return _descend(self.tree, self._features(raw))
+
+    def fold_artifacts(self) -> dict:
+        """The fold-report entries this model contributes."""
+        doc = {}
+        if self.subset is not None:
+            doc["ga_subset"] = list(self.subset.indices)
+            doc["ga_fitness"] = self.subset.fitness
+        if isinstance(self.normalization, embed_mod.IndexScaler):
+            doc["index_scaler"] = {"mins": self.normalization.mins.tolist(),
+                                   "maxs": self.normalization.maxs.tolist()}
+        return doc
+
+    def save(self, path):
+        meta = {"strategy": self.normalization, "dim": self.dim,
+                "weights": list(self.weights)}
+        if isinstance(self.normalization, embed_mod.IndexScaler):
+            meta.update(strategy="index", mins=self.normalization.mins.tolist(),
+                        maxs=self.normalization.maxs.tolist())
+        doc = {
+            "kind": "ir2vec-dt",
+            "tree": _node_to_dict(self.tree.root),
+            "n_features": self.tree.n_features,
+            "feature_subset": (list(self.subset.indices)
+                               if self.subset is not None else None),
+            "label_space": list(self.tree.label_space),
+            "normalization": meta,
+            "seed": self.seed,
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path) -> "DtModel":
+        """Raises KeyError, TypeError or ValueError on a malformed file and
+        WidthMismatch when its widths do not chain from embedding to tree."""
+        with open(path) as fh:
+            doc = json.load(fh)
+        meta = doc["normalization"]
+        strategy = meta.get("strategy", "vector")
+        if strategy == "index":
+            strategy = embed_mod.IndexScaler(meta["mins"], meta["maxs"])
+        elif strategy not in (None, "none", "vector"):
+            raise ValueError(f"unknown normalization strategy {strategy!r}")
+        subset = doc.get("feature_subset")
+        model = cls(DecisionTree(_node_from_dict(doc["tree"]), doc["n_features"],
+                                 doc["label_space"]),
+                    strategy,
+                    FeatureSubset(tuple(int(i) for i in subset)) if subset else None,
+                    doc["seed"], meta.get("dim", embed_mod.DEFAULT_DIM),
+                    tuple(meta.get("weights", embed_mod.DEFAULT_WEIGHTS)))
+        width = 2 * model.dim
+        if isinstance(strategy, embed_mod.IndexScaler) \
+                and strategy.mins.shape != (width,):
+            raise WidthMismatch(f"index scaler width {strategy.mins.shape} "
+                                f"!= embedding width {width}")
+        if model.subset is not None:
+            if not all(0 <= i < width for i in model.subset.indices):
+                raise WidthMismatch(f"feature subset outside width {width}")
+            width = len(model.subset.indices)
+        if model.tree.n_features != width:
+            raise WidthMismatch(f"tree expects width {model.tree.n_features}, "
+                                f"the pipeline produces {width}")
+        return model

@@ -7,6 +7,7 @@ import pytest
 from conftest import FIXTURES
 from mpisentinel import cli
 from mpisentinel import embed as em
+from mpisentinel import evaluate as ev
 from mpisentinel import gnn
 from mpisentinel import tabular
 from mpisentinel.graph import build_graph
@@ -104,6 +105,53 @@ class TestEvaluate:
         assert cli.main(args + ["--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reports_identical_across_jobs(self, manifest_path, tmp_path):
+        args = ["evaluate", "--manifest", str(manifest_path),
+                "--scenario", "intra", "--suite", "MBI",
+                "--labels", "error-type", "--normalization", "index",
+                "--ga", "on", "--ga-population", "10", "--ga-generations", "2",
+                "--folds", "5"]
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        assert cli.main(["--jobs", "1"] + args + ["--report", str(a)]) == 0
+        assert cli.main(["--jobs", "2"] + args + ["--report", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("settings,kind", [
+        (["--ga", "on", "--ga-population", "0"], "InvalidConfig"),
+        (["--ga", "on", "--ga-generations", "-1"], "InvalidConfig"),
+        (["--backend", "gnn", "--gnn-batch-size", "0"], "InvalidGnnConfig"),
+        (["--backend", "gnn", "--gnn-epochs", "-1"], "InvalidGnnConfig"),
+    ], ids=["ga-population-0", "ga-generations-neg", "gnn-batch-size-0",
+            "gnn-epochs-neg"])
+    def test_bad_ga_gnn_settings_exit_2(self, manifest_path, tmp_path, capsys,
+                                        settings, kind):
+        code, _, stderr = run_cli(
+            "evaluate", "--manifest", str(manifest_path),
+            "--scenario", "intra", "--suite", "MBI", "--folds", "5", *settings,
+            "--report", str(tmp_path / "r.json"), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == kind
+
+    @pytest.mark.parametrize("backend", ["ir2vec-dt", "gnn"])
+    def test_fold_without_loadable_samples_exit_2(self, tmp_path, capsys,
+                                                  monkeypatch, backend):
+        # ir paths are stored relative to the directory ingest ran in
+        monkeypatch.chdir(FIXTURES)
+        manifest = tmp_path / "m.json"
+        assert cli.main(["ingest", "--suite", "mbi", "--dir", "corpus_mbi",
+                         "--compiler-cmd", "none", "--out", str(manifest)]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code, _, stderr = run_cli(
+            "evaluate", "--manifest", str(manifest), "--scenario", "intra",
+            "--suite", "MBI", "--backend", backend, "--folds", "5",
+            "--report", str(tmp_path / "r.json"), capsys=capsys)
+        assert code == 2
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "TooFewSamples"
+        assert err["message"].startswith("fold 0: all 56 training samples")
+
     def test_bad_manifest_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -145,6 +193,15 @@ class TestAblate:
         assert err["error"] == "LabelAbsent"
         assert "ArgError" in err["message"]
 
+    def test_bad_ga_setting_exit_2(self, manifest_path, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            "ablate", "--manifest", str(manifest_path),
+            "--exclude", "MessageRace", "--folds", "5",
+            "--ga", "on", "--ga-population", "0",
+            "--report", str(tmp_path / "x.json"), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == "InvalidConfig"
+
     def test_exclude_correct_exit_2(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
             "ablate", "--manifest", str(manifest_path),
@@ -164,9 +221,8 @@ def train_dt_model_file(path):
     x = em.normalize(np.vstack(rows), "vector")
     space = sorted(set(labels))
     tree = tabular.train_tree(tabular.LabeledVectors(x, labels, space))
-    tabular.save_model(path, tree, None, space,
-                       {"strategy": "vector", "dim": 256,
-                        "weights": [1.0, 0.5, 0.2]}, seed=0)
+    tabular.DtModel(tree, "vector", seed=0, dim=256,
+                    weights=(1.0, 0.5, 0.2)).save(path)
     return space
 
 
@@ -240,6 +296,50 @@ class TestPredict:
         code, _, stderr = run_cli("predict", "--model", str(model_path),
                                   "--ir", str(broken), capsys=capsys)
         assert code == 2
+
+    def test_saved_fold_model_matches_in_process_predictions(
+            self, fixture_manifest, tmp_path, capsys):
+        opts = ev.ScenarioOptions(
+            label_mode="error-type", normalization="index", ga_enabled=True,
+            folds=5, ga=tabular.GaConfig(population=10, generations=2))
+        samples = [s for s in fixture_manifest.samples if s.suite == "MBI"]
+        validation = ev.make_folds(samples, 5, 0).folds[1]
+        train = [s.id for s in samples if s.id not in set(validation)]
+        labels = {s.id: s.label for s in samples}
+        backend = ev._make_backend(opts, samples)
+        model = backend.train_fold(train, labels, sorted(set(labels.values())), 1)
+        assert model.subset is not None
+        model_path = tmp_path / "fold.json"
+        model.save(model_path)
+        ir_paths = {s.id: s.ir_path for s in samples}
+        for sid in validation:
+            code, stdout, _ = run_cli("predict", "--model", str(model_path),
+                                      "--ir", ir_paths[sid], capsys=capsys)
+            assert code == 0
+            assert json.loads(stdout)["label"] == backend.predict(model, sid)
+
+    @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width", "gnn-no-config",
+                                      "list"])
+    def test_malformed_model_file_exit_2(self, tmp_path, capsys, case):
+        model_path = tmp_path / "model.json"
+        if case.startswith("dt"):
+            train_dt_model_file(model_path)
+            doc = json.loads(model_path.read_text())
+            if case == "dt-no-tree":
+                del doc["tree"]
+            else:
+                doc["n_features"] = 7
+        elif case == "gnn-no-config":
+            doc = {"kind": "gnn", "config": {}, "tokens": [],
+                   "label_space": ["Correct", "Incorrect"], "params": []}
+        else:
+            doc = [{"kind": "ir2vec-dt"}]
+        model_path.write_text(json.dumps(doc))
+        ir = FIXTURES / "corpus_mbi" / "correct_0.ll"
+        code, _, stderr = run_cli("predict", "--model", str(model_path),
+                                  "--ir", str(ir), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == "ModelIncompatible"
 
     def test_unknown_model_kind_exit_2(self, tmp_path, capsys):
         weird = tmp_path / "weird.json"

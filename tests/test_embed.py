@@ -232,9 +232,3 @@ class TestCacheFile:
         header = path.read_text().splitlines()[0]
         assert header.startswith("sample_id,v0,") and header.endswith(",v511")
 
-
-def test_seed_vocabulary_operation_alias():
-    vocab = em.seed_vocabulary(5, 16)
-    assert isinstance(vocab, em.SeedVocab)
-    assert vocab.dim == 16
-    assert np.array_equal(vocab.vector("ret"), em.SeedVocab(5, 16).vector("ret"))

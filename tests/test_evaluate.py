@@ -385,16 +385,6 @@ class TestAblation:
             assert not set(train) & set(val)
 
 
-class TestParallelFolds:
-    def test_threaded_run_matches_serial(self, fixture_manifest):
-        scenario = ev.Scenario(kind="intra", suite="MBI",
-                               options=desk_options(folds=5))
-        serial = ev.report_to_json(ev.run_scenario(fixture_manifest, scenario))
-        threaded = ev.report_to_json(
-            ev.run_scenario(fixture_manifest, scenario, jobs=4))
-        assert serial == threaded
-
-
 class TestCsvFlattening:
     def test_rows_and_aggregate(self, fixture_manifest):
         scenario = ev.Scenario(kind="intra", suite="MBI",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,15 +212,14 @@ class TestGa:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        data = planted_feature_data()
+        data = planted_feature_data().restrict((0, 7))
         tree = tb.train_tree(data)
         path = tmp_path / "model.json"
-        tb.save_model(path, tree, (0, 7), data.label_space,
-                      {"strategy": "vector", "dim": 256,
-                       "weights": [1.0, 0.5, 0.2]}, seed=1)
-        doc = tb.load_model(path)
-        assert doc["kind"] == "ir2vec-dt"
-        assert doc["feature_subset"] == [0, 7]
-        again = doc["tree"]
+        tb.DtModel(tree, "vector", tb.FeatureSubset((0, 7)), seed=1, dim=256,
+                   weights=(1.0, 0.5, 0.2)).save(path)
+        assert json.loads(path.read_text())["kind"] == "ir2vec-dt"
+        loaded = tb.DtModel.load(path)
+        assert loaded.subset.indices == (0, 7)
+        again = loaded.tree
         for i in range(20):
             assert tb.predict_tree(again, data.x[i]) == tb.predict_tree(tree, data.x[i])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +39,8 @@ class NonConvergenceWarning(UserWarning):
 class SeedVocab:
     """Deterministic token -> vector table: (seed, token) fully determines
     the entry, each component uniform in [-1, 1].  Entries are materialized
-    lazily under a lock and derived from a counter-mode hash stream, so they
-    are identical across runs, platforms and library versions."""
+    lazily on first lookup and derived from a counter-mode hash stream, so
+    they are identical across runs, platforms and library versions."""
 
     def __init__(self, seed: int, dim: int = DEFAULT_DIM):
         if dim < 1:
@@ -49,17 +48,11 @@ class SeedVocab:
         self.seed = int(seed)
         self.dim = int(dim)
         self._entries: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def vector(self, token: str) -> np.ndarray:
         vec = self._entries.get(token)
-        if vec is not None:
-            return vec
-        with self._lock:
-            vec = self._entries.get(token)
-            if vec is None:
-                vec = self._materialize(token)
-                self._entries[token] = vec
+        if vec is None:
+            vec = self._entries[token] = self._materialize(token)
         return vec
 
     def _materialize(self, token: str) -> np.ndarray:
@@ -90,8 +83,11 @@ class EmbeddingVector:
             raise ValueError("embedding contains non-finite values")
 
 
-def _instruction_static_parts(fn: IrFunction, vocab: SeedVocab, weights):
-    """Per-instruction base vector and dynamic (defining-instruction) links."""
+def _function_parts(fn: IrFunction, vocab: SeedVocab, weights):
+    """One walk over a function's instructions.  Returns the symbolic rows,
+    the flow-aware base rows (the symbolic row without the operands that a
+    local definition resolves) and the (user index, def index) links, which
+    come out in user order and, within one user, in operand order."""
     w_op, w_ty, w_arg = weights
     defs: dict[str, int] = {}
     instrs = []
@@ -101,35 +97,84 @@ def _instruction_static_parts(fn: IrFunction, vocab: SeedVocab, weights):
             instrs.append(instr)
             if instr.result_id is not None:
                 defs[instr.result_id] = idx
+    rows = np.zeros((len(instrs), vocab.dim))
     base = np.zeros((len(instrs), vocab.dim))
-    links: list[tuple[int, int]] = []  # (user index, def index)
+    links: list[tuple[int, int]] = []
     for idx, instr in enumerate(instrs):
         triple = token_triple(instr)
-        vec = w_op * vocab.vector(triple.opcode_token) \
+        sym = flow = w_op * vocab.vector(triple.opcode_token) \
             + w_ty * vocab.vector(triple.type_token)
         for op in instr.operands:
             if op.kind is OperandKind.LABEL:
                 continue
+            arg = w_arg * vocab.vector(op.kind.value)
+            sym = sym + arg
             if op.kind is OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                vec = vec + w_arg * vocab.vector(op.kind.value)
-        base[idx] = vec
-    return base, links
+                flow = flow + arg
+        rows[idx] = sym
+        base[idx] = flow
+    return rows, base, links
 
 
-def encode_symbolic_function(fn: IrFunction, vocab: SeedVocab,
-                             weights=DEFAULT_WEIGHTS) -> np.ndarray:
-    w_op, w_ty, w_arg = weights
-    total = np.zeros(vocab.dim)
-    for block in fn.blocks:
-        for instr in block.instructions:
-            triple = token_triple(instr)
-            vec = w_op * vocab.vector(triple.opcode_token) \
-                + w_ty * vocab.vector(triple.type_token)
-            for kind in triple.arg_tokens:
-                vec = vec + w_arg * vocab.vector(kind)
-            total += vec
+def _rank_table(users: np.ndarray, n_rows: int) -> np.ndarray:
+    """Schedule that adds link values into rows in link order without a
+    scatter.  users must be non-decreasing.  Entry [r, i] is the index of
+    row i's r-th link, or len(users) (a -0.0 pad row, since x + -0.0 == x
+    bit for bit) where row i has fewer than r + 1 links.  Adding the
+    gathered values rank by rank performs, for every row, the same additions
+    in the same order as np.add.at(rows, users, values)."""
+    n = len(users)
+    ranks = np.arange(n) - np.searchsorted(users, users)
+    table = np.full((int(ranks.max()) + 1, n_rows), n, dtype=np.intp)
+    table[ranks, users] = np.arange(n)
+    return table
+
+
+def _add_by_rank(rows: np.ndarray, table: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """rows plus values[table[r]] for every rank r, added in rank order;
+    index len(values) reads a -0.0 pad row."""
+    padded = np.concatenate([values, np.full((1, values.shape[1]), -0.0)])
+    out = rows.copy()
+    for ranked in table:
+        out += padded[ranked]
+    return out
+
+
+def _fixed_point(base: np.ndarray, links: list[tuple[int, int]], w_arg: float,
+                 damping: float, tol: float, max_iter: int,
+                 ) -> tuple[np.ndarray, bool, int, float]:
+    """Damped iteration of row = base + w_arg * (sum of its links' rows);
+    returns what encode_flow_aware_function documents."""
+    dim = base.shape[1]
+    if not links:
+        # summation order matches encode_symbolic so the two agree bitwise
+        return _seq_sum(base, dim), True, 0, 0.0
+    users = np.array([u for u, _ in links])
+    defs = np.array([d for _, d in links])
+    table = _rank_table(users, base.shape[0])
+    state = base.copy()
+    residual = np.inf
+    # per-instruction residuals add up in the function sum, so the stopping
+    # threshold is scaled down by the instruction count to keep the summed
+    # result within tol of the fixed point
+    tol_eff = tol / max(1, base.shape[0])
+    for it in range(1, max_iter + 1):
+        prop = _add_by_rank(base, table, w_arg * state[defs])
+        nxt = (1.0 - damping) * state + damping * prop
+        residual = float(np.max(np.abs(nxt - state)))
+        state = nxt
+        if residual < tol_eff:
+            return _seq_sum(state, dim), True, it, residual
+    return _seq_sum(state, dim), False, max_iter, residual
+
+
+def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
+    total = np.zeros(dim)
+    for row in rows:
+        total += row
     return total
 
 
@@ -137,7 +182,8 @@ def encode_symbolic(module: IrModule, vocab: SeedVocab,
                     weights=DEFAULT_WEIGHTS) -> np.ndarray:
     total = np.zeros(vocab.dim)
     for fn in module.defined_functions():
-        total += encode_symbolic_function(fn, vocab, weights)
+        rows, _base, _links = _function_parts(fn, vocab, weights)
+        total += _seq_sum(rows, vocab.dim)
     return total
 
 
@@ -147,35 +193,8 @@ def encode_flow_aware_function(fn: IrFunction, vocab: SeedVocab,
                                ) -> tuple[np.ndarray, bool, int, float]:
     """Returns (sum of converged per-instruction embeddings, converged,
     iterations, final residual)."""
-    w_arg = weights[2]
-    base, links = _instruction_static_parts(fn, vocab, weights)
-    if not links:
-        # summation order matches encode_symbolic so the two agree bitwise
-        return _seq_sum(base, vocab.dim), True, 0, 0.0
-    users = np.array([u for u, _ in links])
-    defs = np.array([d for _, d in links])
-    state = base.copy()
-    residual = np.inf
-    # per-instruction residuals add up in the function sum, so the stopping
-    # threshold is scaled down by the instruction count to keep the summed
-    # result within tol of the fixed point
-    tol_eff = tol / max(1, base.shape[0])
-    for it in range(1, max_iter + 1):
-        prop = base.copy()
-        np.add.at(prop, users, w_arg * state[defs])
-        nxt = (1.0 - damping) * state + damping * prop
-        residual = float(np.max(np.abs(nxt - state)))
-        state = nxt
-        if residual < tol_eff:
-            return _seq_sum(state, vocab.dim), True, it, residual
-    return _seq_sum(state, vocab.dim), False, max_iter, residual
-
-
-def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
-    total = np.zeros(dim)
-    for row in rows:
-        total += row
-    return total
+    _rows, base, links = _function_parts(fn, vocab, weights)
+    return _fixed_point(base, links, weights[2], damping, tol, max_iter)
 
 
 def encode_flow_aware(module: IrModule, vocab: SeedVocab,
@@ -196,15 +215,20 @@ def encode_flow_aware(module: IrModule, vocab: SeedVocab,
 def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS,
           source_id: str = "", damping: float = 0.5, tol: float = 1e-6,
           max_iter: int = 100) -> EmbeddingVector:
-    """Concatenated symbolic (first half) and flow-aware (second half) vector."""
-    sym = encode_symbolic(module, vocab, weights)
+    """Concatenated symbolic (first half) and flow-aware (second half) vector,
+    from one walk over each function.  Non-convergence is not warned about
+    but noted on the result (the last non-converged function's message)."""
+    sym = np.zeros(vocab.dim)
+    flow = np.zeros(vocab.dim)
     note = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NonConvergenceWarning)
-        flow = encode_flow_aware(module, vocab, weights, damping, tol, max_iter)
-        for w in caught:
-            if issubclass(w.category, NonConvergenceWarning):
-                note = str(w.message)
+    for fn in module.defined_functions():
+        rows, base, links = _function_parts(fn, vocab, weights)
+        sym += _seq_sum(rows, vocab.dim)
+        vec, converged, iters, residual = _fixed_point(
+            base, links, weights[2], damping, tol, max_iter)
+        if not converged:
+            note = str(NonConvergenceWarning(iters, residual))
+        flow += vec
     return EmbeddingVector(np.concatenate([sym, flow]), source_id, note)
 
 

@@ -781,6 +781,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     module-level constructs outside the subset degrade gracefully.
     """
     module = IrModule(name=name, functions=[], global_constants=[])
+    seen: set[str] = set()  # function names, defined or declared
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
         if fn_parser is not None:
@@ -803,8 +804,9 @@ def parse_ir(text: str, name: str = "") -> IrModule:
                 sig = sig.rstrip()[:-1]
             tokens = _strip_metadata_tokens(_tokenize(sig))
             fname, _ret, params = _parse_signature(tokens, lineno)
-            if any(f.name == fname for f in module.functions):
+            if fname in seen:
                 raise MalformedIr(lineno, f"duplicate function @{fname}")
+            seen.add(fname)
             fn = IrFunction(name=fname, params=params, blocks=[], is_declaration=False)
             module.functions.append(fn)
             fn_parser = _FunctionParser(fn, lineno)
@@ -822,8 +824,9 @@ def parse_ir(text: str, name: str = "") -> IrModule:
         if line.startswith("declare"):
             tokens = _strip_metadata_tokens(_tokenize(line[len("declare"):]))
             fname, _ret, params = _parse_signature(tokens, lineno)
-            if any(f.name == fname for f in module.functions):
+            if fname in seen:
                 raise MalformedIr(lineno, f"duplicate function @{fname}")
+            seen.add(fname)
             module.functions.append(
                 IrFunction(name=fname, params=params, blocks=[], is_declaration=True))
             continue

@@ -176,3 +176,102 @@ def finite_difference_gradients(model, loss_fn, eps: float = 1e-5):
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# ---------------------------------------------------------------------------
+# The embedding as computed with an np.add.at scatter in the flow-aware fixed
+# point: the bit-exact reference for the library's rank-by-rank schedule.
+# Same static parts, update expressions and summation order as the library.
+
+def _instruction_static_parts(fn, vocab, weights):
+    """Per-instruction base vector and dynamic (defining-instruction) links."""
+    w_op, w_ty, w_arg = weights
+    defs: dict[str, int] = {}
+    instrs = []
+    for block in fn.blocks:
+        for instr in block.instructions:
+            idx = len(instrs)
+            instrs.append(instr)
+            if instr.result_id is not None:
+                defs[instr.result_id] = idx
+    base = np.zeros((len(instrs), vocab.dim))
+    links: list[tuple[int, int]] = []  # (user index, def index)
+    for idx, instr in enumerate(instrs):
+        triple = token_triple(instr)
+        vec = w_op * vocab.vector(triple.opcode_token) \
+            + w_ty * vocab.vector(triple.type_token)
+        for op in instr.operands:
+            if op.kind is OperandKind.LABEL:
+                continue
+            if op.kind is OperandKind.LOCAL and op.token in defs:
+                links.append((idx, defs[op.token]))
+            else:
+                vec = vec + w_arg * vocab.vector(op.kind.value)
+        base[idx] = vec
+    return base, links
+
+
+def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
+    total = np.zeros(dim)
+    for row in rows:
+        total += row
+    return total
+
+
+def symbolic_function_sum(fn, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
+    """One function's symbolic encoding, summed instruction by instruction."""
+    w_op, w_ty, w_arg = weights
+    total = np.zeros(vocab.dim)
+    for block in fn.blocks:
+        for instr in block.instructions:
+            triple = token_triple(instr)
+            vec = w_op * vocab.vector(triple.opcode_token) \
+                + w_ty * vocab.vector(triple.type_token)
+            for kind in triple.arg_tokens:
+                vec = vec + w_arg * vocab.vector(kind)
+            total += vec
+    return total
+
+
+def flow_aware_add_at(fn, vocab, weights=(1.0, 0.5, 0.2), damping: float = 0.5,
+                      tol: float = 1e-6, max_iter: int = 100,
+                      ) -> tuple[np.ndarray, bool, int, float]:
+    """Returns (sum of converged per-instruction embeddings, converged,
+    iterations, final residual)."""
+    w_arg = weights[2]
+    base, links = _instruction_static_parts(fn, vocab, weights)
+    if not links:
+        return _seq_sum(base, vocab.dim), True, 0, 0.0
+    users = np.array([u for u, _ in links])
+    defs = np.array([d for _, d in links])
+    state = base.copy()
+    residual = np.inf
+    tol_eff = tol / max(1, base.shape[0])
+    for it in range(1, max_iter + 1):
+        prop = base.copy()
+        np.add.at(prop, users, w_arg * state[defs])
+        nxt = (1.0 - damping) * state + damping * prop
+        residual = float(np.max(np.abs(nxt - state)))
+        state = nxt
+        if residual < tol_eff:
+            return _seq_sum(state, vocab.dim), True, it, residual
+    return _seq_sum(state, vocab.dim), False, max_iter, residual
+
+
+def embed_add_at(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
+                 damping: float = 0.5, tol: float = 1e-6, max_iter: int = 100,
+                 ) -> tuple[np.ndarray, str | None]:
+    """(symbolic half then flow-aware half, message of the last function
+    that did not converge or None)."""
+    sym = np.zeros(vocab.dim)
+    flow = np.zeros(vocab.dim)
+    note = None
+    for fn in module.defined_functions():
+        sym += symbolic_function_sum(fn, vocab, weights)
+        vec, converged, iters, residual = flow_aware_add_at(
+            fn, vocab, weights, damping, tol, max_iter)
+        if not converged:
+            note = (f"flow-aware fixed point did not converge after "
+                    f"{iters} iterations (residual {residual:.3e})")
+        flow += vec
+    return np.concatenate([sym, flow]), note

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,8 +64,10 @@ class TestSymbolic:
         whole = em.encode_symbolic(module, vocab)
         parts = np.zeros(vocab.dim)
         for fn in module.defined_functions():
-            parts += em.encode_symbolic_function(fn, vocab)
-        assert np.array_equal(whole, parts)
+            alone = dataclasses.replace(module, functions=[fn])
+            parts += em.encode_symbolic(alone, vocab)
+        assert len(module.defined_functions()) == 2
+        assert whole.tobytes() == parts.tobytes()
 
 
 class TestFlowAware:
@@ -126,6 +130,75 @@ out:
         with pytest.warns(em.NonConvergenceWarning):
             got = em.encode_flow_aware(module, vocab, max_iter=2)
         assert np.all(np.isfinite(got))
+
+
+NONCONVERGING_MODULE = """
+define i32 @chain(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %b = mul i32 %a, %a
+  ret i32 %b
+}
+
+define i32 @loop() {
+entry:
+  br label %loop
+loop:
+  %a = phi i32 [ 0, %entry ], [ %b, %loop ]
+  %b = add i32 %a, 1
+  br i1 true, label %loop, label %out
+out:
+  ret i32 %b
+}
+"""
+
+
+class TestAddAtReference:
+    """The scatter-free fixed point against the np.add.at one, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_fixture_embeddings_bit_identical(self, seed, all_fixture_modules):
+        vocab = em.SeedVocab(seed, 256)
+        for path, module in all_fixture_modules:
+            want, note = oracles.embed_add_at(module, vocab)
+            ev = em.embed(module, vocab)
+            assert ev.values.tobytes() == want.tobytes(), path
+            assert ev.warning == note, path
+
+    def test_nonconvergence_path_bit_identical(self, vocab):
+        module = parse_ir(NONCONVERGING_MODULE)
+        with pytest.warns(em.NonConvergenceWarning):
+            em.encode_flow_aware(module, vocab, max_iter=2)
+        for fn in module.defined_functions():
+            vec, *status = em.encode_flow_aware_function(fn, vocab, max_iter=2)
+            want, *want_status = oracles.flow_aware_add_at(fn, vocab, max_iter=2)
+            assert vec.tobytes() == want.tobytes(), fn.name
+            assert status == want_status, fn.name
+            assert status[:2] == [False, 2], fn.name
+        ev = em.embed(module, vocab, max_iter=2)
+        want, note = oracles.embed_add_at(module, vocab, max_iter=2)
+        assert ev.warning is not None and ev.warning == note
+        assert ev.values.tobytes() == want.tobytes()
+
+
+_SIGNED_FLOATS = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_schedule_adds_like_add_at(data):
+    counts = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=10)
+                       .filter(any))
+    n_rows = len(counts)
+    users = np.repeat(np.arange(n_rows), counts)  # non-decreasing
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(arrays(np.float64, (n_rows, dim), elements=_SIGNED_FLOATS))
+    values = data.draw(arrays(np.float64, (users.size, dim),
+                              elements=_SIGNED_FLOATS))
+    want = rows.copy()
+    np.add.at(want, users, values)
+    got = em._add_by_rank(rows, em._rank_table(users, n_rows), values)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestEmbed:

@@ -113,6 +113,17 @@ class TestMalformed:
         with pytest.raises(MalformedIr):
             parse_ir(text)
 
+    @pytest.mark.parametrize("first, second", [
+        ("define void @f() { ret void }", "define void @f() { ret void }"),
+        ("declare void @f()", "define void @f() { ret void }"),
+        ("define void @f() { ret void }", "declare void @f()"),
+    ])
+    def test_duplicate_function_names_its_line(self, first, second):
+        text = f"{first}\ndeclare void @g()\n{second}\n"
+        with pytest.raises(MalformedIr, match="duplicate function @f") as info:
+            parse_ir(text)
+        assert info.value.line == 3
+
     def test_block_without_terminator(self):
         with pytest.raises(MalformedIr):
             parse_ir("define void @f() {\nentry:\n  %a = add i32 1, 2\nnext:\n  ret void\n}")

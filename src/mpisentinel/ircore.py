@@ -417,6 +417,8 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
         instr = _parse_opcode(opcode, rest, result_id)
     except (ValueError, IndexError, TypeError) as exc:
         raise MalformedIr(lineno, f"cannot parse {opcode!r} instruction: {exc}") from exc
+    if None in instr.operands:
+        raise MalformedIr(lineno, f"{opcode} instruction with a missing operand")
     if result_id is not None:
         if instr.type_str == "void":
             raise MalformedIr(lineno, f"{opcode} assigns a result but has void type")
@@ -793,66 +795,76 @@ def parse_ir(text: str, name: str = "") -> IrModule:
             else:
                 fn_parser.feed(line, lineno)
             continue
-        if line == "}":
-            raise MalformedIr(lineno, "unmatched '}'")
-        if line.startswith("define") and (line.endswith("{") or " {" in line):
-            body_inline = None
-            sig = line[len("define"):]
-            if not sig.rstrip().endswith("{"):
-                sig, body_inline = sig.split("{", 1)
-            else:
-                sig = sig.rstrip()[:-1]
-            tokens = _strip_metadata_tokens(_tokenize(sig))
-            fname, _ret, params = _parse_signature(tokens, lineno)
-            if fname in seen:
-                raise MalformedIr(lineno, f"duplicate function @{fname}")
-            seen.add(fname)
-            fn = IrFunction(name=fname, params=params, blocks=[], is_declaration=False)
-            module.functions.append(fn)
-            fn_parser = _FunctionParser(fn, lineno)
-            if body_inline and body_inline.strip():
-                inline = body_inline.strip()
-                closed = inline.endswith("}")
-                if closed:
-                    inline = inline[:-1].strip()
-                if inline:
-                    fn_parser.feed(inline, lineno)
-                if closed:
-                    fn_parser.finish()
-                    fn_parser = None
-            continue
-        if line.startswith("declare"):
-            tokens = _strip_metadata_tokens(_tokenize(line[len("declare"):]))
-            fname, _ret, params = _parse_signature(tokens, lineno)
-            if fname in seen:
-                raise MalformedIr(lineno, f"duplicate function @{fname}")
-            seen.add(fname)
-            module.functions.append(
-                IrFunction(name=fname, params=params, blocks=[], is_declaration=True))
-            continue
-        if line.startswith("define"):
-            raise MalformedIr(lineno, "define without a body brace")
-        if line.startswith("@"):
-            tokens = _strip_metadata_tokens(_tokenize(line))
-            gname = tokens[0][1:]
-            gtype = "opaque"
-            for k in range(1, len(tokens)):
-                got = consume_type(tokens, k, allow_named=True)
-                if got is not None:
-                    gtype = got[0]
-                    break
-            module.global_constants.append((gname, gtype))
-            continue
-        if line.startswith("%") and "= type" in line:
-            continue
-        if line.startswith("$") or line.startswith("!"):
-            continue
-        if any(line.startswith(p) for p in _SKIP_PREFIXES):
-            continue
-        raise MalformedIr(lineno, f"instruction outside a function/block: {line[:40]!r}")
+        try:
+            fn_parser = _module_line(module, seen, line, lineno)
+        except (ValueError, IndexError, TypeError) as exc:
+            raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:
         raise MalformedIr(len(text.splitlines()), "unbalanced braces: unterminated function body")
     return module
+
+
+def _module_line(module: IrModule, seen: set[str], line: str,
+                 lineno: int) -> _FunctionParser | None:
+    """Add one line outside any function body to the module; returns the
+    parser of a function body the line opens and leaves open."""
+    if line == "}":
+        raise MalformedIr(lineno, "unmatched '}'")
+    if line.startswith("define") and (line.endswith("{") or " {" in line):
+        body_inline = None
+        sig = line[len("define"):]
+        if not sig.rstrip().endswith("{"):
+            sig, body_inline = sig.split("{", 1)
+        else:
+            sig = sig.rstrip()[:-1]
+        tokens = _strip_metadata_tokens(_tokenize(sig))
+        fname, _ret, params = _parse_signature(tokens, lineno)
+        if fname in seen:
+            raise MalformedIr(lineno, f"duplicate function @{fname}")
+        seen.add(fname)
+        fn = IrFunction(name=fname, params=params, blocks=[], is_declaration=False)
+        module.functions.append(fn)
+        fn_parser = _FunctionParser(fn, lineno)
+        if body_inline and body_inline.strip():
+            inline = body_inline.strip()
+            closed = inline.endswith("}")
+            if closed:
+                inline = inline[:-1].strip()
+            if inline:
+                fn_parser.feed(inline, lineno)
+            if closed:
+                fn_parser.finish()
+                return None
+        return fn_parser
+    if line.startswith("declare"):
+        tokens = _strip_metadata_tokens(_tokenize(line[len("declare"):]))
+        fname, _ret, params = _parse_signature(tokens, lineno)
+        if fname in seen:
+            raise MalformedIr(lineno, f"duplicate function @{fname}")
+        seen.add(fname)
+        module.functions.append(
+            IrFunction(name=fname, params=params, blocks=[], is_declaration=True))
+        return None
+    if line.startswith("define"):
+        raise MalformedIr(lineno, "define without a body brace")
+    if line.startswith("@"):
+        tokens = _strip_metadata_tokens(_tokenize(line))
+        gname = tokens[0][1:]
+        gtype = "opaque"
+        for k in range(1, len(tokens)):
+            got = consume_type(tokens, k, allow_named=True)
+            if got is not None:
+                gtype = got[0]
+                break
+        module.global_constants.append((gname, gtype))
+        return None
+    if line.startswith("%") and "= type" in line:
+        return None
+    if line.startswith("$") or line.startswith("!"):
+        return None
+    if any(line.startswith(p) for p in _SKIP_PREFIXES):
+        return None
+    raise MalformedIr(lineno, f"instruction outside a function/block: {line[:40]!r}")
 
 
 def token_triple(instr: IrInstruction) -> TokenTriple:
@@ -889,109 +901,6 @@ def successors(block: IrBlock) -> list[str]:
         return []
     term = block.instructions[-1]
     return [op.token for op in term.operands if op.kind is OperandKind.LABEL]
-
-
-# ---------------------------------------------------------------------------
-# Debug pretty-printer (tests only; no compatibility promise).
-
-def render(module: IrModule) -> str:
-    parts = []
-    for gname, gtype in module.global_constants:
-        parts.append(f"@{gname} = global {gtype} zeroinitializer")
-    for fn in module.functions:
-        params = ", ".join(f"{t} {p}" for p, t in fn.params)
-        if fn.is_declaration:
-            parts.append(f"declare void @{fn.name}({params})")
-            continue
-        parts.append(f"define void @{fn.name}({params}) {{")
-        for bi, block in enumerate(fn.blocks):
-            if bi > 0 or block.label != "entry":
-                parts.append(f"{block.label}:")
-            for instr in block.instructions:
-                parts.append("  " + _render_instruction(instr))
-        parts.append("}")
-    return "\n".join(parts) + "\n"
-
-
-def _render_value(op: Operand) -> str:
-    return op.token
-
-
-def _render_instruction(instr: IrInstruction) -> str:  # noqa: C901
-    prefix = f"{instr.result_id} = " if instr.result_id is not None else ""
-    ops = instr.operands
-    op = instr.opcode
-    if op == "ret":
-        return "ret void" if not ops else f"ret i64 {_render_value(ops[0])}"
-    if op == "br":
-        if len(ops) == 1:
-            return f"br label %{ops[0].token}"
-        return (f"br i1 {_render_value(ops[0])}, label %{ops[1].token}, "
-                f"label %{ops[2].token}")
-    if op == "switch":
-        cases = []
-        rest = ops[2:]
-        for k in range(0, len(rest) - 1, 2):
-            cases.append(f"i64 {_render_value(rest[k])}, label %{rest[k + 1].token}")
-        return (f"switch i64 {_render_value(ops[0])}, label %{ops[1].token} "
-                f"[ {' '.join(cases)} ]")
-    if op == "unreachable":
-        return "unreachable"
-    if op in ("call", "invoke"):
-        callee = ops[0].token
-        args = ", ".join(f"i64 {_render_value(o)}" for o in ops[1:]
-                         if o.kind is not OperandKind.LABEL)
-        ret = instr.type_str if instr.result_id is not None else "void"
-        text = f"{prefix}{op} {ret} {callee}({args})"
-        labels = [o for o in ops if o.kind is OperandKind.LABEL]
-        if labels:
-            text += f" to label %{labels[0].token} unwind label %{labels[1].token}"
-        return text
-    if op == "load":
-        return f"{prefix}load {instr.type_str}, ptr {_render_value(ops[0])}"
-    if op == "store":
-        return f"store i64 {_render_value(ops[0])}, ptr {_render_value(ops[1])}"
-    if op == "alloca":
-        extra = f", i64 {_render_value(ops[0])}" if ops else ""
-        return f"{prefix}alloca i64{extra}"
-    if op == "getelementptr":
-        idx = "".join(f", i64 {_render_value(o)}" for o in ops[1:])
-        return f"{prefix}getelementptr i64, ptr {_render_value(ops[0])}{idx}"
-    if op in BINARY_OPCODES:
-        vals = ", ".join(_render_value(o) for o in ops)
-        return f"{prefix}{op} {instr.type_str} {vals}"
-    if op == "fneg":
-        return f"{prefix}fneg {instr.type_str} {_render_value(ops[0])}"
-    if op in ("icmp", "fcmp"):
-        pred = "eq" if op == "icmp" else "oeq"
-        return f"{prefix}{op} {pred} i64 {_render_value(ops[0])}, {_render_value(ops[1])}"
-    if op in CAST_OPCODES:
-        return f"{prefix}{op} i64 {_render_value(ops[0])} to {instr.type_str}"
-    if op == "freeze":
-        return f"{prefix}freeze {instr.type_str} {_render_value(ops[0])}"
-    if op == "phi":
-        pairs = []
-        for k in range(0, len(ops) - 1, 2):
-            pairs.append(f"[ {_render_value(ops[k])}, %{ops[k + 1].token} ]")
-        return f"{prefix}phi {instr.type_str} {', '.join(pairs)}"
-    if op == "select":
-        return (f"{prefix}select i1 {_render_value(ops[0])}, "
-                f"{instr.type_str} {_render_value(ops[1])}, "
-                f"{instr.type_str} {_render_value(ops[2])}")
-    if op == "atomicrmw":
-        return (f"{prefix}atomicrmw add ptr {_render_value(ops[0])}, "
-                f"{instr.type_str} {_render_value(ops[1])} seq_cst")
-    if op == "cmpxchg":
-        inner = instr.type_str.strip("{} ").rsplit(",", 1)[0].strip()
-        return (f"{prefix}cmpxchg ptr {_render_value(ops[0])}, "
-                f"{inner} {_render_value(ops[1])}, {inner} {_render_value(ops[2])} "
-                f"seq_cst seq_cst")
-    if op == "fence":
-        return "fence seq_cst"
-    vals = ", ".join(_render_value(o) for o in ops)
-    ty = instr.type_str if instr.type_str != "void" else ""
-    sep = " " if ty and vals else ""
-    return f"{prefix}{op} {ty}{sep}{vals}".rstrip()
 
 
 def structurally_equal(a: IrModule, b: IrModule) -> bool:

@@ -87,77 +87,91 @@ class DecisionTree:
     label_space: list[str]
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.dot(p, p))
+# Upper bound on rows x features x classes scored in one pass: one pass per
+# node on narrow data (the GA's subsets), bounded temporaries on wide data.
+_SCORE_CELLS = 1 << 12
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """Exhaustive search: lowest weighted Gini; ties -> lowest feature index,
-    then lowest threshold.  Thresholds are midpoints of consecutive distinct
-    sorted values.  Returns (feature, threshold) or None."""
-    n = x.shape[0]
+def _best_split(sorted_x: np.ndarray, sorted_y: np.ndarray,
+                classes: np.ndarray):
+    """Exhaustive search over features in blocks: lowest weighted Gini;
+    ties -> lowest feature index, then lowest threshold.  Thresholds are
+    midpoints of consecutive distinct sorted values.
+
+    Row f of sorted_x holds the node's values of feature f in stable
+    ascending order, and the same row of sorted_y their label codes.
+    Returns (feature, threshold) or None."""
+    n = sorted_x.shape[1]
+    step = max(1, _SCORE_CELLS // (n * len(classes)))
     best = None
     best_score = np.inf
-    eye = np.eye(n_classes)
-    for f in range(x.shape[1]):
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        distinct = np.nonzero(sorted_col[1:] != sorted_col[:-1])[0]
-        if distinct.size == 0:
+    for lo in range(0, len(sorted_x), step):
+        xs = sorted_x[lo:lo + step]
+        # candidate cuts in feature-major order, so the first minimum of
+        # the scores is the lowest feature, then the lowest threshold
+        feat, cut = (xs[:, 1:] != xs[:, :-1]).nonzero()
+        if feat.size == 0:
             continue
-        left_counts = np.cumsum(eye[y[order]], axis=0)
-        total = left_counts[-1]
-        lc = left_counts[distinct]
-        rc = total - lc
-        nl = (distinct + 1).astype(np.float64)
+        # class counts left of every cut; float sums of 0/1 are exact
+        left_counts = (sorted_y[lo:lo + step, :, None] == classes).cumsum(
+            axis=1, dtype=np.float64)
+        lc = left_counts[feat, cut]
+        rc = left_counts[0, -1] - lc
+        nl = cut + 1.0
         nr = n - nl
         p_l = lc / nl[:, None]
         p_r = rc / nr[:, None]
         gini_l = 1.0 - np.einsum("ij,ij->i", p_l, p_l)
         gini_r = 1.0 - np.einsum("ij,ij->i", p_r, p_r)
         scores = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(scores))  # first minimum: lowest threshold wins ties
+        k = scores.argmin()
         if scores[k] < best_score:
             best_score = scores[k]
-            cut = distinct[k]
-            best = (f, (sorted_col[cut] + sorted_col[cut + 1]) / 2.0)
+            f, c = int(feat[k]), cut[k]
+            best = (lo + f, (xs[f, c] + xs[f, c + 1]) / 2.0)
     return best
 
 
-def _leaf(y: np.ndarray, label_space: list[str]) -> TreeNode:
-    counts = np.bincount(y, minlength=len(label_space))
-    label = label_space[int(np.argmax(counts))]  # argmax ties -> earliest label
+def _leaf(counts: np.ndarray, label_space: list[str]) -> TreeNode:
+    label = label_space[int(counts.argmax())]  # argmax ties -> earliest label
     return TreeNode(label=label,
-                    class_counts={label_space[i]: int(c)
-                                  for i, c in enumerate(counts) if c})
-
-
-def _grow(x: np.ndarray, y: np.ndarray, label_space: list[str]) -> TreeNode:
-    if len(y) < 2 or np.all(y == y[0]):
-        return _leaf(y, label_space)
-    split = _best_split(x, y, len(label_space))
-    if split is None:  # identical rows with conflicting labels
-        return _leaf(y, label_space)
-    f, thr = split
-    mask = x[:, f] <= thr
-    node = TreeNode(feature=f, threshold=thr)
-    node.left = _grow(x[mask], y[mask], label_space)
-    node.right = _grow(x[~mask], y[~mask], label_space)
-    return node
+                    class_counts={label_space[i]: c
+                                  for i, c in enumerate(counts.tolist()) if c})
 
 
 def train_tree(data: LabeledVectors) -> DecisionTree:
+    """Presorted CART: every column is sorted once, and each node receives
+    its rows' part of that order."""
     if data.x.shape[0] == 0:
         raise EmptyDataset("cannot train on zero rows")
-    index = {lab: i for i, lab in enumerate(data.label_space)}
+    label_space = data.label_space
+    index = {lab: i for i, lab in enumerate(label_space)}
     y = np.array([index[lab] for lab in data.labels])
-    root = _grow(data.x, y, data.label_space)
-    return DecisionTree(root, data.x.shape[1], list(data.label_space))
+    xt = data.x.T
+    features = np.arange(xt.shape[0])[:, None]
+    classes = np.arange(len(label_space))
+
+    def grow(order: np.ndarray) -> TreeNode:
+        """order: (F, n), the node's rows sorted stably by each feature."""
+        counts = np.bincount(y[order[0]], minlength=len(classes))
+        split = None
+        if counts.max() < order.shape[1]:  # two rows or more, not pure
+            split = _best_split(xt[features, order], y[order], classes)
+        if split is None:  # pure, or identical rows with conflicting labels
+            return _leaf(counts, label_space)
+        f, thr = split
+        # boolean selection runs in row-major order, feature by feature, so
+        # each child's rows stay sorted: a stable partition
+        mask = xt[f][order] <= thr
+        return TreeNode(feature=f, threshold=thr,
+                        left=grow(order[mask].reshape(len(xt), -1)),
+                        right=grow(order[~mask].reshape(len(xt), -1)))
+
+    if len(xt) == 0:  # no feature to split on
+        root = _leaf(np.bincount(y, minlength=len(classes)), label_space)
+    else:
+        root = grow(np.argsort(xt, axis=1, kind="stable"))
+    return DecisionTree(root, data.x.shape[1], list(label_space))
 
 
 def _descend(tree: DecisionTree, row) -> TreeNode:
@@ -321,7 +335,8 @@ def run_ga(data: LabeledVectors, cfg: GaConfig) -> GaRun:
                 child = repair(list(p1[:point]) + list(p2[point:]))
             else:
                 child = p1
-            if rng.random() < cfg.mutation_prob:
+            # a child holding every feature has no gene to mutate into
+            if rng.random() < cfg.mutation_prob and genes < n_features:
                 slot = int(rng.integers(genes))
                 mutated = list(child)
                 g = int(rng.integers(n_features))

@@ -1,16 +1,25 @@
-"""Independent brute-force reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's vectorized code paths: plain Python
-loops and dicts, recomputing results from first principles.  They share only
-the parsed IR structures and the seeded vocabulary lookups with the code
-under test.
+The brute-force ones deliberately avoid the library's vectorized code paths:
+plain Python loops and dicts, recomputing results from first principles.  The
+bit-exact ones keep an earlier, slower implementation (the np.add.at
+embedding, the per-feature CART) that the library must still match bit for
+bit.  They share only the parsed IR structures, the tree data classes and the
+seeded vocabulary lookups with the code under test.  The IR printer at the
+end turns parsed modules back into text for round-trip tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mpisentinel.ircore import IrModule, OperandKind, token_triple
+from mpisentinel.ircore import (
+    BINARY_OPCODES, CAST_OPCODES, IrInstruction, IrModule, Operand, OperandKind,
+    token_triple,
+)
+from mpisentinel.tabular import (
+    DecisionTree, EmptyDataset, LabeledVectors, TreeNode,
+)
 
 
 def symbolic_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
@@ -275,3 +284,185 @@ def embed_add_at(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
                     f"{iters} iterations (residual {residual:.3e})")
         flow += vec
     return np.concatenate([sym, flow]), note
+
+
+# ---------------------------------------------------------------------------
+# CART as trained before presorting: every node re-sorts every column and
+# scores one feature at a time.  The bit-exact reference for the library's
+# presorted, feature-batched trainer (same trees, thresholds and counts).
+
+def _reference_best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
+    """Exhaustive search: lowest weighted Gini; ties -> lowest feature index,
+    then lowest threshold.  Thresholds are midpoints of consecutive distinct
+    sorted values.  Returns (feature, threshold) or None."""
+    n = x.shape[0]
+    best = None
+    best_score = np.inf
+    eye = np.eye(n_classes)
+    for f in range(x.shape[1]):
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        distinct = np.nonzero(sorted_col[1:] != sorted_col[:-1])[0]
+        if distinct.size == 0:
+            continue
+        left_counts = np.cumsum(eye[y[order]], axis=0)
+        total = left_counts[-1]
+        lc = left_counts[distinct]
+        rc = total - lc
+        nl = (distinct + 1).astype(np.float64)
+        nr = n - nl
+        p_l = lc / nl[:, None]
+        p_r = rc / nr[:, None]
+        gini_l = 1.0 - np.einsum("ij,ij->i", p_l, p_l)
+        gini_r = 1.0 - np.einsum("ij,ij->i", p_r, p_r)
+        scores = (nl * gini_l + nr * gini_r) / n
+        k = int(np.argmin(scores))  # first minimum: lowest threshold wins ties
+        if scores[k] < best_score:
+            best_score = scores[k]
+            cut = distinct[k]
+            best = (f, (sorted_col[cut] + sorted_col[cut + 1]) / 2.0)
+    return best
+
+
+def _reference_leaf(y: np.ndarray, label_space: list[str]) -> TreeNode:
+    counts = np.bincount(y, minlength=len(label_space))
+    label = label_space[int(np.argmax(counts))]  # argmax ties -> earliest label
+    return TreeNode(label=label,
+                    class_counts={label_space[i]: int(c)
+                                  for i, c in enumerate(counts) if c})
+
+
+def _reference_grow(x: np.ndarray, y: np.ndarray, label_space: list[str]) -> TreeNode:
+    if len(y) < 2 or np.all(y == y[0]):
+        return _reference_leaf(y, label_space)
+    split = _reference_best_split(x, y, len(label_space))
+    if split is None:  # identical rows with conflicting labels
+        return _reference_leaf(y, label_space)
+    f, thr = split
+    mask = x[:, f] <= thr
+    node = TreeNode(feature=f, threshold=thr)
+    node.left = _reference_grow(x[mask], y[mask], label_space)
+    node.right = _reference_grow(x[~mask], y[~mask], label_space)
+    return node
+
+
+def reference_train_tree(data: LabeledVectors) -> DecisionTree:
+    if data.x.shape[0] == 0:
+        raise EmptyDataset("cannot train on zero rows")
+    index = {lab: i for i, lab in enumerate(data.label_space)}
+    y = np.array([index[lab] for lab in data.labels])
+    root = _reference_grow(data.x, y, data.label_space)
+    return DecisionTree(root, data.x.shape[1], list(data.label_space))
+
+
+def tree_dump(node: TreeNode):
+    """Nested tuples of feature, threshold bits, label and class counts."""
+    if node.is_leaf:
+        return ("leaf", node.label, tuple(sorted(node.class_counts.items())))
+    return (node.feature, float(node.threshold).hex(),
+            tree_dump(node.left), tree_dump(node.right))
+
+
+# ---------------------------------------------------------------------------
+# A printer from the parsed structures back to IR text the parser reads, for
+# round-trip tests (no compatibility promise).
+
+def render(module: IrModule) -> str:
+    parts = []
+    for gname, gtype in module.global_constants:
+        parts.append(f"@{gname} = global {gtype} zeroinitializer")
+    for fn in module.functions:
+        params = ", ".join(f"{t} {p}" for p, t in fn.params)
+        if fn.is_declaration:
+            parts.append(f"declare void @{fn.name}({params})")
+            continue
+        parts.append(f"define void @{fn.name}({params}) {{")
+        for bi, block in enumerate(fn.blocks):
+            if bi > 0 or block.label != "entry":
+                parts.append(f"{block.label}:")
+            for instr in block.instructions:
+                parts.append("  " + _render_instruction(instr))
+        parts.append("}")
+    return "\n".join(parts) + "\n"
+
+
+def _render_value(op: Operand) -> str:
+    return op.token
+
+
+def _render_instruction(instr: IrInstruction) -> str:  # noqa: C901
+    prefix = f"{instr.result_id} = " if instr.result_id is not None else ""
+    ops = instr.operands
+    op = instr.opcode
+    if op == "ret":
+        return "ret void" if not ops else f"ret i64 {_render_value(ops[0])}"
+    if op == "br":
+        if len(ops) == 1:
+            return f"br label %{ops[0].token}"
+        return (f"br i1 {_render_value(ops[0])}, label %{ops[1].token}, "
+                f"label %{ops[2].token}")
+    if op == "switch":
+        cases = []
+        rest = ops[2:]
+        for k in range(0, len(rest) - 1, 2):
+            cases.append(f"i64 {_render_value(rest[k])}, label %{rest[k + 1].token}")
+        return (f"switch i64 {_render_value(ops[0])}, label %{ops[1].token} "
+                f"[ {' '.join(cases)} ]")
+    if op == "unreachable":
+        return "unreachable"
+    if op in ("call", "invoke"):
+        callee = ops[0].token
+        args = ", ".join(f"i64 {_render_value(o)}" for o in ops[1:]
+                         if o.kind is not OperandKind.LABEL)
+        ret = instr.type_str if instr.result_id is not None else "void"
+        text = f"{prefix}{op} {ret} {callee}({args})"
+        labels = [o for o in ops if o.kind is OperandKind.LABEL]
+        if labels:
+            text += f" to label %{labels[0].token} unwind label %{labels[1].token}"
+        return text
+    if op == "load":
+        return f"{prefix}load {instr.type_str}, ptr {_render_value(ops[0])}"
+    if op == "store":
+        return f"store i64 {_render_value(ops[0])}, ptr {_render_value(ops[1])}"
+    if op == "alloca":
+        extra = f", i64 {_render_value(ops[0])}" if ops else ""
+        return f"{prefix}alloca i64{extra}"
+    if op == "getelementptr":
+        idx = "".join(f", i64 {_render_value(o)}" for o in ops[1:])
+        return f"{prefix}getelementptr i64, ptr {_render_value(ops[0])}{idx}"
+    if op in BINARY_OPCODES:
+        vals = ", ".join(_render_value(o) for o in ops)
+        return f"{prefix}{op} {instr.type_str} {vals}"
+    if op == "fneg":
+        return f"{prefix}fneg {instr.type_str} {_render_value(ops[0])}"
+    if op in ("icmp", "fcmp"):
+        pred = "eq" if op == "icmp" else "oeq"
+        return f"{prefix}{op} {pred} i64 {_render_value(ops[0])}, {_render_value(ops[1])}"
+    if op in CAST_OPCODES:
+        return f"{prefix}{op} i64 {_render_value(ops[0])} to {instr.type_str}"
+    if op == "freeze":
+        return f"{prefix}freeze {instr.type_str} {_render_value(ops[0])}"
+    if op == "phi":
+        pairs = []
+        for k in range(0, len(ops) - 1, 2):
+            pairs.append(f"[ {_render_value(ops[k])}, %{ops[k + 1].token} ]")
+        return f"{prefix}phi {instr.type_str} {', '.join(pairs)}"
+    if op == "select":
+        return (f"{prefix}select i1 {_render_value(ops[0])}, "
+                f"{instr.type_str} {_render_value(ops[1])}, "
+                f"{instr.type_str} {_render_value(ops[2])}")
+    if op == "atomicrmw":
+        return (f"{prefix}atomicrmw add ptr {_render_value(ops[0])}, "
+                f"{instr.type_str} {_render_value(ops[1])} seq_cst")
+    if op == "cmpxchg":
+        inner = instr.type_str.strip("{} ").rsplit(",", 1)[0].strip()
+        return (f"{prefix}cmpxchg ptr {_render_value(ops[0])}, "
+                f"{inner} {_render_value(ops[1])}, {inner} {_render_value(ops[2])} "
+                f"seq_cst seq_cst")
+    if op == "fence":
+        return "fence seq_cst"
+    vals = ", ".join(_render_value(o) for o in ops)
+    ty = instr.type_str if instr.type_str != "void" else ""
+    sep = " " if ty and vals else ""
+    return f"{prefix}{op} {ty}{sep}{vals}".rstrip()

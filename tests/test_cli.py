@@ -297,6 +297,20 @@ class TestPredict:
                                   "--ir", str(broken), capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "declare i32 @MPI_Wait(ptr,\n",
+        "define void @f() {\nentry:\n  store i32 0, ptr\n  ret void\n}\n",
+    ])
+    def test_unparseable_ir_line_exit_2(self, tmp_path, capsys, text):
+        model_path = tmp_path / "dt.json"
+        train_dt_model_file(model_path)
+        broken = tmp_path / "broken.ll"
+        broken.write_text(text)
+        code, _, stderr = run_cli("predict", "--model", str(model_path),
+                                  "--ir", str(broken), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == "MalformedIr"
+
     def test_saved_fold_model_matches_in_process_predictions(
             self, fixture_manifest, tmp_path, capsys):
         opts = ev.ScenarioOptions(

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_ll_files
 from mpisentinel import ircore
 from mpisentinel.ircore import (
     MalformedIr, OperandKind, UndefinedLocal, canonical_type, def_use_map,
-    parse_ir, parse_instruction, render, structurally_equal, successors,
-    token_triple,
+    parse_ir, parse_instruction, structurally_equal, successors, token_triple,
 )
+from oracles import render
 
 
 def test_empty_text_gives_empty_module():
@@ -131,6 +132,51 @@ class TestMalformed:
     def test_instruction_after_terminator(self):
         with pytest.raises(MalformedIr):
             parse_ir("define void @f() {\nentry:\n  ret void\n  ret void\n}")
+
+    @pytest.mark.parametrize("text, line", [
+        ("declare void @g()\ndeclare i32 @MPI_Wait(ptr,\n", 2),
+        ("@buf = global [4 x i32\n", 1),
+        ("@\n", 1),
+        ("define void @f() {\nentry:\n  store i32 0, ptr\n  ret void\n}", 3),
+    ])
+    def test_unparseable_line_names_its_line(self, text, line):
+        with pytest.raises(MalformedIr) as info:
+            parse_ir(text)
+        assert info.value.line == line
+
+
+def _mutate_line(line: str, kind: int, at: int, token: str) -> str:
+    words = line.split(" ")
+    if kind == 0:
+        return line[:at % (len(line) + 1)]
+    if kind == 1:
+        del words[at % len(words)]
+    elif kind == 2:
+        words.insert(at % (len(words) + 1), token)
+    elif kind == 3:
+        words[at % len(words)] = token
+    else:
+        return ""
+    return " ".join(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_line_mutations_raise_only_malformed_ir(data):
+    files = corpus_ll_files()
+    lines = files[data.draw(st.integers(0, len(files) - 1))].read_text().split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = _mutate_line(
+        lines[i], data.draw(st.integers(0, 4)), data.draw(st.integers(0, 200)),
+        data.draw(st.sampled_from(["ptr", "i32", ",", "(", ")", "[", "]", "{", "}",
+                                   "<", ">", "%x", "@g", "label", "0", "=", "to",
+                                   "void", "*", "..."])))
+    try:
+        module = parse_ir("\n".join(lines))
+    except MalformedIr:
+        return
+    for instr in module.instructions():
+        token_triple(instr)
 
 
 class TestSubsetBreadth:

@@ -1,4 +1,6 @@
 import json
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,6 +96,38 @@ def test_training_accuracy_property(n, width, seed):
     data = make_data(x, labels, sorted(set(labels)))
     tree = tb.train_tree(data)
     assert all(tb.predict_tree(tree, x[i]) == labels[i] for i in range(len(labels)))
+
+
+@st.composite
+def tie_heavy_data(draw):
+    """Rows from a small value pool (duplicates, ties, +-0.0), some constant
+    columns, repeated rows with conflicting labels, 1-10 classes."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 10))
+    pool = st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0])
+    cols = []
+    for _ in range(width):
+        if draw(st.booleans()) and draw(st.booleans()):
+            cols.append([draw(pool)] * n)
+        else:
+            cols.append(draw(st.lists(pool, min_size=n, max_size=n)))
+    x = np.array(cols, dtype=float).T.reshape(n, width)
+    codes = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    space = [f"L{i}" for i in range(n_classes)]
+    return x, [space[c] for c in codes], space
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_data(), st.sampled_from([1, 8, 40, tb._SCORE_CELLS]))
+def test_tree_matches_reference_cart_bit_for_bit(case, score_cells):
+    x, labels, space = case
+    data = make_data(x, labels, space)
+    with mock.patch.object(tb, "_SCORE_CELLS", score_cells):  # feature blocks
+        tree = tb.train_tree(data)
+    ref = oracles.reference_train_tree(data)
+    assert oracles.tree_dump(tree.root) == oracles.tree_dump(ref.root)
+    assert (tree.n_features, tree.label_space) == (ref.n_features, ref.label_space)
 
 
 class TestFitness:
@@ -199,6 +233,30 @@ class TestGa:
         data = planted_feature_data(width=6)
         with pytest.raises(tb.WidthMismatch):
             data.restrict((0, 7))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_reference_cart_run(self, seed, monkeypatch):
+        data = planted_feature_data(n=45, width=8)
+        data = make_data(data.x.round(1), data.labels, data.label_space)
+        cfg = tb.GaConfig(population=12, generations=3, rng_seed=seed)
+        run = tb.run_ga(data, cfg)
+        monkeypatch.setattr(tb, "train_tree", oracles.reference_train_tree)
+        ref = tb.run_ga(data, cfg)
+        assert run.best == ref.best
+        assert run.log == ref.log
+
+    def test_every_feature_a_gene_terminates(self):
+        rng = np.random.default_rng(0)
+        data = make_data(rng.uniform(size=(12, 2)), "ABABABABABAB")
+        cfg = tb.GaConfig(population=6, generations=3, genes_per_individual=2)
+        done = []
+        worker = threading.Thread(target=lambda: done.append(tb.run_ga(data, cfg)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert done, "run_ga did not return"
+        assert done[0].best.indices == (0, 1)
+        assert len(done[0].log) == 4
 
     def test_log_csv(self, tmp_path):
         data = planted_feature_data()

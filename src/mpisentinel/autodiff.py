@@ -1,8 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Tensors record their parents and a backward closure on a tape; backward()
-walks the tape in reverse topological order accumulating gradients.  Only
-the operations the graph network needs are provided.
+walks the tape in reverse topological order accumulating gradients and
+releases each interior tensor's gradient once it has been passed on, so only
+leaves keep theirs.  Closures hold parents, never their own output, so a
+tape is freed as soon as its root is dropped.  Only the operations the graph
+network needs are provided.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ class ShapeMismatch(Exception):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=(),
                  backward=None, name: str = ""):
@@ -32,8 +36,11 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh array, never a view of g (ops hand one buffer to several
+            # parents); adding 0.0 turns -0.0 into +0.0 as a sum from zeros does
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
@@ -60,6 +67,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None  # interior: every consumer has been processed
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
@@ -154,24 +163,31 @@ def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
     return out
 
 
+def _scatter_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of `values` summed into `n_rows` rows at `idx`.  One bincount over
+    the flat cell index adds in input order from +0.0, so each cell gets the
+    same sum, bit for bit, as adding the rows one by one into zeros."""
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    summed = np.bincount(flat, weights=values.ravel(), minlength=n_rows * width)
+    return summed.reshape((n_rows,) + tail)
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx], parents=(a,))
 
     def backward(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            a.accumulate(ga)
+            a.accumulate(_scatter_rows(idx, g, a.data.shape[0]))
     out._backward = backward
     return out
 
 
 def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
     seg = np.asarray(seg, dtype=np.int64)
-    data = np.zeros((n_segments,) + a.data.shape[1:])
-    np.add.at(data, seg, a.data)
-    out = Tensor(data, parents=(a,))
+    out = Tensor(_scatter_rows(seg, a.data, n_segments), parents=(a,))
 
     def backward(g):
         if a.requires_grad:
@@ -235,11 +251,12 @@ def elu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), parents=(a,))
+    data = np.exp(a.data)
+    out = Tensor(data, parents=(a,))
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g * out.data)
+            a.accumulate(g * data)
     out._backward = backward
     return out
 
@@ -316,8 +333,9 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float):
-    """One bias-corrected Adam update; parameters with grad=None are skipped
-    but their moments still decay."""
+    """One bias-corrected Adam update.  A parameter with grad=None counts as a
+    zero gradient: its moments decay and it still moves by its decayed first
+    moment."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2

@@ -233,7 +233,8 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
     try:
         model = loaders[kind](args.model)
     except (KeyError, TypeError, ValueError, tabular.WidthMismatch,
-            gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch) as exc:
+            gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch,
+            gnn_mod.CheckpointParamsMismatch) as exc:
         return _error("ModelIncompatible", f"{type(exc).__name__}: {exc}", 2)
     try:
         module = ircore.parse_ir(Path(args.ir).read_text(), Path(args.ir).name)

@@ -20,10 +20,11 @@ from .graph import EdgeType, NodeType, ProgramGraph
 
 __all__ = [
     "GnnConfig", "GnnModel", "RelationParams", "EmptyGraph",
-    "MissingRelationParams", "ClassOutOfRange", "ShapeMismatch", "AdamState",
-    "adam_step", "gatv2_relation", "hetero_layer", "forward", "logits_batch",
-    "cross_entropy", "train", "predict_gnn", "softmax_probabilities",
-    "save_checkpoint", "load_checkpoint", "write_loss_log_csv", "RELATIONS",
+    "MissingRelationParams", "CheckpointParamsMismatch", "ClassOutOfRange",
+    "ShapeMismatch", "AdamState", "adam_step", "gatv2_relation", "hetero_layer",
+    "forward", "logits_batch", "cross_entropy", "train", "predict_gnn",
+    "softmax_probabilities", "save_checkpoint", "load_checkpoint",
+    "write_loss_log_csv", "RELATIONS",
 ]
 
 
@@ -41,6 +42,11 @@ class MissingRelationParams(Exception):
 
 class InvalidGnnConfig(Exception):
     pass
+
+
+class CheckpointParamsMismatch(Exception):
+    """A checkpoint's parameter list does not name every model parameter
+    exactly once."""
 
 
 CONTROL = NodeType.CONTROL.value
@@ -186,7 +192,8 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     Per edge (i, j): score = a . leaky_relu(W_att [h_i || h_j]); attention is
     the softmax of scores over each destination's incoming edges; the output
     row for j sums attention-weighted value transforms of the sources.
-    Destinations without incoming edges output zeros.
+    Destinations without incoming edges output zeros.  `edges` is an (E, 2)
+    int64 array of (source row, destination row) or a list of such pairs.
     """
     n_dst = h_dst.data.shape[0]
     out_dim = params.w_val.data.shape[0]
@@ -196,8 +203,7 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
             f"{h_src.data.shape[1]} + {h_dst.data.shape[1]}")
     if len(edges) == 0:
         return ad.zeros((n_dst, out_dim))
-    src_idx = np.array([e[0] for e in edges], dtype=np.int64)
-    dst_idx = np.array([e[1] for e in edges], dtype=np.int64)
+    src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     hs = ad.gather_rows(h_src, src_idx)
     hd = ad.gather_rows(h_dst, dst_idx)
     pair = ad.concat([hs, hd], axis=1)
@@ -226,7 +232,7 @@ def _t(p: Tensor) -> Tensor:
 
 
 def hetero_layer(features: dict[str, Tensor],
-                 rel_edges: dict[tuple[str, str, str], tuple[np.ndarray, np.ndarray]],
+                 rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
                  slope: float = 0.2) -> dict[str, Tensor]:
     """One heterogeneous round: sum relation messages per destination type,
@@ -258,7 +264,7 @@ def hetero_layer(features: dict[str, Tensor],
 class _Batch:
     token_rows: dict[str, np.ndarray]
     graph_ids: dict[str, np.ndarray]
-    rel_edges: dict[tuple[str, str, str], list[tuple[int, int]]]
+    rel_edges: dict[tuple[str, str, str], np.ndarray]   # (E, 2) int64
     n_graphs: int
 
 
@@ -291,7 +297,9 @@ def _build_batch(graphs: list[ProgramGraph], vocab: dict[str, int]) -> _Batch:
     return _Batch(
         {t: np.array(v, dtype=np.int64) for t, v in token_rows.items()},
         {t: np.array(v, dtype=np.int64) for t, v in graph_ids.items()},
-        rel_edges, len(graphs))
+        {rel: np.array(v, dtype=np.int64).reshape(-1, 2)
+         for rel, v in rel_edges.items()},
+        len(graphs))
 
 
 def logits_batch(model: GnnModel, graphs: list[ProgramGraph]) -> Tensor:
@@ -359,6 +367,7 @@ def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
             loss.backward()
             adam_step(params, state, cfg.lr)
             total += float(loss.data) * len(rows)
+            del logits, loss  # free this step's tape before the next forward
         log.append((epoch, total / n))
     return model, log
 
@@ -417,13 +426,22 @@ def load_checkpoint(path) -> GnnModel:
     vocab = {tok: i + 1 for i, tok in enumerate(doc["tokens"])}
     model = init_model(cfg, vocab, doc["label_space"])
     by_name = dict(model.parameter_items())
+    unread = set(by_name)
     for entry in doc["params"]:
-        t = by_name[entry["name"]]
+        name = entry["name"]
+        if name not in unread:
+            problem = "repeats" if name in by_name else "has unknown"
+            raise CheckpointParamsMismatch(f"checkpoint {problem} parameter {name!r}")
+        unread.discard(name)
+        t = by_name[name]
         data = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
         if data.shape != t.data.shape:
-            raise ShapeMismatch(f"checkpoint {entry['name']} has shape "
+            raise ShapeMismatch(f"checkpoint {name} has shape "
                                 f"{data.shape}, expected {t.data.shape}")
         t.data = data
+    if unread:
+        missing = next(name for name in by_name if name in unread)
+        raise CheckpointParamsMismatch(f"checkpoint lacks parameter {missing!r}")
     return model
 
 

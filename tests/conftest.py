@@ -28,6 +28,19 @@ def two_fn_call_text() -> str:
     return (FIXTURES / "two_fn_call.ll").read_text()
 
 
+def tape_nodes(root):
+    """Every autodiff tensor reachable from root through its parents."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
 def corpus_ll_files() -> list[Path]:
     return sorted(FIXTURES.rglob("*.ll"))
 

@@ -3,16 +3,19 @@
 The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the np.add.at
-embedding, the per-feature CART) that the library must still match bit for
-bit.  They share only the parsed IR structures, the tree data classes and the
-seeded vocabulary lookups with the code under test.  The IR printer at the
-end turns parsed modules back into text for round-trip tests.
+embedding, the per-feature CART, the np.add.at autodiff engine) that the
+library must still match bit for bit.  They share only the parsed IR
+structures, the tree data classes, the autodiff Tensor and the seeded
+vocabulary lookups with the code under test.  The IR printer at the end
+turns parsed modules back into text for round-trip tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from mpisentinel import autodiff
+from mpisentinel.autodiff import Tensor
 from mpisentinel.ircore import (
     BINARY_OPCODES, CAST_OPCODES, IrInstruction, IrModule, Operand, OperandKind,
     token_triple,
@@ -284,6 +287,77 @@ def embed_add_at(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
                     f"{iters} iterations (residual {residual:.3e})")
         flow += vec
     return np.concatenate([sym, flow]), note
+
+
+# ---------------------------------------------------------------------------
+# The autodiff engine as it was before its scatters used bincount and before
+# backward() released interior gradients: np.add.at scatters, zeros-then-add
+# accumulation, every gradient kept.  The bit-exact reference for GNN
+# training; tests monkeypatch these into mpisentinel.autodiff.
+
+def scatter_add_at(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    out = np.zeros((n_rows,) + values.shape[1:])
+    np.add.at(out, idx, values)
+    return out
+
+
+def gather_rows_add_at(a: Tensor, idx) -> Tensor:
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(a.data[idx], parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(scatter_add_at(idx, g, a.data.shape[0]))
+    out._backward = backward
+    return out
+
+
+def segment_sum_add_at(a: Tensor, seg, n_segments: int) -> Tensor:
+    seg = np.asarray(seg, dtype=np.int64)
+    out = Tensor(scatter_add_at(seg, a.data, n_segments), parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[seg])
+    out._backward = backward
+    return out
+
+
+def accumulate_zeros_then_add(self: Tensor, g: np.ndarray):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def backward_keeping_grads(self: Tensor):
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    self.accumulate(np.ones_like(self.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def use_reference_autodiff(monkeypatch):
+    """Run mpisentinel.autodiff with the reference scatters, accumulation and
+    backward for the rest of the test."""
+    monkeypatch.setattr(autodiff, "gather_rows", gather_rows_add_at)
+    monkeypatch.setattr(autodiff, "segment_sum", segment_sum_add_at)
+    monkeypatch.setattr(autodiff.Tensor, "accumulate", accumulate_zeros_then_add)
+    monkeypatch.setattr(autodiff.Tensor, "backward", backward_keeping_grads)
 
 
 # ---------------------------------------------------------------------------

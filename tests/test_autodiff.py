@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import tape_nodes
 from mpisentinel import autodiff as ad
 
 
@@ -81,6 +85,25 @@ class TestPrimitives:
         ad.tsum(h).backward()
         assert np.array_equal(other.grad, np.zeros(3))
 
+    def test_backward_releases_interior_grads(self, h):
+        w = ad.Tensor(np.random.default_rng(2).normal(size=(4, 3)),
+                      requires_grad=True)
+        hidden = ad.elu(ad.matmul(h, w))
+        pooled = ad.segment_sum(ad.gather_rows(hidden, [0, 2, 2, 4]), [1, 0, 1, 1], 2)
+        loss = ad.tsum(ad.mul(pooled, pooled))
+        loss.backward()
+        for node in tape_nodes(loss):
+            if node._parents:
+                assert node.grad is None, node
+        assert h.grad.shape == h.data.shape and w.grad.shape == w.data.shape
+
+    def test_first_accumulate_turns_negative_zero_positive(self):
+        t = ad.Tensor(np.zeros(3))
+        g = np.array([-0.0, 0.0, -2.0])
+        t.accumulate(g)
+        assert t.grad.tobytes() == np.array([0.0, 0.0, -2.0]).tobytes()
+        assert not np.shares_memory(t.grad, g)
+
     def test_backward_requires_scalar(self, h):
         with pytest.raises(ad.ShapeMismatch):
             h.backward()
@@ -88,6 +111,56 @@ class TestPrimitives:
     def test_matmul_shape_check(self, h):
         with pytest.raises(ad.ShapeMismatch):
             ad.matmul(h, ad.Tensor(np.zeros((3, 2))))
+
+
+_SCATTER_VALUES = (st.sampled_from([0.0, -0.0])
+                   | st.builds(lambda m, neg: -m if neg else m,
+                               st.floats(1e-5, 1e5), st.booleans()))
+
+
+class TestScatter:
+    """gather_rows' backward and segment_sum's forward sum rows with one
+    bincount; they must equal the np.add.at scatter byte for byte."""
+
+    @staticmethod
+    def check(idx, values, n_rows):
+        want = oracles.scatter_add_at(idx, values, n_rows)
+        got = ad._scatter_rows(idx, values, n_rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+        seg = ad.segment_sum(ad.Tensor(values), idx, n_rows)
+        ref = oracles.segment_sum_add_at(ad.Tensor(values), idx, n_rows)
+        assert seg.data.tobytes() == ref.data.tobytes()
+
+        table = np.ones((n_rows,) + values.shape[1:])
+        a = ad.Tensor(table, requires_grad=True)
+        ad.gather_rows(a, idx)._backward(values)
+        a_ref = ad.Tensor(table, requires_grad=True)
+        oracles.gather_rows_add_at(a_ref, idx)._backward(values)
+        assert a.grad.tobytes() == a_ref.grad.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_add_at(self, data):
+        n_rows = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 12))
+        tail = data.draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+        idx = np.array(data.draw(st.lists(st.integers(0, n_rows - 1),
+                                          min_size=n, max_size=n)), dtype=np.int64)
+        cells = n * int(np.prod(tail, dtype=np.int64))
+        values = np.array(data.draw(st.lists(_SCATTER_VALUES, min_size=cells,
+                                             max_size=cells)),
+                          dtype=np.float64).reshape((n,) + tail)
+        self.check(idx, values, n_rows)
+
+    def test_repeated_rows_signed_zeros_and_empty(self):
+        self.check(np.array([1, 1, 0, 1]),
+                   np.array([[-0.0, 1e5], [-0.0, -1e5], [-0.0, 0.0], [1e-5, -0.0]]),
+                   3)
+        # summed in another order this cell would differ in its last bits
+        self.check(np.array([2, 2, 2, 2]), np.array([1e-5, 1e5, -1e5, 3e-5]), 3)
+        self.check(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 2)
 
 
 class TestCrossEntropy:
@@ -153,6 +226,16 @@ class TestAdam:
             p.grad = 2.0 * p.data
             ad.adam_step([p], state, 0.1)
         assert abs(float(p.data[0])) < 0.05
+
+    def test_missing_grad_moves_by_decayed_first_moment(self):
+        p = ad.Tensor(np.array([1.0]), requires_grad=True)
+        state = ad.AdamState()
+        p.grad = np.array([1.0])
+        ad.adam_step([p], state, 0.1)
+        before = p.data.copy()
+        p.grad = None
+        ad.adam_step([p], state, 0.1)
+        assert p.data[0] < before[0]
 
     def test_shape_mismatch(self):
         p = ad.Tensor(np.zeros(3), requires_grad=True)

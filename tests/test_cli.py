@@ -355,6 +355,21 @@ class TestPredict:
         assert code == 2
         assert json.loads(stderr.splitlines()[-1])["error"] == "ModelIncompatible"
 
+    def test_gnn_checkpoint_missing_parameter_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "gnn.json"
+        train_gnn_model_file(model_path)
+        doc = json.loads(model_path.read_text())
+        doc["params"] = [e for e in doc["params"] if e["name"] != "fc2.w"]
+        model_path.write_text(json.dumps(doc))
+        ir = FIXTURES / "corpus_mbi" / "callordering_0.ll"
+        code, stdout, stderr = run_cli("predict", "--model", str(model_path),
+                                       "--ir", str(ir), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "ModelIncompatible"
+        assert "fc2.w" in err["message"]
+
     def test_unknown_model_kind_exit_2(self, tmp_path, capsys):
         weird = tmp_path / "weird.json"
         weird.write_text(json.dumps({"kind": "bayes"}))

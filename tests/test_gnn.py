@@ -1,9 +1,13 @@
 import copy
+import gc
+import json
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import FIXTURES, tape_nodes
 from mpisentinel import autodiff as ad
 from mpisentinel import gnn
 from mpisentinel.graph import build_graph
@@ -49,6 +53,16 @@ def send_graph():
 @pytest.fixture(scope="module")
 def two_fn_graph(two_fn_call_text):
     return build_graph(parse_ir(two_fn_call_text))
+
+
+@pytest.fixture(scope="module")
+def fixture_samples():
+    """Eleven labelled fixture graphs: a batch of 4 leaves a last batch of 3."""
+    samples = []
+    for ll in sorted((FIXTURES / "corpus_mbi").glob("*.ll"))[::6][:11]:
+        label = "ok" if ll.stem.startswith("correct") else "bad"
+        samples.append((build_graph(parse_ir(ll.read_text(), ll.stem)), label))
+    return samples
 
 
 def relation_params(w_att, a, w_val):
@@ -338,6 +352,83 @@ class TestTraining:
             gnn.train(model, [(barrier_graph, "mystery")], cfg)
 
 
+def train_fixture_model(samples, seed):
+    cfg = tiny_config(layer_sizes=(16, 12, 8), node_embed_dim=8, fc_hidden=4,
+                      rng_seed=seed, lr=1e-2, batch_size=4, epochs=3)
+    model = gnn.init_model(cfg, gnn.build_vocab([g for g, _ in samples]),
+                           ["bad", "ok"])
+    return gnn.train(model, samples, cfg)
+
+
+class TestTrainingEngine:
+    """Training with bincount scatters, copied first gradients and released
+    interior gradients must match the np.add.at engine bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_engine_run(self, seed, fixture_samples,
+                                          monkeypatch):
+        assert len(fixture_samples) % 4 != 0  # a partial last batch
+        model, log = train_fixture_model(fixture_samples, seed)
+        oracles.use_reference_autodiff(monkeypatch)
+        ref, ref_log = train_fixture_model(fixture_samples, seed)
+        assert log == ref_log
+        for (name, t), (_, r) in zip(model.parameter_items(),
+                                     ref.parameter_items()):
+            assert t.data.tobytes() == r.data.tobytes(), name
+        for g, _ in fixture_samples:
+            assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
+
+    def test_backward_keeps_only_leaf_grads(self, fixture_samples, monkeypatch):
+        graphs = [g for g, _ in fixture_samples]
+        targets = [int(lab == "ok") for _, lab in fixture_samples]
+        model = gnn.init_model(tiny_config(rng_seed=4), gnn.build_vocab(graphs),
+                               ["bad", "ok"])
+
+        def leaf_grads():
+            for p in model.parameters():
+                p.zero_grad()
+            loss = ad.cross_entropy_logits(gnn.logits_batch(model, graphs), targets)
+            loss.backward()
+            return loss, [p.grad.copy() for p in model.parameters()]
+
+        loss, grads = leaf_grads()
+        interior = [t for t in tape_nodes(loss) if t._parents]
+        assert len(interior) > 100
+        assert all(t.grad is None for t in interior)
+        oracles.use_reference_autodiff(monkeypatch)
+        _, ref_grads = leaf_grads()
+        for (name, _), g, r in zip(model.parameter_items(), grads, ref_grads):
+            assert g.tobytes() == r.tobytes(), name
+
+    def test_step_tape_freed_before_next_forward(self, fixture_samples,
+                                                 monkeypatch):
+        forward = gnn.logits_batch
+        previous: list[weakref.ref] = []
+        live_at_forward: list[int] = []
+        params = set()
+
+        def watched(model, graphs):
+            if not params:
+                params.update(id(p) for p in model.parameters())
+            live_at_forward.append(sum(r() is not None for r in previous))
+            out = forward(model, graphs)
+            previous[:] = [weakref.ref(t) for t in tape_nodes(out)
+                           if id(t) not in params]
+            return out
+
+        monkeypatch.setattr(gnn, "logits_batch", watched)
+        was_enabled = gc.isenabled()
+        gc.disable()  # the tape must go by reference counting alone
+        try:
+            train_fixture_model(fixture_samples, 0)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(live_at_forward) == 9  # 3 epochs of 3 batches
+        assert live_at_forward == [0] * 9
+        assert all(r() is None for r in previous)
+
+
 class TestPredict:
     def test_zero_model_predicts_first_label(self, barrier_graph):
         model = gnn.init_model(tiny_config(), gnn.build_vocab([barrier_graph]),
@@ -388,6 +479,27 @@ class TestCheckpoint:
         assert again.label_space == model.label_space
         assert np.allclose(gnn.forward(again, barrier_graph),
                            gnn.forward(model, barrier_graph), atol=0)
+
+    @pytest.mark.parametrize("case", ["missing-fc2.w", "missing-embedding",
+                                      "duplicate", "unknown"])
+    def test_parameter_list_must_match_model(self, barrier_graph, tmp_path, case):
+        model = gnn.init_model(tiny_config(), gnn.build_vocab([barrier_graph]),
+                               ["a", "b"])
+        path = tmp_path / "model.json"
+        gnn.save_checkpoint(path, model)
+        doc = json.loads(path.read_text())
+        if case.startswith("missing"):
+            name = case.split("-", 1)[1]
+            doc["params"] = [e for e in doc["params"] if e["name"] != name]
+        elif case == "duplicate":
+            name = "fc1.b"
+            doc["params"].append(next(e for e in doc["params"] if e["name"] == name))
+        else:
+            name = "fc3.w"
+            doc["params"].append({"name": name, "shape": [1], "values": [0.0]})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(gnn.CheckpointParamsMismatch, match=name):
+            gnn.load_checkpoint(path)
 
     def test_config_validation(self):
         with pytest.raises(gnn.InvalidGnnConfig):

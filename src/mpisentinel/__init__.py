@@ -5,11 +5,12 @@ heterogeneous GATv2 network over program graphs) plus corpus ingestion and
 a benchmark evaluation harness.
 """
 
-from .corpus import CorpusSample, Manifest, read_manifest, write_manifest
+from .corpus import (CorpusSample, Manifest, read_manifest, to_binary,
+                     write_manifest)
 from .embed import EmbeddingVector, SeedVocab, normalize
 from .evaluate import (ConfusionCounts, MetricsReport, Scenario,
                        ScenarioOptions, ablation, confusion, make_folds,
-                       metrics, run_scenario, to_binary)
+                       metrics, run_scenario)
 from .gnn import GnnConfig, GnnModel, predict_gnn
 from .graph import ProgramGraph, build_graph, graph_stats, validate_graph
 from .ircore import IrModule, MalformedIr, def_use_map, parse_ir, token_triple

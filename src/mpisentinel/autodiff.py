@@ -96,18 +96,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-    out._backward = backward
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, parents=(a, b))
 
@@ -267,16 +255,6 @@ def tsum(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a.accumulate(np.full_like(a.data, float(g)))
-    out._backward = backward
-    return out
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    out = Tensor(a.data * factor, parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * factor)
     out._backward = backward
     return out
 

@@ -212,7 +212,8 @@ def cmd_ablate(args, file_cfg, jobs: int) -> int:
     except (eval_mod.LabelAbsent,) as exc:
         return _error("LabelAbsent", f"label has no samples: {exc}", 2)
     except (eval_mod.InvalidScenario, eval_mod.TooFewSamples,
-            tabular.InvalidConfig, corpus_mod.SchemaViolation, OSError) as exc:
+            tabular.InvalidConfig, corpus_mod.SchemaViolation,
+            json.JSONDecodeError, OSError) as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},
@@ -249,8 +250,7 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
         return 0
     try:
         g = graph_mod.build_graph(module)
-        label = gnn_mod.predict_gnn(model, g)
-        probs = gnn_mod.softmax_probabilities(model, g)
+        label, probs = gnn_mod.predict_with_probabilities(model, g)
     except gnn_mod.EmptyGraph as exc:
         return _error("EmptyGraph", str(exc), 2)
     print(json.dumps({"label": label, "probabilities": probs}, sort_keys=True))

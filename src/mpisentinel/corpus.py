@@ -25,6 +25,7 @@ MBI_ERROR_LABELS = (
 )
 CORRBENCH_ERROR_LABELS = ("ArgError", "ArgMismatch", "MissplacedCall", "MissingCall")
 CORRECT = "Correct"
+INCORRECT = "Incorrect"
 MBI_LABELS = (CORRECT,) + MBI_ERROR_LABELS
 CORRBENCH_LABELS = (CORRECT,) + CORRBENCH_ERROR_LABELS
 
@@ -50,6 +51,10 @@ DEFAULT_ALIAS_TABLE = {
     "callmatching": "CallOrdering",
     "globalconcurrency": "GlobalConcurrency",
 }
+
+
+def to_binary(label: str) -> str:
+    return CORRECT if label == CORRECT else INCORRECT
 
 
 class CompilerNotFound(Exception):
@@ -83,9 +88,7 @@ class CorpusSample:
 
     @property
     def binary_label(self) -> str | None:
-        if self.label is None:
-            return None
-        return CORRECT if self.label == CORRECT else "Incorrect"
+        return None if self.label is None else to_binary(self.label)
 
 
 @dataclass
@@ -292,6 +295,8 @@ def write_manifest(manifest: Manifest, path):
 def read_manifest(path) -> Manifest:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaViolation("", "expected a JSON object")
     if doc.get("manifest_version") != 1:
         raise SchemaViolation("/manifest_version", "expected manifest_version 1")
     if not isinstance(doc.get("samples"), list):
@@ -300,6 +305,8 @@ def read_manifest(path) -> Manifest:
     seen_ids = set()
     for i, entry in enumerate(doc["samples"]):
         where = f"/samples/{i}"
+        if not isinstance(entry, dict):
+            raise SchemaViolation(where, "expected an object")
         for key in ("id", "suite", "opt", "status", "quarantined"):
             if key not in entry:
                 raise SchemaViolation(f"{where}/{key}", "missing required field")
@@ -316,7 +323,7 @@ def read_manifest(path) -> Manifest:
         if not entry["quarantined"]:
             if label not in _ALL_LABELS:
                 raise SchemaViolation(f"{where}/label", f"unknown label {label!r}")
-            expected = CORRECT if label == CORRECT else "Incorrect"
+            expected = to_binary(label)
             if entry.get("binary") != expected:
                 raise SchemaViolation(f"{where}/binary",
                                       f"binary label must be {expected!r}")

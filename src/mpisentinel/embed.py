@@ -1,20 +1,18 @@
 """IR2vec-style module embeddings.
 
 A deterministic seeded vocabulary maps entity tokens (opcodes, type classes,
-operand kinds) to base vectors.  The symbolic encoding sums weighted token
-vectors per instruction; the flow-aware encoding additionally propagates the
-embeddings of defining instructions through operand uses, resolved by a
-damped fixed-point iteration.  Both halves are concatenated into one
-512-element feature vector per compilation unit.
+operand kinds) to base vectors.  ``embed`` is the one encoder: its symbolic
+half sums weighted token vectors per instruction; its flow-aware half
+additionally propagates the embeddings of defining instructions through
+operand uses, resolved by a damped fixed-point iteration.  Both halves are
+concatenated into one 512-element feature vector per compilation unit.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +24,6 @@ DEFAULT_WEIGHTS = (1.0, 0.5, 0.2)  # opcode, type, operand-kind
 
 class ScalerMismatch(Exception):
     pass
-
-
-class NonConvergenceWarning(UserWarning):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"flow-aware fixed point did not converge after "
-                         f"{iterations} iterations (residual {residual:.3e})")
-        self.iterations = iterations
-        self.residual = residual
 
 
 class SeedVocab:
@@ -147,10 +137,10 @@ def _fixed_point(base: np.ndarray, links: list[tuple[int, int]], w_arg: float,
                  damping: float, tol: float, max_iter: int,
                  ) -> tuple[np.ndarray, bool, int, float]:
     """Damped iteration of row = base + w_arg * (sum of its links' rows);
-    returns what encode_flow_aware_function documents."""
+    returns (sum of the final rows, converged, iterations, final residual)."""
     dim = base.shape[1]
     if not links:
-        # summation order matches encode_symbolic so the two agree bitwise
+        # summation order matches the symbolic half so the two agree bitwise
         return _seq_sum(base, dim), True, 0, 0.0
     users = np.array([u for u, _ in links])
     defs = np.array([d for _, d in links])
@@ -178,46 +168,13 @@ def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
     return total
 
 
-def encode_symbolic(module: IrModule, vocab: SeedVocab,
-                    weights=DEFAULT_WEIGHTS) -> np.ndarray:
-    total = np.zeros(vocab.dim)
-    for fn in module.defined_functions():
-        rows, _base, _links = _function_parts(fn, vocab, weights)
-        total += _seq_sum(rows, vocab.dim)
-    return total
-
-
-def encode_flow_aware_function(fn: IrFunction, vocab: SeedVocab,
-                               weights=DEFAULT_WEIGHTS, damping: float = 0.5,
-                               tol: float = 1e-6, max_iter: int = 100,
-                               ) -> tuple[np.ndarray, bool, int, float]:
-    """Returns (sum of converged per-instruction embeddings, converged,
-    iterations, final residual)."""
-    _rows, base, links = _function_parts(fn, vocab, weights)
-    return _fixed_point(base, links, weights[2], damping, tol, max_iter)
-
-
-def encode_flow_aware(module: IrModule, vocab: SeedVocab,
-                      weights=DEFAULT_WEIGHTS, damping: float = 0.5,
-                      tol: float = 1e-6, max_iter: int = 100) -> np.ndarray:
-    """Module-level flow-aware encoding; warns on non-convergence and still
-    returns the last iterate's sum."""
-    total = np.zeros(vocab.dim)
-    for fn in module.defined_functions():
-        vec, converged, iters, residual = encode_flow_aware_function(
-            fn, vocab, weights, damping, tol, max_iter)
-        if not converged:
-            warnings.warn(NonConvergenceWarning(iters, residual), stacklevel=2)
-        total += vec
-    return total
-
-
 def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS,
           source_id: str = "", damping: float = 0.5, tol: float = 1e-6,
           max_iter: int = 100) -> EmbeddingVector:
     """Concatenated symbolic (first half) and flow-aware (second half) vector,
-    from one walk over each function.  Non-convergence is not warned about
-    but noted on the result (the last non-converged function's message)."""
+    from one walk over each function.  A fixed point that does not converge
+    within max_iter keeps its last iterate and is noted on the result (the
+    last non-converged function's message)."""
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
     note = None
@@ -227,7 +184,8 @@ def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS,
         vec, converged, iters, residual = _fixed_point(
             base, links, weights[2], damping, tol, max_iter)
         if not converged:
-            note = str(NonConvergenceWarning(iters, residual))
+            note = (f"flow-aware fixed point did not converge after "
+                    f"{iters} iterations (residual {residual:.3e})")
         flow += vec
     return EmbeddingVector(np.concatenate([sym, flow]), source_id, note)
 
@@ -287,36 +245,3 @@ def normalize(matrix: np.ndarray, strategy) -> np.ndarray:
     else:
         raise ValueError(f"unknown normalization strategy: {strategy!r}")
     return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# Embedding cache files
-
-def write_embedding_csv(vectors: list[EmbeddingVector], path, meta: dict):
-    """CSV with 17-significant-digit floats plus a sidecar metadata JSON."""
-    width = vectors[0].values.shape[0] if vectors else 2 * DEFAULT_DIM
-    header = "sample_id," + ",".join(f"v{i}" for i in range(width))
-    lines = [header]
-    for ev in vectors:
-        lines.append(ev.source_id + "," + ",".join("%.17g" % x for x in ev.values))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_embedding_csv(path) -> list[EmbeddingVector]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("sample_id,"):
-            raise ValueError(f"{path}: not an embedding cache file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sample_id, rest = line.split(",", 1)
-            out.append(EmbeddingVector(
-                np.array([float(x) for x in rest.split(",")]), sample_id))
-    return out

@@ -19,9 +19,8 @@ from . import embed as embed_mod
 from . import gnn as gnn_mod
 from . import graph as graph_mod
 from . import ircore, tabular
-from .corpus import CORRECT, CorpusSample, Manifest
+from .corpus import CORRECT, INCORRECT, CorpusSample, Manifest, to_binary
 
-INCORRECT = "Incorrect"
 BINARY_SPACE = [CORRECT, INCORRECT]
 
 
@@ -74,10 +73,6 @@ def make_folds(samples: list[CorpusSample], k: int, seed: int) -> FoldPlan:
             folds[(j + offset) % k].append(ids[p])
         offset += len(ids)
     return FoldPlan([sorted(f) for f in folds])
-
-
-def to_binary(label: str) -> str:
-    return CORRECT if label == CORRECT else INCORRECT
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +467,7 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         raise InvalidScenario("exclude one or two labels")
     if CORRECT in excluded:
         raise InvalidScenario("the correct label cannot be excluded")
-    samples = [s for s in manifest.samples
-               if not s.quarantined and s.compile_status == "ok"]
+    samples = manifest.evaluable()
     if suite:
         samples = [s for s in samples if s.suite == suite]
     present = {s.label for s in samples}

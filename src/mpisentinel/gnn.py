@@ -16,14 +16,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, ClassOutOfRange, ShapeMismatch, Tensor, adam_step
-from .graph import EdgeType, NodeType, ProgramGraph
+from .graph import NodeType, ProgramGraph
 
 __all__ = [
     "GnnConfig", "GnnModel", "RelationParams", "EmptyGraph",
     "MissingRelationParams", "CheckpointParamsMismatch", "ClassOutOfRange",
     "ShapeMismatch", "AdamState", "adam_step", "gatv2_relation", "hetero_layer",
-    "forward", "logits_batch", "cross_entropy", "train", "predict_gnn",
-    "softmax_probabilities", "save_checkpoint", "load_checkpoint",
+    "forward", "logits_batch", "train", "predict_gnn",
+    "predict_with_probabilities", "save_checkpoint", "load_checkpoint",
     "write_loss_log_csv", "RELATIONS",
 ]
 
@@ -77,7 +77,6 @@ class GnnConfig:
     node_embed_dim: int = 64
     fc_hidden: int = 16
     leaky_slope: float = 0.2
-    heads: int = 1
     lr: float = 4e-4
     epochs: int = 10
     batch_size: int = 32
@@ -92,8 +91,6 @@ class GnnConfig:
             raise InvalidGnnConfig("all dimensions must be >= 1")
         if self.batch_size < 1 or self.epochs < 0:
             raise InvalidGnnConfig("batch_size must be >= 1 and epochs >= 0")
-        if self.heads != 1:
-            raise InvalidGnnConfig("only single-head attention is supported")
 
 
 @dataclass
@@ -329,15 +326,6 @@ def forward(model: GnnModel, graph: ProgramGraph) -> np.ndarray:
     return logits_batch(model, [graph]).data[0]
 
 
-def cross_entropy(logits, true_class: int) -> float:
-    """Stable -log softmax(logits)[true_class] for one sample."""
-    z = np.asarray(logits, dtype=np.float64).ravel()
-    if not 0 <= true_class < z.shape[0]:
-        raise ClassOutOfRange(f"class {true_class} outside [0, {z.shape[0]})")
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[true_class])
-
-
 def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
           cfg: GnnConfig | None = None) -> tuple[GnnModel, list[tuple[int, float]]]:
     """Seeded mini-batch training; returns the model and per-epoch mean loss."""
@@ -372,28 +360,23 @@ def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
     return model, log
 
 
-def predict_gnn(model: GnnModel, graph: ProgramGraph) -> str:
-    z = forward(model, graph)
+def _top_label(model: GnnModel, z: np.ndarray) -> str:
     return model.label_space[int(np.argmax(z))]  # ties break to earliest label
 
 
-def softmax_probabilities(model: GnnModel, graph: ProgramGraph) -> dict[str, float]:
+def predict_gnn(model: GnnModel, graph: ProgramGraph) -> str:
+    return _top_label(model, forward(model, graph))
+
+
+def predict_with_probabilities(model: GnnModel, graph: ProgramGraph,
+                               ) -> tuple[str, dict[str, float]]:
+    """The predicted label and the softmax over the label space, both from
+    one forward pass."""
     z = forward(model, graph)
     e = np.exp(z - z.max())
     p = e / e.sum()
-    return {lab: float(p[i]) for i, lab in enumerate(model.label_space)}
-
-
-def per_sample_losses(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
-                      batched: bool = True) -> np.ndarray:
-    """Per-graph cross-entropy, computed batched or one graph at a time."""
-    index = {lab: i for i, lab in enumerate(model.label_space)}
-    if batched:
-        z = logits_batch(model, [g for g, _ in samples]).data
-        return np.array([cross_entropy(z[i], index[lab])
-                         for i, (_, lab) in enumerate(samples)])
-    return np.array([cross_entropy(forward(model, g), index[lab])
-                     for g, lab in samples])
+    return _top_label(model, z), {lab: float(p[i])
+                                  for i, lab in enumerate(model.label_space)}
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ class GraphNode:
     id: int
     node_type: NodeType
     token: str
-    function: str | None = None
 
 
 @dataclass
@@ -47,7 +46,6 @@ class GraphEdge:
 class ProgramGraph:
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[GraphEdge] = field(default_factory=list)
-    label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class Violation:
     message: str
 
 
-def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
+def build_graph(module: IrModule) -> ProgramGraph:
     """Construct the program graph; node/edge order is deterministic."""
     g = ProgramGraph()
     defined = {f.name for f in module.defined_functions()}
@@ -65,9 +63,9 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
     entry_ids: dict[str, int] = {}                      # fn name -> entry control node
     ret_ids: dict[str, list[int]] = {}                  # fn name -> ret control nodes
 
-    def add_node(node_type: NodeType, token: str, fn_name: str) -> int:
+    def add_node(node_type: NodeType, token: str) -> int:
         nid = len(g.nodes)
-        g.nodes.append(GraphNode(nid, node_type, token, fn_name))
+        g.nodes.append(GraphNode(nid, node_type, token))
         return nid
 
     # nodes: per function, parameters first, then instructions in order with
@@ -77,14 +75,14 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
     for fn in module.defined_functions():
         values: dict[str, int] = {}
         for pid, ptype in fn.params:
-            values[pid] = add_node(NodeType.VARIABLE, canonical_type(ptype), fn.name)
+            values[pid] = add_node(NodeType.VARIABLE, canonical_type(ptype))
         for bi, block in enumerate(fn.blocks):
             for ii, instr in enumerate(block.instructions):
                 token = instr.opcode
                 if instr.call_target is not None and instr.call_target not in defined \
                         and not instr.call_target.startswith("%"):
                     token = f"{instr.opcode}:{instr.call_target}"
-                nid = add_node(NodeType.CONTROL, token, fn.name)
+                nid = add_node(NodeType.CONTROL, token)
                 control_ids[(fn.name, bi, ii)] = nid
                 if bi == 0 and ii == 0:
                     entry_ids[fn.name] = nid
@@ -92,7 +90,7 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
                     ret_ids.setdefault(fn.name, []).append(nid)
                 if instr.result_id is not None:
                     values[instr.result_id] = add_node(
-                        NodeType.VARIABLE, canonical_type(instr.type_str), fn.name)
+                        NodeType.VARIABLE, canonical_type(instr.type_str))
         consts: dict[tuple[str, str], int] = {}
         for block in fn.blocks:
             for instr in block.instructions:
@@ -101,12 +99,9 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
                                    OperandKind.FUNCTION):
                         key = (op.kind.value, op.token)
                         if key not in consts:
-                            consts[key] = add_node(NodeType.CONSTANT, "Constant", fn.name)
+                            consts[key] = add_node(NodeType.CONSTANT, "Constant")
         per_fn_values[fn.name] = values
         per_fn_consts[fn.name] = consts
-
-    def pos(p: int) -> int:
-        return p if positions else 0
 
     # edges: per function, data edges in instruction/operand order, control
     # edges after each block, then call edges
@@ -128,7 +123,7 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
                             raise UndefinedLocal(op.token)
                     else:
                         src = consts[(op.kind.value, op.token)]
-                    g.edges.append(GraphEdge(src, nid, EdgeType.DATA, pos(ordinal)))
+                    g.edges.append(GraphEdge(src, nid, EdgeType.DATA, ordinal))
                     ordinal += 1
                 if instr.result_id is not None:
                     g.edges.append(GraphEdge(
@@ -145,14 +140,14 @@ def build_graph(module: IrModule, positions: bool = True) -> ProgramGraph:
                 tbi = label_to_index[target]
                 g.edges.append(GraphEdge(control_ids[(fn.name, bi, last)],
                                          control_ids[(fn.name, tbi, 0)],
-                                         EdgeType.CONTROL, pos(k)))
+                                         EdgeType.CONTROL, k))
 
     ret_out: dict[int, int] = {}
     for site, callee in call_sites:
         g.edges.append(GraphEdge(site, entry_ids[callee], EdgeType.CALL, 0))
         for ret_node in ret_ids.get(callee, []):
             k = ret_out.get(ret_node, 0)
-            g.edges.append(GraphEdge(ret_node, site, EdgeType.CALL, pos(k)))
+            g.edges.append(GraphEdge(ret_node, site, EdgeType.CALL, k))
             ret_out[ret_node] = k + 1
     return g
 
@@ -214,9 +209,8 @@ def validate_graph(g: ProgramGraph) -> list[Violation]:
     for e in g.edges:
         if e.edge_type is EdgeType.DATA and by_id[e.dst].node_type is NodeType.CONTROL:
             data_in.setdefault(e.dst, []).append(e.position)
-    zeroed = all(e.position == 0 for e in g.edges)
     for nid, posns in data_in.items():
-        if sorted(posns) != list(range(len(posns))) and not zeroed:
+        if sorted(posns) != list(range(len(posns))):
             out.append(Violation(
                 "data-position",
                 f"control node {nid} data-edge positions {sorted(posns)} "
@@ -232,22 +226,3 @@ def graph_stats(g: ProgramGraph) -> tuple[dict[str, int], dict[str, int]]:
     for e in g.edges:
         edge_counts[e.edge_type.value] += 1
     return node_counts, edge_counts
-
-
-def to_json_dict(g: ProgramGraph) -> dict:
-    return {
-        "nodes": [{"id": n.id, "type": n.node_type.value, "token": n.token}
-                  for n in g.nodes],
-        "edges": [{"src": e.src, "dst": e.dst, "type": e.edge_type.value,
-                   "pos": e.position} for e in g.edges],
-        "label": g.label,
-    }
-
-
-def from_json_dict(doc: dict) -> ProgramGraph:
-    g = ProgramGraph(label=doc.get("label"))
-    for n in doc["nodes"]:
-        g.nodes.append(GraphNode(n["id"], NodeType(n["type"]), n["token"]))
-    for e in doc["edges"]:
-        g.edges.append(GraphEdge(e["src"], e["dst"], EdgeType(e["type"]), e["pos"]))
-    return g

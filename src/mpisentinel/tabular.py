@@ -46,14 +46,6 @@ class LabeledVectors:
             if lab not in known:
                 raise ValueError(f"label {lab!r} not in label space")
 
-    @classmethod
-    def from_rows(cls, rows, label_space=None):
-        xs = [np.asarray(v, dtype=np.float64) for v, _ in rows]
-        labels = [lab for _, lab in rows]
-        if label_space is None:
-            label_space = sorted(set(labels))
-        return cls(np.vstack(xs) if xs else np.zeros((0, 0)), labels, list(label_space))
-
     def restrict(self, indices) -> "LabeledVectors":
         idx = list(indices)
         if any(i >= self.x.shape[1] for i in idx):

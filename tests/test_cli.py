@@ -162,6 +162,33 @@ class TestEvaluate:
         assert code == 2
 
 
+BAD_MANIFESTS = {
+    "not-json": ("{\"manifest_version\": 1,", "JSONDecodeError"),
+    "top-level-list": ("[]", "SchemaViolation"),
+    "sample-not-object": ('{"manifest_version": 1, "samples": [7]}',
+                          "SchemaViolation"),
+}
+
+
+class TestBadManifest:
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    @pytest.mark.parametrize("command", [
+        ("evaluate", "--scenario", "intra", "--suite", "MBI"),
+        ("ablate", "--exclude", "MessageRace"),
+    ], ids=["evaluate", "ablate"])
+    def test_exit_2_with_typed_error(self, tmp_path, capsys, command, case):
+        text, error = BAD_MANIFESTS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, stdout, stderr = run_cli(
+            command[0], "--manifest", str(bad), *command[1:],
+            "--report", str(tmp_path / "r.json"), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr.splitlines()[-1])["error"] == error
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestAblate:
     def test_single_exclusion(self, manifest_path, tmp_path, capsys):
         report_path = tmp_path / "ab.json"
@@ -278,6 +305,31 @@ class TestPredict:
         assert set(out) == {"label", "probabilities"}
         assert abs(sum(out["probabilities"].values()) - 1.0) < 1e-9
 
+    def test_gnn_predict_runs_one_forward(self, tmp_path, capsys, monkeypatch):
+        model_path = tmp_path / "gnn.json"
+        train_gnn_model_file(model_path)
+        ir = FIXTURES / "corpus_mbi" / "correct_3.ll"
+        model = gnn.load_checkpoint(model_path)
+        g = build_graph(parse_ir(ir.read_text(), ir.stem))
+        z = gnn.forward(model, g)
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+        want = json.dumps({"label": gnn.predict_gnn(model, g), "probabilities": {
+            lab: float(p[i]) for i, lab in enumerate(model.label_space)}},
+            sort_keys=True) + "\n"
+        calls = []
+        logits_batch = gnn.logits_batch
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return logits_batch(*args)
+        monkeypatch.setattr(gnn, "logits_batch", counted)
+        code, stdout, _ = run_cli("predict", "--model", str(model_path),
+                                  "--ir", str(ir), capsys=capsys)
+        assert code == 0
+        assert calls == [1]
+        assert stdout == want
+
     def test_gnn_on_empty_ir_exit_2(self, tmp_path, capsys):
         model_path = tmp_path / "gnn.json"
         train_gnn_model_file(model_path)
@@ -369,6 +421,21 @@ class TestPredict:
         err = json.loads(stderr.splitlines()[-1])
         assert err["error"] == "ModelIncompatible"
         assert "fc2.w" in err["message"]
+
+    def test_gnn_checkpoint_with_heads_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "gnn.json"
+        train_gnn_model_file(model_path)
+        doc = json.loads(model_path.read_text())
+        doc["config"]["heads"] = 1
+        model_path.write_text(json.dumps(doc))
+        ir = FIXTURES / "corpus_mbi" / "callordering_0.ll"
+        code, stdout, stderr = run_cli("predict", "--model", str(model_path),
+                                       "--ir", str(ir), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "ModelIncompatible"
+        assert "heads" in err["message"]
 
     def test_unknown_model_kind_exit_2(self, tmp_path, capsys):
         weird = tmp_path / "weird.json"

@@ -16,6 +16,14 @@ def vocab():
     return em.SeedVocab(1, 256)
 
 
+def symbolic(module, vocab, **kw):
+    return em.embed(module, vocab, **kw).values[:vocab.dim]
+
+
+def flow_aware(module, vocab, **kw):
+    return em.embed(module, vocab, **kw).values[vocab.dim:]
+
+
 class TestSeedVocab:
     def test_same_seed_token_bit_identical(self, vocab):
         a = em.SeedVocab(1, 256).vector("add")
@@ -45,27 +53,27 @@ class TestSeedVocab:
 
 class TestSymbolic:
     def test_empty_module_zero(self, vocab):
-        assert np.all(em.encode_symbolic(parse_ir(""), vocab) == 0)
+        assert np.all(symbolic(parse_ir(""), vocab) == 0)
 
     def test_single_ret_formula(self, vocab):
         module = parse_ir("define void @f() { ret void }")
-        got = em.encode_symbolic(module, vocab)
+        got = symbolic(module, vocab)
         expected = 1.0 * vocab.vector("ret") + 0.5 * vocab.vector("void")
         assert np.array_equal(got, expected)
 
     def test_fixture_matches_bruteforce_oracle(self, vocab, all_fixture_modules):
         for path, module in all_fixture_modules:
-            got = em.encode_symbolic(module, vocab)
+            got = symbolic(module, vocab)
             want = oracles.symbolic_sum(module, vocab)
             assert np.max(np.abs(got - want)) < 1e-9, path
 
     def test_additivity_over_functions(self, vocab, two_fn_call_text):
         module = parse_ir(two_fn_call_text)
-        whole = em.encode_symbolic(module, vocab)
+        whole = symbolic(module, vocab)
         parts = np.zeros(vocab.dim)
         for fn in module.defined_functions():
             alone = dataclasses.replace(module, functions=[fn])
-            parts += em.encode_symbolic(alone, vocab)
+            parts += symbolic(alone, vocab)
         assert len(module.defined_functions()) == 2
         assert whole.tobytes() == parts.tobytes()
 
@@ -81,8 +89,7 @@ entry:
 }
 """
         module = parse_ir(text)
-        assert np.array_equal(em.encode_flow_aware(module, vocab),
-                              em.encode_symbolic(module, vocab))
+        assert np.array_equal(flow_aware(module, vocab), symbolic(module, vocab))
 
     def test_two_instruction_chain_hand_expansion(self, vocab):
         module = parse_ir("""
@@ -97,20 +104,19 @@ entry:
             + w_arg * vocab.vector("LocalValue") + w_arg * vocab.vector("Constant")
         e_ret = w_op * vocab.vector("ret") + w_ty * vocab.vector("void") \
             + w_arg * e_add
-        got = em.encode_flow_aware(module, vocab)
+        got = flow_aware(module, vocab)
         assert np.max(np.abs(got - (e_add + e_ret))) < 1e-5
 
     def test_cyclic_phi_converges_and_matches_long_run(self, vocab, add_loop_text):
         module = parse_ir(add_loop_text)
-        fn = module.functions[0]
-        vec, converged, iters, residual = em.encode_flow_aware_function(fn, vocab)
-        assert converged and residual < 1e-6
+        ev = em.embed(module, vocab)
+        assert ev.warning is None
         long_run = oracles.flow_aware_sum(module, vocab, tol=0.0, max_iter=1000)
-        assert np.max(np.abs(vec - long_run)) < 1e-6
+        assert np.max(np.abs(ev.values[vocab.dim:] - long_run)) < 1e-6
 
     def test_fixture_matches_oracle(self, vocab, all_fixture_modules):
         for path, module in all_fixture_modules:
-            got = em.encode_flow_aware(module, vocab)
+            got = flow_aware(module, vocab)
             want = oracles.flow_aware_sum(module, vocab)
             assert np.max(np.abs(got - want)) < 1e-9, path
 
@@ -127,9 +133,10 @@ out:
   ret i32 %b
 }
 """)
-        with pytest.warns(em.NonConvergenceWarning):
-            got = em.encode_flow_aware(module, vocab, max_iter=2)
-        assert np.all(np.isfinite(got))
+        ev = em.embed(module, vocab, max_iter=2)
+        assert ev.warning.startswith(
+            "flow-aware fixed point did not converge after 2 iterations")
+        assert np.all(np.isfinite(ev.values))
 
 
 NONCONVERGING_MODULE = """
@@ -167,14 +174,16 @@ class TestAddAtReference:
 
     def test_nonconvergence_path_bit_identical(self, vocab):
         module = parse_ir(NONCONVERGING_MODULE)
-        with pytest.warns(em.NonConvergenceWarning):
-            em.encode_flow_aware(module, vocab, max_iter=2)
+        notes = {}
         for fn in module.defined_functions():
-            vec, *status = em.encode_flow_aware_function(fn, vocab, max_iter=2)
-            want, *want_status = oracles.flow_aware_add_at(fn, vocab, max_iter=2)
-            assert vec.tobytes() == want.tobytes(), fn.name
-            assert status == want_status, fn.name
-            assert status[:2] == [False, 2], fn.name
+            alone = dataclasses.replace(module, functions=[fn])
+            ev = em.embed(alone, vocab, max_iter=2)
+            want, notes[fn.name] = oracles.embed_add_at(alone, vocab, max_iter=2)
+            assert ev.values.tobytes() == want.tobytes(), fn.name
+            assert ev.warning == notes[fn.name], fn.name
+        assert len(notes) == 2
+        assert all(note.startswith("flow-aware fixed point did not converge "
+                                   "after 2 iterations") for note in notes.values())
         ev = em.embed(module, vocab, max_iter=2)
         want, note = oracles.embed_add_at(module, vocab, max_iter=2)
         assert ev.warning is not None and ev.warning == note
@@ -210,8 +219,13 @@ class TestEmbed:
     def test_halves_match_components(self, vocab, add_loop_text):
         module = parse_ir(add_loop_text)
         ev = em.embed(module, vocab, source_id="add_loop")
-        assert np.array_equal(ev.values[:256], em.encode_symbolic(module, vocab))
-        assert np.array_equal(ev.values[256:], em.encode_flow_aware(module, vocab))
+        assert ev.source_id == "add_loop"
+        sym = sum(oracles.symbolic_function_sum(fn, vocab)
+                  for fn in module.defined_functions())
+        flow = sum(oracles.flow_aware_add_at(fn, vocab)[0]
+                   for fn in module.defined_functions())
+        assert ev.values[:256].tobytes() == (np.zeros(256) + sym).tobytes()
+        assert ev.values[256:].tobytes() == (np.zeros(256) + flow).tobytes()
 
     def test_corpus_oracle_and_bit_identical_reruns(self, all_fixture_modules):
         for path, module in all_fixture_modules:
@@ -280,28 +294,3 @@ def test_vector_normalization_argmax_invariance(row):
     out = em.normalize(row[None, :], "vector")[0]
     assert np.argmax(out) == np.argmax(row)
     assert abs(out.max() - 1.0) < 1e-12
-
-
-class TestCacheFile:
-    def test_round_trip_bit_exact(self, tmp_path, vocab, add_loop_text):
-        module = parse_ir(add_loop_text)
-        vectors = [em.embed(module, vocab, source_id="s0"),
-                   em.embed(parse_ir(""), vocab, source_id="s1")]
-        path = tmp_path / "cache.csv"
-        meta = {"seed": 1, "dim": 256, "weights": [1.0, 0.5, 0.2],
-                "normalization": "none"}
-        em.write_embedding_csv(vectors, path, meta)
-        back = em.read_embedding_csv(path)
-        assert [b.source_id for b in back] == ["s0", "s1"]
-        for orig, again in zip(vectors, back):
-            assert np.array_equal(orig.values, again.values)
-        sidecar = path.with_name(path.name + ".meta.json")
-        assert sidecar.exists()
-
-    def test_header_shape(self, tmp_path, vocab):
-        path = tmp_path / "cache.csv"
-        em.write_embedding_csv([em.embed(parse_ir(""), vocab, source_id="x")],
-                               path, {})
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("sample_id,v0,") and header.endswith(",v511")
-

@@ -460,8 +460,9 @@ class TestBatching:
         model = gnn.init_model(
             tiny_config(rng_seed=2),
             gnn.build_vocab([g for g, _ in samples]), ["bad", "ok"])
-        batched = gnn.per_sample_losses(model, samples, batched=True)
-        single = gnn.per_sample_losses(model, samples, batched=False)
+        batched = gnn.logits_batch(model, [g for g, _ in samples]).data
+        single = np.array([gnn.forward(model, g) for g, _ in samples])
+        assert batched.shape == single.shape == (3, 2)
         assert np.max(np.abs(batched - single)) < 1e-9
 
 
@@ -504,25 +505,18 @@ class TestCheckpoint:
     def test_config_validation(self):
         with pytest.raises(gnn.InvalidGnnConfig):
             gnn.GnnConfig(layer_sizes=(8, 4)).validate()
-        with pytest.raises(gnn.InvalidGnnConfig):
-            gnn.GnnConfig(heads=2).validate()
 
     def test_cross_entropy_examples(self):
-        assert abs(gnn.cross_entropy([0.0, 0.0, 0.0], 1) - np.log(3)) < 1e-12
-        assert gnn.cross_entropy([1000.0, 0.0], 0) < 1e-9
+        def loss(logits, true_class):
+            z = ad.Tensor(np.array(logits))
+            return float(ad.cross_entropy_logits(z, [true_class]).data)
+        assert abs(loss([0.0, 0.0, 0.0], 1) - np.log(3)) < 1e-12
+        assert loss([1000.0, 0.0], 0) < 1e-9
         with pytest.raises(gnn.ClassOutOfRange):
-            gnn.cross_entropy([0.0, 0.0], 5)
+            loss([0.0, 0.0], 5)
 
 
 class TestGraphJsonInterop:
-    def test_json_loaded_graph_scores_identically(self, barrier_graph):
-        from mpisentinel.graph import from_json_dict, to_json_dict
-        model = gnn.init_model(tiny_config(rng_seed=13),
-                               gnn.build_vocab([barrier_graph]), ["a", "b"])
-        direct = gnn.forward(model, barrier_graph)
-        loaded = from_json_dict(to_json_dict(barrier_graph))
-        assert np.array_equal(gnn.forward(model, loaded), direct)
-
     def test_loss_log_csv(self, barrier_graph, send_graph, tmp_path):
         cfg = tiny_config(epochs=3, batch_size=2)
         model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),

@@ -1,12 +1,11 @@
 import copy
-import json
 
 import pytest
 
 from mpisentinel import ircore
 from mpisentinel.graph import (
     EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph, build_graph,
-    from_json_dict, graph_stats, to_json_dict, validate_graph,
+    graph_stats, validate_graph,
 )
 from mpisentinel.ircore import OperandKind, parse_ir
 
@@ -195,22 +194,6 @@ def test_determinism():
         [(n.id, n.node_type, n.token) for n in b.nodes]
     assert [(e.src, e.dst, e.edge_type, e.position) for e in a.edges] == \
         [(e.src, e.dst, e.edge_type, e.position) for e in b.edges]
-
-
-def test_positions_flag_zeroes_positions(two_fn_call_text):
-    g = build_graph(parse_ir(two_fn_call_text), positions=False)
-    assert all(e.position == 0 for e in g.edges)
-    assert validate_graph(g) == []
-
-
-def test_json_round_trip(two_fn_call_text):
-    g = build_graph(parse_ir(two_fn_call_text))
-    g.label = "CallOrdering"
-    doc = json.loads(json.dumps(to_json_dict(g)))
-    again = from_json_dict(doc)
-    assert to_json_dict(again) == to_json_dict(g)
-    assert sorted(doc["nodes"][0]) == ["id", "token", "type"]
-    assert sorted(doc["edges"][0]) == ["dst", "pos", "src", "type"]
 
 
 def test_phi_positions_are_predecessor_ordinals(add_loop_text):

@@ -13,7 +13,7 @@ from .evaluate import (ConfusionCounts, MetricsReport, Scenario,
                        metrics, run_scenario)
 from .gnn import GnnConfig, GnnModel, predict_gnn
 from .graph import ProgramGraph, build_graph, graph_stats, validate_graph
-from .ircore import IrModule, MalformedIr, def_use_map, parse_ir, token_triple
+from .ircore import IrModule, MalformedIr, parse_ir, token_triple
 from .tabular import (DecisionTree, GaConfig, LabeledVectors, ga_select,
                       predict_tree, train_tree)
 
@@ -26,7 +26,7 @@ __all__ = [
     "ablation", "confusion", "make_folds", "metrics", "run_scenario",
     "to_binary", "GnnConfig", "GnnModel", "predict_gnn",
     "ProgramGraph", "build_graph", "graph_stats", "validate_graph",
-    "IrModule", "MalformedIr", "def_use_map", "parse_ir", "token_triple",
+    "IrModule", "MalformedIr", "parse_ir", "token_triple",
     "DecisionTree", "GaConfig", "LabeledVectors", "ga_select",
     "predict_tree", "train_tree", "__version__",
 ]

@@ -249,16 +249,6 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, float(g)))
-    out._backward = backward
-    return out
-
-
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
@@ -298,13 +288,15 @@ def cross_entropy_logits(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators keyed by parameter identity."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step_count = 0
         self.m: dict[int, np.ndarray] = {}
         self.v: dict[int, np.ndarray] = {}
@@ -316,7 +308,7 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float):
     moment."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         key = id(p)
         if key not in state.m:
@@ -329,7 +321,7 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float):
         state.v[key] = b2 * state.v[key] + (1 - b2) * g * g
         m_hat = state.m[key] / (1 - b1 ** t)
         v_hat = state.v[key] / (1 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

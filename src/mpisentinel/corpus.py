@@ -31,10 +31,10 @@ CORRBENCH_LABELS = (CORRECT,) + CORRBENCH_ERROR_LABELS
 
 OPT_LEVELS = ("O0", "O2", "Os")
 
-DEFAULT_HEADER_PATTERN = r"Error:\s*(?P<desc>[A-Za-z][A-Za-z_ -]*)"
+HEADER_RE = re.compile(r"Error:\s*(?P<desc>[A-Za-z][A-Za-z_ -]*)")
 
 # descriptor (normalized: lowercase, separators removed) -> label
-DEFAULT_ALIAS_TABLE = {
+ALIAS_TABLE = {
     "ok": CORRECT,
     "correct": CORRECT,
     "noerror": CORRECT,
@@ -140,12 +140,8 @@ def _scan_sources(directory: Path) -> list[Path]:
     return out
 
 
-def ingest_mbi(directory, header_pattern: str = DEFAULT_HEADER_PATTERN,
-               alias_table: dict[str, str] | None = None,
-               opt_level: str = "O0") -> list[CorpusSample]:
+def ingest_mbi(directory, opt_level: str = "O0") -> list[CorpusSample]:
     directory = Path(directory)
-    aliases = alias_table or DEFAULT_ALIAS_TABLE
-    pattern = re.compile(header_pattern)
     samples = []
     for path in _scan_sources(directory):
         rel = path.relative_to(directory).as_posix()
@@ -156,8 +152,8 @@ def ingest_mbi(directory, header_pattern: str = DEFAULT_HEADER_PATTERN,
             sample.quarantine_reason = f"UnrecognizedHeader: not a C source: {rel}"
         else:
             header = _leading_comment_block(path.read_text(errors="replace"))
-            m = pattern.search(header)
-            label = aliases.get(_normalize_descriptor(m.group("desc"))) if m else None
+            m = HEADER_RE.search(header)
+            label = ALIAS_TABLE.get(_normalize_descriptor(m.group("desc"))) if m else None
             if label is None:
                 sample.quarantined = True
                 sample.quarantine_reason = (
@@ -270,6 +266,13 @@ def attach_ir(samples: list[CorpusSample], compiler_cmd: str | None,
 
 _SUITES = ("MBI", "CorrBench", "Other")
 _ALL_LABELS = set(MBI_LABELS) | set(CORRBENCH_LABELS)
+# sample fields with a checked JSON type: (key, accepted types, what is expected)
+_FIELD_TYPES = (
+    ("id", str, "a string"),
+    ("label", (str, type(None)), "a string or null"),
+    ("quarantined", bool, "true or false"),
+    ("ir", (str, type(None)), "a string or null"),
+)
 
 
 def manifest_to_dict(manifest: Manifest) -> dict:
@@ -310,6 +313,9 @@ def read_manifest(path) -> Manifest:
         for key in ("id", "suite", "opt", "status", "quarantined"):
             if key not in entry:
                 raise SchemaViolation(f"{where}/{key}", "missing required field")
+        for key, types, expected in _FIELD_TYPES:
+            if not isinstance(entry.get(key), types):
+                raise SchemaViolation(f"{where}/{key}", f"expected {expected}")
         if entry["id"] in seen_ids:
             raise SchemaViolation(f"{where}/id", f"duplicate sample id {entry['id']!r}")
         seen_ids.add(entry["id"])

@@ -20,6 +20,11 @@ from .ircore import IrFunction, IrModule, OperandKind, token_triple
 
 DEFAULT_DIM = 256
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.2)  # opcode, type, operand-kind
+# flow-aware fixed point: step size, stopping residual (summed over a
+# function's instructions) and iteration cap
+DAMPING = 0.5
+TOL = 1e-6
+MAX_ITER = 100
 
 
 class ScalerMismatch(Exception):
@@ -64,7 +69,6 @@ class SeedVocab:
 @dataclass
 class EmbeddingVector:
     values: np.ndarray  # length 2*dim: symbolic then flow-aware
-    source_id: str = ""
     warning: str | None = None
 
     def __post_init__(self):
@@ -134,7 +138,6 @@ def _add_by_rank(rows: np.ndarray, table: np.ndarray,
 
 
 def _fixed_point(base: np.ndarray, links: list[tuple[int, int]], w_arg: float,
-                 damping: float, tol: float, max_iter: int,
                  ) -> tuple[np.ndarray, bool, int, float]:
     """Damped iteration of row = base + w_arg * (sum of its links' rows);
     returns (sum of the final rows, converged, iterations, final residual)."""
@@ -150,15 +153,15 @@ def _fixed_point(base: np.ndarray, links: list[tuple[int, int]], w_arg: float,
     # per-instruction residuals add up in the function sum, so the stopping
     # threshold is scaled down by the instruction count to keep the summed
     # result within tol of the fixed point
-    tol_eff = tol / max(1, base.shape[0])
-    for it in range(1, max_iter + 1):
+    tol_eff = TOL / max(1, base.shape[0])
+    for it in range(1, MAX_ITER + 1):
         prop = _add_by_rank(base, table, w_arg * state[defs])
-        nxt = (1.0 - damping) * state + damping * prop
+        nxt = (1.0 - DAMPING) * state + DAMPING * prop
         residual = float(np.max(np.abs(nxt - state)))
         state = nxt
         if residual < tol_eff:
             return _seq_sum(state, dim), True, it, residual
-    return _seq_sum(state, dim), False, max_iter, residual
+    return _seq_sum(state, dim), False, MAX_ITER, residual
 
 
 def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -168,12 +171,10 @@ def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
     return total
 
 
-def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS,
-          source_id: str = "", damping: float = 0.5, tol: float = 1e-6,
-          max_iter: int = 100) -> EmbeddingVector:
+def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS) -> EmbeddingVector:
     """Concatenated symbolic (first half) and flow-aware (second half) vector,
     from one walk over each function.  A fixed point that does not converge
-    within max_iter keeps its last iterate and is noted on the result (the
+    within MAX_ITER keeps its last iterate and is noted on the result (the
     last non-converged function's message)."""
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
@@ -181,13 +182,12 @@ def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS,
     for fn in module.defined_functions():
         rows, base, links = _function_parts(fn, vocab, weights)
         sym += _seq_sum(rows, vocab.dim)
-        vec, converged, iters, residual = _fixed_point(
-            base, links, weights[2], damping, tol, max_iter)
+        vec, converged, iters, residual = _fixed_point(base, links, weights[2])
         if not converged:
             note = (f"flow-aware fixed point did not converge after "
                     f"{iters} iterations (residual {residual:.3e})")
         flow += vec
-    return EmbeddingVector(np.concatenate([sym, flow]), source_id, note)
+    return EmbeddingVector(np.concatenate([sym, flow]), note)
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,7 @@ class _DtBackend:
         self.failed: dict[str, str] = {}
         for sid, module in modules.items():
             try:
-                self.raw[sid] = embed_mod.embed(
-                    module, vocab, options.weights, source_id=sid).values
+                self.raw[sid] = embed_mod.embed(module, vocab, options.weights).values
             except Exception as exc:  # propagated per sample as RE
                 self.failed[sid] = str(exc)
 
@@ -273,7 +272,7 @@ class _GnnBackend:
         vocab = gnn_mod.build_vocab([self.graphs[i] for i in train_ids])
         model = gnn_mod.init_model(cfg, vocab, list(label_space))
         model, _ = gnn_mod.train(
-            model, [(self.graphs[i], labels_by_id[i]) for i in train_ids], cfg)
+            model, [(self.graphs[i], labels_by_id[i]) for i in train_ids])
         return model
 
     def predict(self, model: gnn_mod.GnnModel, sample_id: str) -> str:

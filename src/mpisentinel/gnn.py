@@ -327,9 +327,10 @@ def forward(model: GnnModel, graph: ProgramGraph) -> np.ndarray:
 
 
 def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
-          cfg: GnnConfig | None = None) -> tuple[GnnModel, list[tuple[int, float]]]:
-    """Seeded mini-batch training; returns the model and per-epoch mean loss."""
-    cfg = cfg or model.config
+          ) -> tuple[GnnModel, list[tuple[int, float]]]:
+    """Seeded mini-batch training under the model's own config; returns the
+    model and per-epoch mean loss."""
+    cfg = model.config
     if not samples:
         raise EmptyDataset("no graphs to train on")
     index = {lab: i for i, lab in enumerate(model.label_space)}

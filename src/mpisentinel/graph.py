@@ -58,39 +58,36 @@ def build_graph(module: IrModule) -> ProgramGraph:
     """Construct the program graph; node/edge order is deterministic."""
     g = ProgramGraph()
     defined = {f.name for f in module.defined_functions()}
-
-    control_ids: dict[tuple[str, int, int], int] = {}   # (fn, block, instr) -> node
     entry_ids: dict[str, int] = {}                      # fn name -> entry control node
     ret_ids: dict[str, list[int]] = {}                  # fn name -> ret control nodes
+    call_sites: list[tuple[int, str]] = []
 
     def add_node(node_type: NodeType, token: str) -> int:
         nid = len(g.nodes)
         g.nodes.append(GraphNode(nid, node_type, token))
         return nid
 
-    # nodes: per function, parameters first, then instructions in order with
-    # their result variables, then constants in first-occurrence order
-    per_fn_values: dict[str, dict[str, int]] = {}
-    per_fn_consts: dict[str, dict[tuple[str, str], int]] = {}
     for fn in module.defined_functions():
-        values: dict[str, int] = {}
-        for pid, ptype in fn.params:
-            values[pid] = add_node(NodeType.VARIABLE, canonical_type(ptype))
-        for bi, block in enumerate(fn.blocks):
-            for ii, instr in enumerate(block.instructions):
+        # nodes: parameters first, then instructions in order with their
+        # result variables, then constants in first-occurrence order
+        values = {pid: add_node(NodeType.VARIABLE, canonical_type(ptype))
+                  for pid, ptype in fn.params}
+        control: list[list[int]] = []                   # [block][instr] -> node
+        for block in fn.blocks:
+            control.append([])
+            for instr in block.instructions:
                 token = instr.opcode
                 if instr.call_target is not None and instr.call_target not in defined \
                         and not instr.call_target.startswith("%"):
                     token = f"{instr.opcode}:{instr.call_target}"
                 nid = add_node(NodeType.CONTROL, token)
-                control_ids[(fn.name, bi, ii)] = nid
-                if bi == 0 and ii == 0:
-                    entry_ids[fn.name] = nid
+                control[-1].append(nid)
                 if instr.opcode == "ret":
                     ret_ids.setdefault(fn.name, []).append(nid)
                 if instr.result_id is not None:
                     values[instr.result_id] = add_node(
                         NodeType.VARIABLE, canonical_type(instr.type_str))
+        entry_ids[fn.name] = control[0][0]
         consts: dict[tuple[str, str], int] = {}
         for block in fn.blocks:
             for instr in block.instructions:
@@ -100,19 +97,12 @@ def build_graph(module: IrModule) -> ProgramGraph:
                         key = (op.kind.value, op.token)
                         if key not in consts:
                             consts[key] = add_node(NodeType.CONSTANT, "Constant")
-        per_fn_values[fn.name] = values
-        per_fn_consts[fn.name] = consts
 
-    # edges: per function, data edges in instruction/operand order, control
-    # edges after each block, then call edges
-    call_sites: list[tuple[int, str]] = []
-    for fn in module.defined_functions():
-        values = per_fn_values[fn.name]
-        consts = per_fn_consts[fn.name]
+        # edges: data edges in instruction/operand order, control edges
+        # after each block; call edges come after every function
         label_to_index = {b.label: i for i, b in enumerate(fn.blocks)}
-        for bi, block in enumerate(fn.blocks):
-            for ii, instr in enumerate(block.instructions):
-                nid = control_ids[(fn.name, bi, ii)]
+        for block, ids in zip(fn.blocks, control):
+            for instr, nid in zip(block.instructions, ids):
                 ordinal = 0
                 for op in instr.operands:
                     if op.kind is OperandKind.LABEL:
@@ -131,15 +121,10 @@ def build_graph(module: IrModule) -> ProgramGraph:
                 if instr.call_target is not None and instr.call_target in defined:
                     call_sites.append((nid, instr.call_target))
             # control edges: falls within the block, then branch targets
-            for ii in range(len(block.instructions) - 1):
-                g.edges.append(GraphEdge(control_ids[(fn.name, bi, ii)],
-                                         control_ids[(fn.name, bi, ii + 1)],
-                                         EdgeType.CONTROL, 0))
-            last = len(block.instructions) - 1
+            for a, b in zip(ids, ids[1:]):
+                g.edges.append(GraphEdge(a, b, EdgeType.CONTROL, 0))
             for k, target in enumerate(successors(block)):
-                tbi = label_to_index[target]
-                g.edges.append(GraphEdge(control_ids[(fn.name, bi, last)],
-                                         control_ids[(fn.name, tbi, 0)],
+                g.edges.append(GraphEdge(ids[-1], control[label_to_index[target]][0],
                                          EdgeType.CONTROL, k))
 
     ret_out: dict[int, int] = {}

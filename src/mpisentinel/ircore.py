@@ -78,21 +78,12 @@ class IrFunction:
     blocks: list[IrBlock]
     is_declaration: bool = False
 
-    def block_labels(self) -> list[str]:
-        return [b.label for b in self.blocks]
-
 
 @dataclass
 class IrModule:
     name: str
     functions: list[IrFunction]
     global_constants: list[tuple[str, str]]
-
-    def function(self, name: str) -> IrFunction:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
 
     def defined_functions(self) -> list[IrFunction]:
         return [f for f in self.functions if not f.is_declaration]
@@ -164,47 +155,71 @@ _NUMBER_RE = re.compile(r"^[-+]?(?:0x[0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?
 
 _LABEL_LINE_RE = re.compile(r'^(?:"([^"]+)"|([-A-Za-z$._0-9]+)):')
 
+_STRING_RE = re.compile(r'"[^"]*"?')  # a string may run to the end of the line
+_CODE_RE = re.compile(r'[^";]*(?:"[^"]*"?[^";]*)*')  # text before a `;` comment
+
+# The one bracket table: openers nest one level deeper, closers one less.
+_DEPTH = {"(": 1, "[": 1, "{": 1, "<": 1, ")": -1, "]": -1, "}": -1, ">": -1}
+_CLOSER = {"(": ")", "[": "]", "{": "}", "<": ">"}
+
 
 def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        elif ch == ";" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+    return _CODE_RE.match(line).group().rstrip()
+
+
+def _bracket_depth(text: str) -> int:
+    """Open minus closed (, [ and < outside strings; braces are not counted."""
+    text = _STRING_RE.sub("", text)
+    return (text.count("(") + text.count("[") + text.count("<")
+            - text.count(")") - text.count("]") - text.count(">"))
 
 
 def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
-
-
-def _strip_metadata_tokens(tokens: list[str]) -> list[str]:
-    """Drop `!x !n` metadata pairs, attribute refs and align suffixes."""
+    """Tokens of one line minus metadata refs (`!x`), attribute group refs
+    (`#n`) and `align N` suffixes, each with the comma before it."""
+    tokens = _TOKEN_RE.findall(text)
+    if "!" not in text and "#" not in text and "align" not in text:
+        return tokens
     out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        t = tokens[i]
-        if t.startswith("!"):
-            i += 1
+    skip = False
+    for t, nxt in zip(tokens, tokens[1:] + [""]):
+        if skip:
+            skip = False
+        elif t[0] in "!#" or (t == "," and nxt[:1] in ("!", "#")):
             continue
-        if t.startswith("#"):
-            i += 1
-            continue
-        if t == "," and i + 1 < len(tokens) and (
-                tokens[i + 1].startswith("!") or tokens[i + 1].startswith("#")):
-            i += 1
-            continue
-        if t == "align" and i + 1 < len(tokens) and _NUMBER_RE.match(tokens[i + 1]):
+        elif t == "align" and _NUMBER_RE.match(nxt):
             if out and out[-1] == ",":
                 out.pop()
-            i += 2
-            continue
-        out.append(t)
-        i += 1
+            skip = True
+        else:
+            out.append(t)
     return out
+
+
+def _top_level(tokens: list[str]):
+    """(index, token) of every token outside brackets; a closer with no
+    opener leaves the tokens after it inside."""
+    depth = 0
+    for k, t in enumerate(tokens):
+        if depth == 0:
+            yield k, t
+        depth += _DEPTH.get(t, 0)
+
+
+def _partition(tokens: list[str], sep: str) -> tuple[list[str], str, list[str]]:
+    for k, t in _top_level(tokens):
+        if t == sep:
+            return tokens[:k], t, tokens[k + 1:]
+    return tokens, "", []
+
+
+def _split_top_level(tokens: list[str]) -> list[list[str]]:
+    """Split at commas outside brackets; an empty last part is dropped."""
+    cuts = [k for k, t in _top_level(tokens) if t == ","]
+    parts = [tokens[a + 1:b] for a, b in zip([-1] + cuts, cuts + [len(tokens)])]
+    if not parts[-1]:
+        parts.pop()
+    return parts
 
 
 def _is_int_type(tok: str) -> bool:
@@ -216,16 +231,19 @@ def _looks_like_named_type(tok: str) -> bool:
         tok.startswith(p) for p in ("%struct.", "%union.", "%class.", "%opaque."))
 
 
-def _consume_group(tokens: list[str], i: int, open_tok: str, close_tok: str) -> int:
+def _consume_group(tokens: list[str], i: int) -> int:
+    """Index just past the bracket group that tokens[i] opens; only brackets
+    of that kind nest."""
+    open_tok = tokens[i]
+    close_tok = _CLOSER[open_tok]
     depth = 0
-    while i < len(tokens):
-        if tokens[i] == open_tok:
+    for k in range(i, len(tokens)):
+        if tokens[k] == open_tok:
             depth += 1
-        elif tokens[i] == close_tok:
+        elif tokens[k] == close_tok:
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
+                return k + 1
     raise ValueError(f"unbalanced {open_tok}")
 
 
@@ -235,12 +253,8 @@ def consume_type(tokens: list[str], i: int, allow_named: bool = False) -> tuple[
         return None
     start = i
     t = tokens[i]
-    if t in ("[", "{"):
-        close = "]" if t == "[" else "}"
-        i = _consume_group(tokens, i, t, close)
-    elif t == "<":
-        # vector or packed struct <{...}>
-        i = _consume_group(tokens, i, "<", ">")
+    if t in ("[", "{", "<"):  # array, struct, vector or packed struct <{...}>
+        i = _consume_group(tokens, i)
     elif t in SCALAR_TYPES or _is_int_type(t):
         i += 1
     elif _looks_like_named_type(t) or (allow_named and t.startswith("%")):
@@ -249,15 +263,15 @@ def consume_type(tokens: list[str], i: int, allow_named: bool = False) -> tuple[
         return None
     # function-type argument list directly after the base type
     if i < len(tokens) and tokens[i] == "(":
-        i = _consume_group(tokens, i, "(", ")")
+        i = _consume_group(tokens, i)
     # pointer suffixes
     while i < len(tokens):
         if tokens[i] == "*":
             i += 1
         elif tokens[i] == "addrspace" and i + 1 < len(tokens) and tokens[i + 1] == "(":
-            i = _consume_group(tokens, i + 1, "(", ")")
+            i = _consume_group(tokens, i + 1)
         elif tokens[i] == "(":
-            i = _consume_group(tokens, i, "(", ")")
+            i = _consume_group(tokens, i)
         else:
             break
     return " ".join(tokens[start:i]), i
@@ -296,27 +310,6 @@ def _value_operand(tok: str) -> Operand:
     return Operand(OperandKind.CONSTANT, tok)
 
 
-def _split_top_level(tokens: list[str], sep: str = ",") -> list[list[str]]:
-    parts: list[list[str]] = []
-    cur: list[str] = []
-    depth = 0
-    opens = {"(": ")", "[": "]", "{": "}", "<": ">"}
-    closes = {v: k for k, v in opens.items()}
-    for t in tokens:
-        if t in opens:
-            depth += 1
-        elif t in closes:
-            depth -= 1
-        if t == sep and depth == 0:
-            parts.append(cur)
-            cur = []
-        else:
-            cur.append(t)
-    if cur:
-        parts.append(cur)
-    return parts
-
-
 def _typed_value(fragment: list[str]) -> Operand | None:
     """Read `<type> <attrs>* <value>` or bare `<value>` from a fragment."""
     toks = [t for t in fragment if t not in PARAM_ATTR_WORDS]
@@ -350,13 +343,16 @@ class _FunctionParser:
         self.current: IrBlock | None = None
         self.seen_labels: set[str] = set()
 
-    def _open_block(self, label: str):
-        if label in self.seen_labels:
-            raise MalformedIr(self.lineno, f"duplicate block label {label!r}")
+    def _close_block(self):
         if self.current is not None and (
                 not self.current.instructions
                 or not self.current.instructions[-1].is_terminator()):
             raise MalformedIr(self.lineno, f"block {self.current.label!r} has no terminator")
+
+    def _open_block(self, label: str):
+        if label in self.seen_labels:
+            raise MalformedIr(self.lineno, f"duplicate block label {label!r}")
+        self._close_block()
         self.seen_labels.add(label)
         self.current = IrBlock(label)
         self.fn.blocks.append(self.current)
@@ -378,10 +374,7 @@ class _FunctionParser:
         self.current.instructions.append(parse_instruction(line, lineno))
 
     def finish(self):
-        if self.current is not None and (
-                not self.current.instructions
-                or not self.current.instructions[-1].is_terminator()):
-            raise MalformedIr(self.lineno, f"block {self.current.label!r} has no terminator")
+        self._close_block()
         if not self.fn.blocks:
             raise MalformedIr(self.lineno, f"function @{self.fn.name} has an empty body")
         self._validate_labels()
@@ -399,7 +392,7 @@ class _FunctionParser:
 
 
 def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
-    tokens = _strip_metadata_tokens(_tokenize(line))
+    tokens = _tokenize(line)
     if not tokens:
         raise MalformedIr(lineno, "empty instruction")
     result_id = None
@@ -608,15 +601,9 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
     toks = [t for t in rest if t not in PARAM_ATTR_WORDS and t not in CALL_PREFIX_WORDS]
     # locate the callee: last %/@ token directly followed by "(" at top level
     callee_idx = None
-    depth = 0
-    for k, t in enumerate(toks):
-        if t in ("(", "[", "{", "<"):
-            if (t == "(" and k > 0 and (toks[k - 1].startswith("@") or toks[k - 1].startswith("%"))
-                    and depth == 0):
-                callee_idx = k - 1
-            depth += 1
-        elif t in (")", "]", "}", ">"):
-            depth -= 1
+    for k, t in _top_level(toks):
+        if t == "(" and k > 0 and toks[k - 1][0] in "@%":
+            callee_idx = k - 1
     if callee_idx is None:
         raise ValueError("call without a callable")
     callee = toks[callee_idx]
@@ -629,7 +616,7 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
         ret_type = "void"
     if result_id is None:
         ret_type = "void"
-    arg_end = _consume_group(toks, callee_idx + 1, "(", ")")
+    arg_end = _consume_group(toks, callee_idx + 1)
     arg_toks = toks[callee_idx + 2:arg_end - 1]
     if callee.startswith("@"):
         fn_operand = Operand(OperandKind.FUNCTION, callee)
@@ -669,20 +656,6 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
     return IrInstruction(opcode, type_str, tuple(operands))
 
 
-def _partition(tokens: list[str], sep: str) -> tuple[list[str], str, list[str]]:
-    depth = 0
-    opens = {"(": 1, "[": 1, "{": 1, "<": 1}
-    closes = {")": 1, "]": 1, "}": 1, ">": 1}
-    for k, t in enumerate(tokens):
-        if t == sep and depth == 0:
-            return tokens[:k], t, tokens[k + 1:]
-        if t in opens:
-            depth += 1
-        elif t in closes:
-            depth -= 1
-    return tokens, "", []
-
-
 def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tuple[str, str]]]:
     """Parse `define`/`declare` token stream into (name, ret type, params)."""
     name_idx = None
@@ -703,7 +676,7 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tup
             ret = got[0]
             break
         j += 1
-    end = _consume_group(tokens, name_idx + 1, "(", ")")
+    end = _consume_group(tokens, name_idx + 1)
     param_toks = tokens[name_idx + 2:end - 1]
     params: list[tuple[str, str]] = []
     unnamed = 0
@@ -715,7 +688,7 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tup
             if t in PARAM_ATTR_WORDS:
                 # attributes may carry a numeric or parenthesized argument
                 if k + 1 < len(raw_frag) and raw_frag[k + 1] == "(":
-                    k = _consume_group(raw_frag, k + 1, "(", ")")
+                    k = _consume_group(raw_frag, k + 1)
                 elif k + 1 < len(raw_frag) and _NUMBER_RE.match(raw_frag[k + 1]):
                     k += 2
                 else:
@@ -756,20 +729,6 @@ def _logical_lines(raw_lines: list[str]):
             line = line + " " + nxt
             depth += _bracket_depth(nxt)
         yield lineno, line
-
-
-def _bracket_depth(text: str) -> int:
-    depth = 0
-    in_string = False
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string:
-            if ch in "([<":
-                depth += 1
-            elif ch in ")]>":
-                depth -= 1
-    return depth
 
 
 _SKIP_PREFIXES = ("target ", "source_filename", "attributes ", "module asm",
@@ -817,14 +776,7 @@ def _module_line(module: IrModule, seen: set[str], line: str,
             sig, body_inline = sig.split("{", 1)
         else:
             sig = sig.rstrip()[:-1]
-        tokens = _strip_metadata_tokens(_tokenize(sig))
-        fname, _ret, params = _parse_signature(tokens, lineno)
-        if fname in seen:
-            raise MalformedIr(lineno, f"duplicate function @{fname}")
-        seen.add(fname)
-        fn = IrFunction(name=fname, params=params, blocks=[], is_declaration=False)
-        module.functions.append(fn)
-        fn_parser = _FunctionParser(fn, lineno)
+        fn_parser = _FunctionParser(_add_function(module, seen, sig, lineno, False), lineno)
         if body_inline and body_inline.strip():
             inline = body_inline.strip()
             closed = inline.endswith("}")
@@ -837,18 +789,12 @@ def _module_line(module: IrModule, seen: set[str], line: str,
                 return None
         return fn_parser
     if line.startswith("declare"):
-        tokens = _strip_metadata_tokens(_tokenize(line[len("declare"):]))
-        fname, _ret, params = _parse_signature(tokens, lineno)
-        if fname in seen:
-            raise MalformedIr(lineno, f"duplicate function @{fname}")
-        seen.add(fname)
-        module.functions.append(
-            IrFunction(name=fname, params=params, blocks=[], is_declaration=True))
+        _add_function(module, seen, line[len("declare"):], lineno, True)
         return None
     if line.startswith("define"):
         raise MalformedIr(lineno, "define without a body brace")
     if line.startswith("@"):
-        tokens = _strip_metadata_tokens(_tokenize(line))
+        tokens = _tokenize(line)
         gname = tokens[0][1:]
         gtype = "opaque"
         for k in range(1, len(tokens)):
@@ -867,32 +813,24 @@ def _module_line(module: IrModule, seen: set[str], line: str,
     raise MalformedIr(lineno, f"instruction outside a function/block: {line[:40]!r}")
 
 
+def _add_function(module: IrModule, seen: set[str], signature: str, lineno: int,
+                  is_declaration: bool) -> IrFunction:
+    """Append the function that a define/declare signature names; a name may
+    be defined or declared once."""
+    fname, _ret, params = _parse_signature(_tokenize(signature), lineno)
+    if fname in seen:
+        raise MalformedIr(lineno, f"duplicate function @{fname}")
+    seen.add(fname)
+    fn = IrFunction(fname, params, [], is_declaration)
+    module.functions.append(fn)
+    return fn
+
+
 def token_triple(instr: IrInstruction) -> TokenTriple:
     """Canonical (opcode, type class, operand kinds) triple for one instruction."""
     args = tuple(op.kind.value for op in instr.operands
                  if op.kind is not OperandKind.LABEL)
     return TokenTriple(instr.opcode, canonical_type(instr.type_str), args)
-
-
-def def_use_map(fn: IrFunction) -> dict[str, list[tuple[int, int]]]:
-    """Map every defined local id (params included) to its list of use sites."""
-    if fn.is_declaration:
-        raise ValueError(f"@{fn.name} is a declaration")
-    defs: dict[str, list[tuple[int, int]]] = {}
-    for pid, _ in fn.params:
-        defs[pid] = []
-    for block in fn.blocks:
-        for instr in block.instructions:
-            if instr.result_id is not None:
-                defs[instr.result_id] = []
-    for bi, block in enumerate(fn.blocks):
-        for ii, instr in enumerate(block.instructions):
-            for op in instr.operands:
-                if op.kind is OperandKind.LOCAL:
-                    if op.token not in defs:
-                        raise UndefinedLocal(op.token)
-                    defs[op.token].append((bi, ii))
-    return defs
 
 
 def successors(block: IrBlock) -> list[str]:
@@ -901,16 +839,3 @@ def successors(block: IrBlock) -> list[str]:
         return []
     term = block.instructions[-1]
     return [op.token for op in term.operands if op.kind is OperandKind.LABEL]
-
-
-def structurally_equal(a: IrModule, b: IrModule) -> bool:
-    """Structural equality over everything the representations consume."""
-    def fn_key(f: IrFunction):
-        return (f.name, f.is_declaration,
-                tuple((p, canonical_type(t)) for p, t in f.params),
-                tuple((b2.label, tuple((i.opcode, canonical_type(i.type_str),
-                                        i.result_id, i.call_target, i.operands)
-                                       for i in b2.instructions))
-                      for b2 in f.blocks))
-    return ([fn_key(f) for f in a.functions] == [fn_key(f) for f in b.functions]
-            and a.global_constants == b.global_constants)

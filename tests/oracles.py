@@ -5,20 +5,25 @@ plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the np.add.at
 embedding, the per-feature CART, the np.add.at autodiff engine) that the
 library must still match bit for bit.  They share only the parsed IR
-structures, the tree data classes, the autodiff Tensor and the seeded
-vocabulary lookups with the code under test.  The IR printer at the end
-turns parsed modules back into text for round-trip tests.
+structures, the graph and tree data classes, the autodiff Tensor and the
+seeded vocabulary lookups with the code under test.  The IR helpers at the
+end (def-use map, structural equality, printer) serve the parser's tests;
+the per-character IR scanners and the two-pass graph builder before them
+are the references for the parser's scanners and for ``build_graph``.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from mpisentinel import autodiff
 from mpisentinel.autodiff import Tensor
+from mpisentinel.graph import EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph
 from mpisentinel.ircore import (
-    BINARY_OPCODES, CAST_OPCODES, IrInstruction, IrModule, Operand, OperandKind,
-    token_triple,
+    BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, Operand,
+    OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
 )
 from mpisentinel.tabular import (
     DecisionTree, EmptyDataset, LabeledVectors, TreeNode,
@@ -439,8 +444,265 @@ def tree_dump(node: TreeNode):
 
 
 # ---------------------------------------------------------------------------
-# A printer from the parsed structures back to IR text the parser reads, for
-# round-trip tests (no compatibility promise).
+# The parser's scanners as they were before one bracket table drove them:
+# per-character comment and depth loops, a separate metadata pass over the
+# tokens, and one bracket loop each for partitioning and splitting.  The
+# references for the library's scanners (same output, same exceptions).
+
+_REF_TOKEN_RE = re.compile(
+    r'c?"(?:[^"]*)"'
+    r"|[%@](?:\"[^\"]*\"|[-A-Za-z$._0-9]+)"
+    r"|![-A-Za-z$._0-9]*"
+    r"|\#\d+"
+    r"|[-A-Za-z$._][-A-Za-z$._0-9]*"
+    r"|[-+]?(?:0x[0-9a-fA-F]+|\d+\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)"
+    r"|\.\.\."
+    r"|[,()\[\]{}<>*=]"
+)
+
+_REF_NUMBER_RE = re.compile(r"^[-+]?(?:0x[0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)$")
+
+
+def reference_strip_comment(line: str) -> str:
+    out = []
+    in_string = False
+    for ch in line:
+        if ch == '"':
+            in_string = not in_string
+        elif ch == ";" and not in_string:
+            break
+        out.append(ch)
+    return "".join(out).rstrip()
+
+
+def reference_bracket_depth(text: str) -> int:
+    depth = 0
+    in_string = False
+    for ch in text:
+        if ch == '"':
+            in_string = not in_string
+        elif not in_string:
+            if ch in "([<":
+                depth += 1
+            elif ch in ")]>":
+                depth -= 1
+    return depth
+
+
+def reference_strip_metadata_tokens(tokens: list[str]) -> list[str]:
+    """Drop `!x !n` metadata pairs, attribute refs and align suffixes."""
+    out: list[str] = []
+    i = 0
+    while i < len(tokens):
+        t = tokens[i]
+        if t.startswith("!"):
+            i += 1
+            continue
+        if t.startswith("#"):
+            i += 1
+            continue
+        if t == "," and i + 1 < len(tokens) and (
+                tokens[i + 1].startswith("!") or tokens[i + 1].startswith("#")):
+            i += 1
+            continue
+        if t == "align" and i + 1 < len(tokens) and _REF_NUMBER_RE.match(tokens[i + 1]):
+            if out and out[-1] == ",":
+                out.pop()
+            i += 2
+            continue
+        out.append(t)
+        i += 1
+    return out
+
+
+def reference_tokenize(text: str) -> list[str]:
+    return reference_strip_metadata_tokens(_REF_TOKEN_RE.findall(text))
+
+
+def reference_consume_group(tokens: list[str], i: int, open_tok: str,
+                            close_tok: str) -> int:
+    depth = 0
+    while i < len(tokens):
+        if tokens[i] == open_tok:
+            depth += 1
+        elif tokens[i] == close_tok:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    raise ValueError(f"unbalanced {open_tok}")
+
+
+def reference_split_top_level(tokens: list[str], sep: str = ",") -> list[list[str]]:
+    parts: list[list[str]] = []
+    cur: list[str] = []
+    depth = 0
+    opens = {"(": ")", "[": "]", "{": "}", "<": ">"}
+    closes = {v: k for k, v in opens.items()}
+    for t in tokens:
+        if t in opens:
+            depth += 1
+        elif t in closes:
+            depth -= 1
+        if t == sep and depth == 0:
+            parts.append(cur)
+            cur = []
+        else:
+            cur.append(t)
+    if cur:
+        parts.append(cur)
+    return parts
+
+
+def reference_partition(tokens: list[str], sep: str) -> tuple[list[str], str, list[str]]:
+    depth = 0
+    opens = {"(": 1, "[": 1, "{": 1, "<": 1}
+    closes = {")": 1, "]": 1, "}": 1, ">": 1}
+    for k, t in enumerate(tokens):
+        if t == sep and depth == 0:
+            return tokens[:k], t, tokens[k + 1:]
+        if t in opens:
+            depth += 1
+        elif t in closes:
+            depth -= 1
+    return tokens, "", []
+
+
+# ---------------------------------------------------------------------------
+# The program graph as built before one pass per function: every function's
+# nodes first, then every function's edges, through dicts keyed by function
+# name.  The reference for build_graph's node ids and edge order.
+
+def reference_build_graph(module: IrModule) -> ProgramGraph:
+    g = ProgramGraph()
+    defined = {f.name for f in module.defined_functions()}
+
+    control_ids: dict[tuple[str, int, int], int] = {}   # (fn, block, instr) -> node
+    entry_ids: dict[str, int] = {}                      # fn name -> entry control node
+    ret_ids: dict[str, list[int]] = {}                  # fn name -> ret control nodes
+
+    def add_node(node_type: NodeType, token: str) -> int:
+        nid = len(g.nodes)
+        g.nodes.append(GraphNode(nid, node_type, token))
+        return nid
+
+    per_fn_values: dict[str, dict[str, int]] = {}
+    per_fn_consts: dict[str, dict[tuple[str, str], int]] = {}
+    for fn in module.defined_functions():
+        values: dict[str, int] = {}
+        for pid, ptype in fn.params:
+            values[pid] = add_node(NodeType.VARIABLE, canonical_type(ptype))
+        for bi, block in enumerate(fn.blocks):
+            for ii, instr in enumerate(block.instructions):
+                token = instr.opcode
+                if instr.call_target is not None and instr.call_target not in defined \
+                        and not instr.call_target.startswith("%"):
+                    token = f"{instr.opcode}:{instr.call_target}"
+                nid = add_node(NodeType.CONTROL, token)
+                control_ids[(fn.name, bi, ii)] = nid
+                if bi == 0 and ii == 0:
+                    entry_ids[fn.name] = nid
+                if instr.opcode == "ret":
+                    ret_ids.setdefault(fn.name, []).append(nid)
+                if instr.result_id is not None:
+                    values[instr.result_id] = add_node(
+                        NodeType.VARIABLE, canonical_type(instr.type_str))
+        consts: dict[tuple[str, str], int] = {}
+        for block in fn.blocks:
+            for instr in block.instructions:
+                for op in instr.operands:
+                    if op.kind in (OperandKind.CONSTANT, OperandKind.GLOBAL,
+                                   OperandKind.FUNCTION):
+                        key = (op.kind.value, op.token)
+                        if key not in consts:
+                            consts[key] = add_node(NodeType.CONSTANT, "Constant")
+        per_fn_values[fn.name] = values
+        per_fn_consts[fn.name] = consts
+
+    call_sites: list[tuple[int, str]] = []
+    for fn in module.defined_functions():
+        values = per_fn_values[fn.name]
+        consts = per_fn_consts[fn.name]
+        label_to_index = {b.label: i for i, b in enumerate(fn.blocks)}
+        for bi, block in enumerate(fn.blocks):
+            for ii, instr in enumerate(block.instructions):
+                nid = control_ids[(fn.name, bi, ii)]
+                ordinal = 0
+                for op in instr.operands:
+                    if op.kind is OperandKind.LABEL:
+                        continue
+                    if op.kind is OperandKind.LOCAL:
+                        src = values.get(op.token)
+                        if src is None:
+                            raise UndefinedLocal(op.token)
+                    else:
+                        src = consts[(op.kind.value, op.token)]
+                    g.edges.append(GraphEdge(src, nid, EdgeType.DATA, ordinal))
+                    ordinal += 1
+                if instr.result_id is not None:
+                    g.edges.append(GraphEdge(
+                        nid, values[instr.result_id], EdgeType.DATA, 0))
+                if instr.call_target is not None and instr.call_target in defined:
+                    call_sites.append((nid, instr.call_target))
+            for ii in range(len(block.instructions) - 1):
+                g.edges.append(GraphEdge(control_ids[(fn.name, bi, ii)],
+                                         control_ids[(fn.name, bi, ii + 1)],
+                                         EdgeType.CONTROL, 0))
+            last = len(block.instructions) - 1
+            for k, target in enumerate(successors(block)):
+                tbi = label_to_index[target]
+                g.edges.append(GraphEdge(control_ids[(fn.name, bi, last)],
+                                         control_ids[(fn.name, tbi, 0)],
+                                         EdgeType.CONTROL, k))
+
+    ret_out: dict[int, int] = {}
+    for site, callee in call_sites:
+        g.edges.append(GraphEdge(site, entry_ids[callee], EdgeType.CALL, 0))
+        for ret_node in ret_ids.get(callee, []):
+            k = ret_out.get(ret_node, 0)
+            g.edges.append(GraphEdge(ret_node, site, EdgeType.CALL, k))
+            ret_out[ret_node] = k + 1
+    return g
+
+
+# ---------------------------------------------------------------------------
+# IR helpers for the parser's tests: the def-use map, structural equality,
+# and a printer from the parsed structures back to IR text the parser reads,
+# for round-trip tests (no compatibility promise).
+
+def def_use_map(fn: IrFunction) -> dict[str, list[tuple[int, int]]]:
+    """Map every defined local id (params included) to its list of use sites."""
+    if fn.is_declaration:
+        raise ValueError(f"@{fn.name} is a declaration")
+    defs: dict[str, list[tuple[int, int]]] = {}
+    for pid, _ in fn.params:
+        defs[pid] = []
+    for block in fn.blocks:
+        for instr in block.instructions:
+            if instr.result_id is not None:
+                defs[instr.result_id] = []
+    for bi, block in enumerate(fn.blocks):
+        for ii, instr in enumerate(block.instructions):
+            for op in instr.operands:
+                if op.kind is OperandKind.LOCAL:
+                    if op.token not in defs:
+                        raise UndefinedLocal(op.token)
+                    defs[op.token].append((bi, ii))
+    return defs
+
+
+def structurally_equal(a: IrModule, b: IrModule) -> bool:
+    """Structural equality over everything the representations consume."""
+    def fn_key(f: IrFunction):
+        return (f.name, f.is_declaration,
+                tuple((p, canonical_type(t)) for p, t in f.params),
+                tuple((b2.label, tuple((i.opcode, canonical_type(i.type_str),
+                                        i.result_id, i.call_target, i.operands)
+                                       for i in b2.instructions))
+                      for b2 in f.blocks))
+    return ([fn_key(f) for f in a.functions] == [fn_key(f) for f in b.functions]
+            and a.global_constants == b.global_constants)
+
 
 def render(module: IrModule) -> str:
     parts = []

@@ -162,11 +162,25 @@ class TestEvaluate:
         assert code == 2
 
 
+def _manifest_with(**fields) -> str:
+    """Two valid MBI samples; the second one's fields are overridden."""
+    base = {"suite": "MBI", "opt": "O0", "status": "ok", "quarantined": False,
+            "label": "Correct", "binary": "Correct", "source": "a.c"}
+    return json.dumps({"manifest_version": 1, "samples": [
+        dict(base, id="mbi:b.c@O0", ir="b.ll"),
+        {**base, "id": "mbi:a.c@O0", "ir": "a.ll", **fields}]})
+
+
 BAD_MANIFESTS = {
     "not-json": ("{\"manifest_version\": 1,", "JSONDecodeError"),
     "top-level-list": ("[]", "SchemaViolation"),
     "sample-not-object": ('{"manifest_version": 1, "samples": [7]}',
                           "SchemaViolation"),
+    "id-list": (_manifest_with(id=[]), "SchemaViolation"),
+    "id-number": (_manifest_with(id=5), "SchemaViolation"),
+    "label-list": (_manifest_with(label=["x"]), "SchemaViolation"),
+    "ir-number": (_manifest_with(ir=7), "SchemaViolation"),
+    "quarantined-string": (_manifest_with(quarantined="no"), "SchemaViolation"),
 }
 
 
@@ -263,7 +277,7 @@ def train_gnn_model_file(path):
                         node_embed_dim=8, fc_hidden=8, lr=1e-2, epochs=10,
                         batch_size=4, rng_seed=0)
     model = gnn.init_model(cfg, gnn.build_vocab([g for g, _ in samples]), space)
-    model, _ = gnn.train(model, samples, cfg)
+    model, _ = gnn.train(model, samples)
     gnn.save_checkpoint(path, model)
 
 

@@ -57,13 +57,6 @@ class TestIngestMbi:
         assert len(samples) == len(found) == 4
         assert sum(1 for s in samples if s.quarantined) == 2
 
-    def test_custom_pattern_and_aliases(self, tmp_path):
-        write(tmp_path / "x.c", "// BUG-KIND: races\nint main(void){}\n")
-        samples = cm.ingest_mbi(
-            tmp_path, header_pattern=r"BUG-KIND:\s*(?P<desc>\w+)",
-            alias_table={"races": "MessageRace"})
-        assert samples[0].label == "MessageRace"
-
 
 class TestIngestCorrbench:
     def test_paper_example_filename(self, tmp_path):
@@ -228,6 +221,21 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(cm.SchemaViolation):
             cm.read_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", []), ("id", 5), ("label", ["x"]), ("label", 3),
+        ("quarantined", "no"), ("quarantined", 0), ("ir", 7), ("ir", ["a.ll"]),
+    ])
+    def test_sample_field_types_checked(self, tmp_path, field, value):
+        doc = cm.manifest_to_dict(cm.Manifest([
+            cm.CorpusSample("b", "MBI", "b.c", "Correct", ir_path="b.ll"),
+            cm.CorpusSample("a", "MBI", "a.c", "Correct", ir_path="a.ll")]))
+        doc["samples"][1][field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cm.SchemaViolation) as err:
+            cm.read_manifest(path)
+        assert err.value.pointer == f"/samples/1/{field}"
 
     def test_label_binary_consistency_over_fixture_corpus(self, fixture_manifest):
         for s in fixture_manifest.samples:

@@ -120,7 +120,7 @@ entry:
             want = oracles.flow_aware_sum(module, vocab)
             assert np.max(np.abs(got - want)) < 1e-9, path
 
-    def test_nonconvergence_warns_and_returns(self, vocab):
+    def test_nonconvergence_warns_and_returns(self, vocab, monkeypatch):
         module = parse_ir("""
 define i32 @f() {
 entry:
@@ -133,7 +133,8 @@ out:
   ret i32 %b
 }
 """)
-        ev = em.embed(module, vocab, max_iter=2)
+        monkeypatch.setattr(em, "MAX_ITER", 2)
+        ev = em.embed(module, vocab)
         assert ev.warning.startswith(
             "flow-aware fixed point did not converge after 2 iterations")
         assert np.all(np.isfinite(ev.values))
@@ -172,19 +173,20 @@ class TestAddAtReference:
             assert ev.values.tobytes() == want.tobytes(), path
             assert ev.warning == note, path
 
-    def test_nonconvergence_path_bit_identical(self, vocab):
+    def test_nonconvergence_path_bit_identical(self, vocab, monkeypatch):
+        monkeypatch.setattr(em, "MAX_ITER", 2)
         module = parse_ir(NONCONVERGING_MODULE)
         notes = {}
         for fn in module.defined_functions():
             alone = dataclasses.replace(module, functions=[fn])
-            ev = em.embed(alone, vocab, max_iter=2)
+            ev = em.embed(alone, vocab)
             want, notes[fn.name] = oracles.embed_add_at(alone, vocab, max_iter=2)
             assert ev.values.tobytes() == want.tobytes(), fn.name
             assert ev.warning == notes[fn.name], fn.name
         assert len(notes) == 2
         assert all(note.startswith("flow-aware fixed point did not converge "
                                    "after 2 iterations") for note in notes.values())
-        ev = em.embed(module, vocab, max_iter=2)
+        ev = em.embed(module, vocab)
         want, note = oracles.embed_add_at(module, vocab, max_iter=2)
         assert ev.warning is not None and ev.warning == note
         assert ev.values.tobytes() == want.tobytes()
@@ -218,8 +220,7 @@ class TestEmbed:
 
     def test_halves_match_components(self, vocab, add_loop_text):
         module = parse_ir(add_loop_text)
-        ev = em.embed(module, vocab, source_id="add_loop")
-        assert ev.source_id == "add_loop"
+        ev = em.embed(module, vocab)
         sym = sum(oracles.symbolic_function_sum(fn, vocab)
                   for fn in module.defined_functions())
         flow = sum(oracles.flow_aware_add_at(fn, vocab)[0]

@@ -295,8 +295,7 @@ class TestTraining:
         model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                ["bad", "ok"])
         before = [t.data.copy() for _, t in model.parameter_items()]
-        model, log = gnn.train(model, [(barrier_graph, "ok"), (send_graph, "bad")],
-                               cfg)
+        model, log = gnn.train(model, [(barrier_graph, "ok"), (send_graph, "bad")])
         assert log == []
         for (_, t), b in zip(model.parameter_items(), before):
             assert np.array_equal(t.data, b)
@@ -310,7 +309,7 @@ class TestTraining:
                               batch_size=2, epochs=10)
             model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                    ["bad", "ok"])
-            model, log = gnn.train(model, samples, cfg)
+            model, log = gnn.train(model, samples)
             acc = np.mean([gnn.predict_gnn(model, g) == lab for g, lab in samples])
             perfect += acc == 1.0
         assert perfect == 5
@@ -324,7 +323,7 @@ class TestTraining:
                               batch_size=2, epochs=10)
             model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                    ["bad", "ok"])
-            _, log = gnn.train(model, samples, cfg)
+            _, log = gnn.train(model, samples)
             passed += log[-1][1] < log[0][1]
         assert passed >= 4  # tolerate one unlucky seed
 
@@ -335,7 +334,7 @@ class TestTraining:
             cfg = tiny_config(rng_seed=3, lr=1e-2, batch_size=2, epochs=5)
             model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                    ["bad", "ok"])
-            _, log = gnn.train(model, samples, cfg)
+            _, log = gnn.train(model, samples)
             logs.append(log)
         assert logs[0] == logs[1]
 
@@ -343,13 +342,13 @@ class TestTraining:
         cfg = tiny_config()
         model = gnn.init_model(cfg, {}, ["a", "b"])
         with pytest.raises(gnn.EmptyDataset):
-            gnn.train(model, [], cfg)
+            gnn.train(model, [])
 
     def test_unknown_label_rejected(self, barrier_graph):
         cfg = tiny_config()
         model = gnn.init_model(cfg, {}, ["a", "b"])
         with pytest.raises(gnn.ClassOutOfRange):
-            gnn.train(model, [(barrier_graph, "mystery")], cfg)
+            gnn.train(model, [(barrier_graph, "mystery")])
 
 
 def train_fixture_model(samples, seed):
@@ -357,7 +356,7 @@ def train_fixture_model(samples, seed):
                       rng_seed=seed, lr=1e-2, batch_size=4, epochs=3)
     model = gnn.init_model(cfg, gnn.build_vocab([g for g, _ in samples]),
                            ["bad", "ok"])
-    return gnn.train(model, samples, cfg)
+    return gnn.train(model, samples)
 
 
 class TestTrainingEngine:
@@ -447,7 +446,7 @@ class TestPredict:
         cfg = tiny_config(rng_seed=1, lr=1e-2, batch_size=2, epochs=10)
         model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                ["bad", "ok"])
-        model, _ = gnn.train(model, samples, cfg)
+        model, _ = gnn.train(model, samples)
         held_out = build_graph(parse_ir(BARRIER_MODULE.replace("@a", "@fresh")))
         assert gnn.predict_gnn(model, held_out) == "ok"
 
@@ -473,7 +472,7 @@ class TestCheckpoint:
         cfg = tiny_config(rng_seed=6, lr=1e-2, batch_size=2, epochs=4)
         model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                ["bad", "ok"])
-        model, _ = gnn.train(model, samples, cfg)
+        model, _ = gnn.train(model, samples)
         path = tmp_path / "model.json"
         gnn.save_checkpoint(path, model)
         again = gnn.load_checkpoint(path)
@@ -521,8 +520,7 @@ class TestGraphJsonInterop:
         cfg = tiny_config(epochs=3, batch_size=2)
         model = gnn.init_model(cfg, gnn.build_vocab([barrier_graph, send_graph]),
                                ["bad", "ok"])
-        _, log = gnn.train(model, [(barrier_graph, "ok"), (send_graph, "bad")],
-                           cfg)
+        _, log = gnn.train(model, [(barrier_graph, "ok"), (send_graph, "bad")])
         path = tmp_path / "loss.csv"
         gnn.write_loss_log_csv(log, path)
         lines = path.read_text().splitlines()

@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+import oracles
 from mpisentinel import ircore
 from mpisentinel.graph import (
     EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph, build_graph,
@@ -219,3 +220,12 @@ def test_node_permutation_detected_by_validator(two_fn_call_text):
     bad = copy.deepcopy(g)
     bad.nodes[0].id = 99
     assert any(v.rule == "id-contiguity" for v in validate_graph(bad))
+
+
+def test_matches_two_pass_reference_on_fixtures(all_fixture_modules):
+    for path, module in all_fixture_modules:
+        got, want = build_graph(module), oracles.reference_build_graph(module)
+        assert [(n.id, n.node_type, n.token) for n in got.nodes] == \
+            [(n.id, n.node_type, n.token) for n in want.nodes], path
+        assert [(e.src, e.dst, e.edge_type, e.position) for e in got.edges] == \
+            [(e.src, e.dst, e.edge_type, e.position) for e in want.edges], path

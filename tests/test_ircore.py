@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import corpus_ll_files
 from mpisentinel import ircore
 from mpisentinel.ircore import (
-    MalformedIr, OperandKind, UndefinedLocal, canonical_type, def_use_map,
-    parse_ir, parse_instruction, structurally_equal, successors, token_triple,
+    MalformedIr, OperandKind, UndefinedLocal, canonical_type, parse_ir,
+    parse_instruction, successors, token_triple,
 )
-from oracles import render
+from oracles import def_use_map, render, structurally_equal
 
 
 def test_empty_text_gives_empty_module():
@@ -179,6 +180,64 @@ def test_single_line_mutations_raise_only_malformed_ir(data):
         token_triple(instr)
 
 
+# Pieces of IR lines for the scanner properties: brackets, commas, quotes,
+# comments, metadata and attribute refs, align suffixes and words.
+_PIECES = ["(", ")", "[", "]", "{", "}", "<", ">", ",", '"', ";", "!dbg !7", "#0",
+           "align 4", "align", "4", "x", "i32", "%a", "@f", "to", 'c"s;t"', "!", "#"]
+_TOKENS = ["(", ")", "[", "]", "{", "}", "<", ">", ",", "x", "i32", "%a", "@f",
+           "to", "!dbg", "!7", "#0", "align", "4", '"s"', "label"]
+_LINES = (st.lists(st.sampled_from(_PIECES), max_size=24).map(" ".join)
+          | st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+_TOKEN_LISTS = st.lists(st.sampled_from(_TOKENS), max_size=24)
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and text."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raised", type(exc).__name__, str(exc)
+
+
+class TestScannersMatchReference:
+    """The bracket-table scanners against the parser's earlier per-character
+    and per-token loops in tests/oracles.py: same output, same exceptions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES)
+    def test_strip_comment(self, line):
+        assert ircore._strip_comment(line) == oracles.reference_strip_comment(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES)
+    def test_bracket_depth(self, line):
+        assert ircore._bracket_depth(line) == oracles.reference_bracket_depth(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LINES)
+    def test_tokenize(self, line):
+        assert ircore._tokenize(line) == oracles.reference_tokenize(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TOKEN_LISTS, st.sampled_from([",", "[", "to", "(", "<"]))
+    def test_partition(self, tokens, sep):
+        assert ircore._partition(tokens, sep) == oracles.reference_partition(tokens, sep)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TOKEN_LISTS)
+    def test_split_top_level(self, tokens):
+        assert ircore._split_top_level(tokens) == oracles.reference_split_top_level(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TOKEN_LISTS, st.sampled_from(["(", "[", "{", "<"]), st.integers(0, 24))
+    def test_consume_group(self, tokens, opener, at):
+        tokens = tokens[:at] + [opener] + tokens[at:]
+        i = min(at, len(tokens) - 1)
+        closer = {"(": ")", "[": "]", "{": "}", "<": ">"}[opener]
+        assert _outcome(ircore._consume_group, tokens, i) == _outcome(
+            oracles.reference_consume_group, tokens, i, opener, closer)
+
+
 class TestSubsetBreadth:
     def test_generic_opcode_never_rejected(self):
         module = parse_ir("define void @f() {\nentry:\n  %x = frobnicate i32 %y, 7\n  ret void\n}")
@@ -279,7 +338,7 @@ define i32 @f(i32 %x) {
 }
 """
         module = parse_ir(text)
-        labels = module.functions[0].block_labels()
+        labels = [b.label for b in module.functions[0].blocks]
         assert labels == ["entry", "2", "3"]
 
 

@@ -154,7 +154,7 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
             samples = corpus_mod.ingest_corrbench(directory, opt_level=args.opt)
         corpus_mod.attach_ir(samples, compiler_cmd, timeout=args.timeout,
                              jobs=jobs)
-    except (corpus_mod.CompilerNotFound, corpus_mod.CompileTimeout) as exc:
+    except corpus_mod.CompilerNotFound as exc:
         return _error(type(exc).__name__, str(exc), 2)
     manifest = corpus_mod.Manifest(samples, provenance={
         "suite": args.suite, "directory": str(directory),
@@ -163,8 +163,10 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
     corpus_mod.write_manifest(manifest, args.out)
     quarantined = sum(1 for s in samples if s.quarantined)
     ce = sum(1 for s in samples if s.compile_status == "compile-error")
+    timeouts = sum(1 for s in samples if s.compile_status == "timeout")
     summary = {"samples": len(samples), "quarantined": quarantined,
-               "compile_errors": ce, "manifest": str(args.out)}
+               "compile_errors": ce, "timeouts": timeouts,
+               "manifest": str(args.out)}
     print(json.dumps(summary, sort_keys=True))
     if not samples:
         sys.stderr.write(json.dumps(

@@ -61,12 +61,6 @@ class CompilerNotFound(Exception):
     pass
 
 
-class CompileTimeout(Exception):
-    def __init__(self, seconds: float):
-        super().__init__(f"compiler timed out after {seconds} seconds")
-        self.seconds = seconds
-
-
 class SchemaViolation(Exception):
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
@@ -81,7 +75,7 @@ class CorpusSample:
     label: str | None                 # None only while quarantined
     opt_level: str = "O0"
     ir_path: str | None = None
-    compile_status: str = "ok"        # "ok" | "compile-error"
+    compile_status: str = "ok"        # "ok" | "compile-error" | "timeout"
     compile_message: str = ""
     quarantined: bool = False
     quarantine_reason: str = ""
@@ -206,7 +200,8 @@ def compile_to_ir(source, opt_level: str, compiler_cmd: str | None,
 
     compiler_cmd None/"none" skips compilation and picks up a pre-compiled
     sibling (<stem>.<opt>.ll, then <stem>.ll).  Returns
-    (ir_path, status, message) where status is "ok" or "compile-error".
+    (ir_path, status, message) where status is "ok", "compile-error" or
+    "timeout" (the command ran longer than timeout seconds and was killed).
     """
     source = Path(source)
     if compiler_cmd in (None, "", "none"):
@@ -230,8 +225,8 @@ def compile_to_ir(source, opt_level: str, compiler_cmd: str | None,
                               timeout=timeout)
     except FileNotFoundError as exc:
         raise CompilerNotFound(f"compiler not found: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise CompileTimeout(timeout) from exc
+    except subprocess.TimeoutExpired:
+        return None, "timeout", f"compiler timed out after {timeout} seconds"
     if proc.returncode != 0:
         return None, "compile-error", proc.stderr.strip()
     if not output.exists():
@@ -265,6 +260,7 @@ def attach_ir(samples: list[CorpusSample], compiler_cmd: str | None,
 # Manifest file (schema version 1)
 
 _SUITES = ("MBI", "CorrBench", "Other")
+_STATUSES = ("ok", "compile-error", "timeout")
 _ALL_LABELS = set(MBI_LABELS) | set(CORRBENCH_LABELS)
 # sample fields with a checked JSON type: (key, accepted types, what is expected)
 _FIELD_TYPES = (
@@ -323,7 +319,7 @@ def read_manifest(path) -> Manifest:
             raise SchemaViolation(f"{where}/suite", f"unknown suite {entry['suite']!r}")
         if entry["opt"] not in OPT_LEVELS:
             raise SchemaViolation(f"{where}/opt", f"unknown opt level {entry['opt']!r}")
-        if entry["status"] not in ("ok", "compile-error"):
+        if entry["status"] not in _STATUSES:
             raise SchemaViolation(f"{where}/status", f"unknown status {entry['status']!r}")
         label = entry.get("label")
         if not entry["quarantined"]:

@@ -348,6 +348,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     evaluable = [s for s in scope if not s.quarantined and s.compile_status == "ok"]
     ce_count = sum(1 for s in scope
                    if not s.quarantined and s.compile_status == "compile-error")
+    to_count = sum(1 for s in scope
+                   if not s.quarantined and s.compile_status == "timeout")
     by_id = {s.id: s for s in evaluable}
     labels_by_id = {s.id: _label_for_mode(s, opts.label_mode) for s in evaluable}
     if opts.label_mode == "binary":
@@ -370,7 +372,7 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             raise SuiteMissing("cross scenario needs samples in both suites")
         fold_args.append((0, train_ids, val_ids, opts.seed))
 
-    aggregate = ConfusionCounts(ce=ce_count)
+    aggregate = ConfusionCounts(ce=ce_count, to=to_count)
     per_label_hits: dict[str, list[int]] = {}
     re_samples: list[str] = []
     fold_docs = []

@@ -656,8 +656,8 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
     return IrInstruction(opcode, type_str, tuple(operands))
 
 
-def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tuple[str, str]]]:
-    """Parse `define`/`declare` token stream into (name, ret type, params)."""
+def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[str, str]]]:
+    """Parse `define`/`declare` token stream into (name, params)."""
     name_idx = None
     for k, t in enumerate(tokens):
         if t.startswith("@") and k + 1 < len(tokens) and tokens[k + 1] == "(":
@@ -668,14 +668,14 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tup
     name = tokens[name_idx][1:]
     if name.startswith('"') and name.endswith('"'):
         name = name[1:-1]
-    ret = "void"
-    j = 0
-    while j < name_idx:
-        got = consume_type(tokens, j, allow_named=True)
-        if got is not None and got[1] <= name_idx:
-            ret = got[0]
+    # linkage, attributes and return type before the name must nest
+    depth = 0
+    for t in tokens[:name_idx]:
+        depth += _DEPTH.get(t, 0)
+        if depth < 0:
             break
-        j += 1
+    if depth:
+        raise MalformedIr(lineno, "unbalanced bracket before the function name")
     end = _consume_group(tokens, name_idx + 1)
     param_toks = tokens[name_idx + 2:end - 1]
     params: list[tuple[str, str]] = []
@@ -708,7 +708,7 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, str, list[tup
             pid = f"%{unnamed}"
             unnamed += 1
         params.append((pid, type_str))
-    return name, ret, params
+    return name, params
 
 
 def _logical_lines(raw_lines: list[str]):
@@ -817,7 +817,7 @@ def _add_function(module: IrModule, seen: set[str], signature: str, lineno: int,
                   is_declaration: bool) -> IrFunction:
     """Append the function that a define/declare signature names; a name may
     be defined or declared once."""
-    fname, _ret, params = _parse_signature(_tokenize(signature), lineno)
+    fname, params = _parse_signature(_tokenize(signature), lineno)
     if fname in seen:
         raise MalformedIr(lineno, f"duplicate function @{fname}")
     seen.add(fname)

@@ -52,11 +52,6 @@ class LabeledVectors:
             raise WidthMismatch(f"feature index out of range for width {self.x.shape[1]}")
         return LabeledVectors(self.x[:, idx], list(self.labels), list(self.label_space))
 
-    def take(self, row_indices) -> "LabeledVectors":
-        rows = list(row_indices)
-        return LabeledVectors(self.x[rows], [self.labels[i] for i in rows],
-                              list(self.label_space))
-
 
 @dataclass
 class TreeNode:
@@ -79,49 +74,139 @@ class DecisionTree:
     label_space: list[str]
 
 
-# Upper bound on rows x features x classes scored in one pass: one pass per
-# node on narrow data (the GA's subsets), bounded temporaries on wide data.
-_SCORE_CELLS = 1 << 12
+# Upper bound on features x rows x classes in one scoring pass: it bounds
+# the class-count tensor and the scored candidates on wide data, and sets
+# how many GA individuals' trees grow together (at least one feature of
+# one individual per pass).
+_SCORE_CELLS = 1 << 15
 
 
-def _best_split(sorted_x: np.ndarray, sorted_y: np.ndarray,
-                classes: np.ndarray):
-    """Exhaustive search over features in blocks: lowest weighted Gini;
-    ties -> lowest feature index, then lowest threshold.  Thresholds are
+@dataclass
+class _Forest:
+    """Trees grown together, as flat node arrays.  A leaf has feature -1 and
+    is its own left and right child; counts holds every node's class
+    counts."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    depth: int
+
+    def leaves(self, xt: np.ndarray, roots: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        """The leaf that column cols[i] of xt (F, S) reaches from roots[i]:
+        left when value <= threshold, as in predict_tree."""
+        node = roots
+        for _ in range(self.depth - 1):  # a leaf reads any feature, stays put
+            node = np.where(xt[self.feature[node], cols] <= self.threshold[node],
+                            self.left[node], self.right[node])
+        return node
+
+
+def _level_splits(xt, y, order, sizes, counts, onehot):
+    """Exhaustive search for every node at once: lowest weighted Gini; ties
+    -> lowest feature index, then lowest threshold.  Thresholds are
     midpoints of consecutive distinct sorted values.
 
-    Row f of sorted_x holds the node's values of feature f in stable
-    ascending order, and the same row of sorted_y their label codes.
-    Returns (feature, threshold) or None."""
-    n = sorted_x.shape[1]
-    step = max(1, _SCORE_CELLS // (n * len(classes)))
-    best = None
-    best_score = np.inf
-    for lo in range(0, len(sorted_x), step):
-        xs = sorted_x[lo:lo + step]
-        # candidate cuts in feature-major order, so the first minimum of
-        # the scores is the lowest feature, then the lowest threshold
-        feat, cut = (xs[:, 1:] != xs[:, :-1]).nonzero()
+    Node j owns the next sizes[j] columns of order; see _grow_forest.
+    Returns (feature, threshold) per node, feature -1 where no cut exists
+    (identical rows with conflicting labels)."""
+    n_cols = order.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    inner = seg[1:] == seg[:-1]  # a cut between two columns of one node
+    best_score = np.full(len(sizes), np.inf)
+    best_feat = np.full(len(sizes), -1)
+    best_thr = np.zeros(len(sizes))
+    step = max(1, _SCORE_CELLS // (n_cols * onehot.shape[1]))
+    for lo in range(0, len(order), step):
+        rows = order[lo:lo + step]
+        xs = xt[np.arange(lo, lo + len(rows))[:, None], rows]
+        # candidate cuts: between distinct values of one node
+        feat, col = ((xs[:, 1:] != xs[:, :-1]) & inner).nonzero()
         if feat.size == 0:
             continue
-        # class counts left of every cut; float sums of 0/1 are exact
-        left_counts = (sorted_y[lo:lo + step, :, None] == classes).cumsum(
-            axis=1, dtype=np.float64)
-        lc = left_counts[feat, cut]
-        rc = left_counts[0, -1] - lc
-        nl = cut + 1.0
+        # class counts before every column of every row, exact integers; a
+        # node's counts left of a cut are a difference of two of them
+        cum = np.zeros((rows.size + 1, onehot.shape[1]), np.int32)
+        onehot.take(y.take(rows.ravel()), axis=0, out=cum[1:])
+        np.cumsum(cum, axis=0, out=cum)
+        node = seg[col]
+        at = feat * n_cols
+        lc = cum.take(at + col + 1, axis=0)
+        lc -= cum.take(at + starts[node], axis=0)
+        del cum
+        n = sizes[node]
+        nl = col - starts[node] + 1.0
         nr = n - nl
-        p_l = lc / nl[:, None]
-        p_r = rc / nr[:, None]
-        gini_l = 1.0 - np.einsum("ij,ij->i", p_l, p_l)
-        gini_r = 1.0 - np.einsum("ij,ij->i", p_r, p_r)
-        scores = (nl * gini_l + nr * gini_r) / n
-        k = scores.argmin()
-        if scores[k] < best_score:
-            best_score = scores[k]
-            f, c = int(feat[k]), cut[k]
-            best = (lo + f, (xs[f, c] + xs[f, c + 1]) / 2.0)
-    return best
+        p = lc / nl[:, None]
+        gini_l = 1.0 - np.einsum("ij,ij->i", p, p)
+        np.subtract(counts.take(node, axis=0), lc, out=lc)  # right of the cut
+        np.divide(lc, nr[:, None], out=p)
+        del lc
+        gini_r = 1.0 - np.einsum("ij,ij->i", p, p)
+        del p
+        scores = np.full(xs.shape, np.inf)
+        scores[feat, col] = (nl * gini_l + nr * gini_r) / n
+        # each node's first minimum in (feature, column) order: the lowest
+        # feature, then the lowest threshold
+        low = np.minimum.reduceat(scores.min(axis=0), starts)
+        won = low < best_score
+        hit = np.where((scores == low[seg]) & won[seg],
+                       np.arange(scores.size).reshape(scores.shape), scores.size)
+        f, c = np.divmod(np.minimum.reduceat(hit.min(axis=0), starts)[won], n_cols)
+        best_score[won] = low[won]
+        best_feat[won] = lo + f
+        best_thr[won] = (xs[f, c] + xs[f, c + 1]) / 2.0
+    return best_feat, best_thr
+
+
+def _grow_forest(xt: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
+                 n_classes: int) -> _Forest:
+    """Level-wise CART for a batch of trees: every open node of every tree
+    is scored in one pass per level, then all of them split at once.
+
+    xt (F, S) holds the feature values of S row slots (F >= 1) and y (S,)
+    their label codes.  order (F, N) holds slot ids: tree t owns the next
+    sizes[t] columns, and each row lists them sorted stably by its
+    feature.  Tree t is rooted at node t."""
+    onehot = np.eye(n_classes, dtype=np.int32)
+    sizes = np.asarray(sizes)
+    parts = []
+    base = 0
+    while len(sizes):
+        k = len(sizes)
+        seg = np.repeat(np.arange(k), sizes)
+        counts = np.bincount(seg * n_classes + y[order[0]], minlength=k * n_classes
+                             ).reshape(k, n_classes).astype(np.int32)
+        feature = np.full(k, -1)
+        threshold = np.zeros(k)
+        grow = counts.max(axis=1) < sizes  # two rows or more, not pure
+        if grow.any():
+            feature[grow], threshold[grow] = _level_splits(
+                xt, y, order[:, grow[seg]], sizes[grow], counts[grow], onehot)
+        split = feature >= 0
+        n_split = int(split.sum())
+        ids = base + np.arange(k)
+        left = np.where(split, base + k + np.cumsum(split) - 1, ids)
+        parts.append((feature, threshold, left,
+                      np.where(split, left + n_split, ids), counts))
+        base += k
+        # the children: every left child in node order, then every right
+        # child.  Boolean selection runs in row-major order, feature by
+        # feature, so each child's slots stay sorted: a stable partition
+        kept = order[:, split[seg]]
+        node = seg[split[seg]]
+        goes_left = np.zeros(xt.shape[1], bool)
+        goes_left[kept[0]] = xt[feature[node], kept[0]] <= threshold[node]
+        mask = goes_left[kept]
+        order = np.concatenate((kept[mask].reshape(len(xt), -1),
+                                kept[~mask].reshape(len(xt), -1)), axis=1)
+        n_left = np.bincount(node[mask[0]], minlength=k)[split]
+        sizes = np.concatenate((n_left, sizes[split] - n_left))
+    return _Forest(*(np.concatenate(arrays) for arrays in zip(*parts)),
+                   depth=len(parts))
 
 
 def _leaf(counts: np.ndarray, label_space: list[str]) -> TreeNode:
@@ -132,38 +217,27 @@ def _leaf(counts: np.ndarray, label_space: list[str]) -> TreeNode:
 
 
 def train_tree(data: LabeledVectors) -> DecisionTree:
-    """Presorted CART: every column is sorted once, and each node receives
-    its rows' part of that order."""
+    """Presorted CART: every column is sorted once, and the tree grows
+    level by level (see _grow_forest)."""
     if data.x.shape[0] == 0:
         raise EmptyDataset("cannot train on zero rows")
     label_space = data.label_space
     index = {lab: i for i, lab in enumerate(label_space)}
     y = np.array([index[lab] for lab in data.labels])
-    xt = data.x.T
-    features = np.arange(xt.shape[0])[:, None]
-    classes = np.arange(len(label_space))
+    # with no feature, a constant column grows a bare root
+    xt = data.x.T if data.x.shape[1] else np.zeros((1, len(y)))
+    forest = _grow_forest(xt, y, np.argsort(xt, axis=1, kind="stable"),
+                          [len(y)], len(label_space))
+    return DecisionTree(_tree_node(forest, 0, label_space), data.x.shape[1],
+                        list(label_space))
 
-    def grow(order: np.ndarray) -> TreeNode:
-        """order: (F, n), the node's rows sorted stably by each feature."""
-        counts = np.bincount(y[order[0]], minlength=len(classes))
-        split = None
-        if counts.max() < order.shape[1]:  # two rows or more, not pure
-            split = _best_split(xt[features, order], y[order], classes)
-        if split is None:  # pure, or identical rows with conflicting labels
-            return _leaf(counts, label_space)
-        f, thr = split
-        # boolean selection runs in row-major order, feature by feature, so
-        # each child's rows stay sorted: a stable partition
-        mask = xt[f][order] <= thr
-        return TreeNode(feature=f, threshold=thr,
-                        left=grow(order[mask].reshape(len(xt), -1)),
-                        right=grow(order[~mask].reshape(len(xt), -1)))
 
-    if len(xt) == 0:  # no feature to split on
-        root = _leaf(np.bincount(y, minlength=len(classes)), label_space)
-    else:
-        root = grow(np.argsort(xt, axis=1, kind="stable"))
-    return DecisionTree(root, data.x.shape[1], list(label_space))
+def _tree_node(forest: _Forest, i: int, label_space: list[str]) -> TreeNode:
+    if forest.feature[i] < 0:
+        return _leaf(forest.counts[i], label_space)
+    return TreeNode(feature=int(forest.feature[i]), threshold=forest.threshold[i],
+                    left=_tree_node(forest, forest.left[i], label_space),
+                    right=_tree_node(forest, forest.right[i], label_space))
 
 
 def _descend(tree: DecisionTree, row) -> TreeNode:
@@ -223,29 +297,89 @@ class GaRun:
 
 
 def _stratified_fold_ids(labels: list[str], values: np.ndarray, k: int,
-                         rng_seed: int) -> list[int]:
-    """Fold id per row: rows sorted by (label, values) so the assignment is
-    invariant under row permutation, then shuffled per label from the seed."""
-    n = len(labels)
-    order = sorted(range(n), key=lambda i: (labels[i], tuple(values[i])))
+                         rng_seed: int) -> np.ndarray:
+    """Fold id per row of values (n, F), or of each matrix in a stack
+    (..., n, F): rows sorted by (label, values) so the assignment is
+    invariant under row permutation, then shuffled per label from the
+    seed.  Every matrix draws the same permutations."""
+    space = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    rank = np.array([space[lab] for lab in labels])
+    values = np.asarray(values)
+    # lexsort's last key is the primary one; it is stable, as sorted() is
+    keys = [values[..., f] for f in reversed(range(values.shape[-1]))]
+    order = np.lexsort(keys + [np.broadcast_to(rank, values.shape[:-1])], axis=-1)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    fold_of = [0] * n
-    group: list[int] = []
-
-    def flush(group_rows):
-        perm = rng.permutation(len(group_rows))
-        for j, p in enumerate(perm):
-            fold_of[group_rows[p]] = j % k
-    prev = None
-    for i in order:
-        if prev is not None and labels[i] != prev:
-            flush(group)
-            group = []
-        group.append(i)
-        prev = labels[i]
-    if group:
-        flush(group)
+    fold_at = np.empty(len(labels), np.intp)  # fold per sorted position
+    start = 0
+    for size in np.bincount(rank):
+        fold_at[start + rng.permutation(size)] = np.arange(size) % k
+        start += size
+    fold_of = np.empty_like(order)
+    np.put_along_axis(fold_of, order, np.broadcast_to(fold_at, order.shape), axis=-1)
     return fold_of
+
+
+def _score_population(individuals: list[tuple[int, ...]], data: LabeledVectors,
+                      cfg: GaConfig) -> list[float]:
+    """fitness of each individual (feature tuples of one length).  The
+    trees of every individual and inner fold grow together, as many
+    individuals at a time as _SCORE_CELLS admits, and their held-out rows
+    descend all trees at once."""
+    if data.x.shape[0] == 0:
+        raise EmptyDataset("cannot score on zero rows")
+    genes = np.array(individuals, dtype=np.intp).reshape(len(individuals), -1)
+    if (genes >= data.x.shape[1]).any():
+        raise WidthMismatch(f"feature index out of range for width {data.x.shape[1]}")
+    n, n_feat = data.x.shape[0], genes.shape[1]
+    if n < 2:
+        return [1.0] * len(individuals)
+    k = min(5, n)
+    index = {lab: i for i, lab in enumerate(data.label_space)}
+    y = np.array([index[lab] for lab in data.labels])
+    n_classes = len(data.label_space)
+    # fold sizes depend on the labels alone: each label's rows are dealt
+    # round-robin, whatever their order
+    n_val = np.bincount(_stratified_fold_ids(data.labels, np.zeros((n, 0)), k,
+                                             cfg.rng_seed), minlength=k)
+    used = np.flatnonzero((n_val > 0) & (n_val < n))  # a train and a val row
+    total = int(n_val[used].sum())
+    if not total:
+        return [1.0] * len(individuals)
+    use_pos = np.full(k, -1)
+    use_pos[used] = np.arange(len(used))
+
+    def held_out_hits(chunk: np.ndarray) -> list[int]:
+        """Correct held-out predictions of each individual in chunk."""
+        m = len(chunk)
+        values = np.moveaxis(data.x[:, chunk], 0, 1)  # (m, n, F)
+        fold_of = _stratified_fold_ids(data.labels, values, k, cfg.rng_seed)
+        if not n_feat:  # no feature: a constant column grows bare roots
+            values = np.zeros((m, n, 1))
+        # slot s * m * n + i * n + r is row r of individual i in the
+        # training set of the s-th used fold
+        n_cols = values.shape[2]
+        xt = np.moveaxis(values, 2, 0).reshape(n_cols, m * n)
+        sorted_rows = np.argsort(np.moveaxis(values, 2, 1), axis=2, kind="stable")
+        sorted_folds = np.take_along_axis(fold_of[:, None, :], sorted_rows, axis=2)
+        orders, sizes = [], []
+        for s, j in enumerate(used):
+            rows = sorted_rows[sorted_folds != j].reshape(m, n_cols, -1)
+            rows += (s * m + np.arange(m))[:, None, None] * n
+            orders.append(np.moveaxis(rows, 1, 0).reshape(n_cols, -1))
+            sizes += [rows.shape[2]] * m
+        del sorted_rows, sorted_folds
+        forest = _grow_forest(np.tile(xt, len(used)), np.tile(y, len(used) * m),
+                              np.concatenate(orders, axis=1), sizes, n_classes)
+        # every held-out row descends its individual's tree of its fold
+        ind, row = np.nonzero(use_pos[fold_of] >= 0)
+        leaf = forest.leaves(xt, use_pos[fold_of[ind, row]] * m + ind, ind * n + row)
+        hit = forest.counts[leaf].argmax(axis=1) == y[row]  # ties -> earliest
+        return np.bincount(ind[hit], minlength=m).tolist()
+
+    per_ind = max(1, _SCORE_CELLS // (max(n_feat, 1) * n_classes
+                                      * int((n - n_val[used]).sum())))
+    return [hits / total for lo in range(0, len(genes), per_ind)
+            for hits in held_out_hits(genes[lo:lo + per_ind])]
 
 
 def fitness(subset: FeatureSubset | tuple, data: LabeledVectors,
@@ -253,27 +387,7 @@ def fitness(subset: FeatureSubset | tuple, data: LabeledVectors,
     """Mean held-out accuracy of a tree over an internal stratified 5-fold
     split of the rows restricted to the subset's coordinates."""
     indices = subset.indices if isinstance(subset, FeatureSubset) else tuple(subset)
-    if data.x.shape[0] == 0:
-        raise EmptyDataset("cannot score on zero rows")
-    sub = data.restrict(indices)
-    n = sub.x.shape[0]
-    if n < 2:
-        return 1.0
-    k = min(5, n)
-    fold_of = _stratified_fold_ids(sub.labels, sub.x, k, cfg.rng_seed)
-    correct = 0
-    total = 0
-    for fold in range(k):
-        train_rows = [i for i in range(n) if fold_of[i] != fold]
-        val_rows = [i for i in range(n) if fold_of[i] == fold]
-        if not train_rows or not val_rows:
-            continue
-        tree = train_tree(sub.take(train_rows))
-        for i in val_rows:
-            total += 1
-            if predict_tree(tree, sub.x[i]) == sub.labels[i]:
-                correct += 1
-    return correct / total if total else 1.0
+    return _score_population([indices], data, cfg)[0]
 
 
 def run_ga(data: LabeledVectors, cfg: GaConfig) -> GaRun:
@@ -287,12 +401,13 @@ def run_ga(data: LabeledVectors, cfg: GaConfig) -> GaRun:
     genes = cfg.genes_per_individual
     cache: dict[tuple[int, ...], float] = {}
 
-    def score(ind: tuple[int, ...]) -> float:
-        got = cache.get(ind)
-        if got is None:
-            got = fitness(ind, data, cfg)
-            cache[ind] = got
-        return got
+    def score(population: list[tuple[int, ...]]) -> list[float]:
+        """One _score_population call for the uncached individuals, in
+        first-seen order."""
+        new = list(dict.fromkeys(ind for ind in population if ind not in cache))
+        if new:
+            cache.update(zip(new, _score_population(new, data, cfg)))
+        return [cache[ind] for ind in population]
 
     def random_individual() -> tuple[int, ...]:
         return tuple(sorted(int(i) for i in
@@ -309,7 +424,7 @@ def run_ga(data: LabeledVectors, cfg: GaConfig) -> GaRun:
         return tuple(sorted(seen))
 
     population = [random_individual() for _ in range(cfg.population)]
-    scores = [score(ind) for ind in population]
+    scores = score(population)
     best_idx = max(range(len(population)), key=lambda i: (scores[i], -i))
     best = FeatureSubset(population[best_idx], scores[best_idx])
     log = [GenerationStats(0, best.fitness, float(np.mean(scores)))]
@@ -338,7 +453,7 @@ def run_ga(data: LabeledVectors, cfg: GaConfig) -> GaRun:
                 child = tuple(sorted(mutated))
             next_pop.append(child)
         population = next_pop
-        scores = [score(ind) for ind in population]
+        scores = score(population)
         gen_best = max(range(len(population)), key=lambda i: (scores[i], -i))
         if scores[gen_best] > best.fitness:
             best = FeatureSubset(population[gen_best], scores[gen_best])

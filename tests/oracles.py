@@ -3,10 +3,11 @@
 The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the np.add.at
-embedding, the per-feature CART, the np.add.at autodiff engine) that the
-library must still match bit for bit.  They share only the parsed IR
-structures, the graph and tree data classes, the autodiff Tensor and the
-seeded vocabulary lookups with the code under test.  The IR helpers at the
+embedding, the per-feature CART, the per-individual GA fitness, the
+np.add.at autodiff engine) that the library must still match bit for bit.
+They share only the parsed IR structures, the graph and tree data classes,
+predict_tree, the autodiff Tensor and the seeded vocabulary lookups with
+the code under test.  The IR helpers at the
 end (def-use map, structural equality, printer) serve the parser's tests;
 the per-character IR scanners and the two-pass graph builder before them
 are the references for the parser's scanners and for ``build_graph``.
@@ -26,7 +27,8 @@ from mpisentinel.ircore import (
     OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
 )
 from mpisentinel.tabular import (
-    DecisionTree, EmptyDataset, LabeledVectors, TreeNode,
+    DecisionTree, EmptyDataset, FeatureSubset, LabeledVectors, TreeNode,
+    predict_tree,
 )
 
 
@@ -433,6 +435,62 @@ def reference_train_tree(data: LabeledVectors) -> DecisionTree:
     y = np.array([index[lab] for lab in data.labels])
     root = _reference_grow(data.x, y, data.label_space)
     return DecisionTree(root, data.x.shape[1], list(data.label_space))
+
+
+# ---------------------------------------------------------------------------
+# GA fitness as computed before trees grew together: one sorted() over
+# (label, value tuple) per individual, one reference_train_tree per inner
+# fold, and held-out rows through predict_tree one at a time.  The
+# bit-exact reference for the library's population scorer.
+
+def reference_stratified_fold_ids(labels: list[str], values: np.ndarray, k: int,
+                                  rng_seed: int) -> list[int]:
+    n = len(labels)
+    order = sorted(range(n), key=lambda i: (labels[i], tuple(values[i])))
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    fold_of = [0] * n
+    group: list[int] = []
+
+    def flush(group_rows):
+        perm = rng.permutation(len(group_rows))
+        for j, p in enumerate(perm):
+            fold_of[group_rows[p]] = j % k
+    prev = None
+    for i in order:
+        if prev is not None and labels[i] != prev:
+            flush(group)
+            group = []
+        group.append(i)
+        prev = labels[i]
+    if group:
+        flush(group)
+    return fold_of
+
+
+def reference_fitness(subset, data: LabeledVectors, cfg) -> float:
+    indices = subset.indices if isinstance(subset, FeatureSubset) else tuple(subset)
+    if data.x.shape[0] == 0:
+        raise EmptyDataset("cannot score on zero rows")
+    sub = data.restrict(indices)
+    n = sub.x.shape[0]
+    if n < 2:
+        return 1.0
+    k = min(5, n)
+    fold_of = reference_stratified_fold_ids(sub.labels, sub.x, k, cfg.rng_seed)
+    correct = 0
+    total = 0
+    for fold in range(k):
+        train_rows = [i for i in range(n) if fold_of[i] != fold]
+        val_rows = [i for i in range(n) if fold_of[i] == fold]
+        if not train_rows or not val_rows:
+            continue
+        tree = reference_train_tree(LabeledVectors(
+            sub.x[train_rows], [sub.labels[i] for i in train_rows], sub.label_space))
+        for i in val_rows:
+            total += 1
+            if predict_tree(tree, sub.x[i]) == sub.labels[i]:
+                correct += 1
+    return correct / total if total else 1.0
 
 
 def tree_dump(node: TreeNode):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,46 @@ class TestIngest:
             capsys=capsys)
         assert code == 2
         assert json.loads(stderr.splitlines()[-1])["error"] == "UnreadableDirectory"
+
+
+SLEEPY_CC = """\
+import pathlib, sys, time
+src, out = sys.argv[1:3]
+if "slow" in src:
+    time.sleep(60)
+pathlib.Path(out).write_text("define void @f() { ret void }\\n")
+"""
+
+
+class TestCompileFailures:
+    def test_timeout_counts_one_sample_and_ingest_goes_on(self, tmp_path, capsys):
+        cc = tmp_path / "cc.py"
+        cc.write_text(SLEEPY_CC)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("slow", "quick"):
+            (corpus / f"{name}.c").write_text("// Error: OK\nint main(void){}\n")
+        out = tmp_path / "m.json"
+        code, stdout, _ = run_cli(
+            "ingest", "--suite", "mbi", "--dir", str(corpus), "--timeout", "0.9",
+            "--compiler-cmd", f"{sys.executable} {cc} {{source}} {{output}}",
+            "--out", str(out), capsys=capsys)
+        assert code == 0
+        summary = json.loads(stdout)
+        assert (summary["compile_errors"], summary["timeouts"]) == (0, 1)
+        status = {s["id"]: s["status"] for s in json.loads(out.read_text())["samples"]}
+        assert status == {"mbi:quick.c@O0": "ok", "mbi:slow.c@O0": "timeout"}
+
+    def test_missing_compiler_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.c").write_text("// Error: OK\nint main(void){}\n")
+        code, _, stderr = run_cli(
+            "ingest", "--suite", "mbi", "--dir", str(corpus),
+            "--compiler-cmd", str(tmp_path / "no-such-cc") + " {source}",
+            "--out", str(tmp_path / "m.json"), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == "CompilerNotFound"
 
 
 class TestEvaluate:

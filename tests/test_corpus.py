@@ -112,6 +112,9 @@ class TestDebias:
 FAKE_CC = """\
 import sys, pathlib
 src, out, opt = sys.argv[1:4]
+if "slow" in src:
+    import time
+    time.sleep(60)
 if "bad" in src:
     sys.stderr.write("fake-cc: syntax error near line 3\\n")
     sys.exit(1)
@@ -143,6 +146,20 @@ class TestCompile:
                                                   out_dir=tmp_path / "out")
         assert ir2 is None and status2 == "compile-error"
         assert "syntax error" in message2
+
+    def test_timeout_is_one_samples_status(self, tmp_path):
+        cc = write(tmp_path / "fake_cc.py", FAKE_CC)
+        template = f"{sys.executable} {cc} {{source}} {{output}} {{opt}}"
+        write(tmp_path / "src" / "slow.c", MBI_HEADER.format(desc="OK"))
+        write(tmp_path / "src" / "zfast.c", MBI_HEADER.format(desc="OK"))
+        samples = cm.ingest_mbi(tmp_path / "src")
+        cm.attach_ir(samples, template, out_dir=tmp_path / "out", timeout=0.9)
+        slow, fast = samples
+        assert (slow.compile_status, slow.ir_path) == ("timeout", None)
+        assert "timed out after 0.9 seconds" in slow.compile_message
+        assert fast.compile_status == "ok" and fast.ir_path.endswith("zfast.O0.ll")
+        again = TestManifest().roundtrip(cm.Manifest(samples), tmp_path)
+        assert [s.compile_status for s in again.samples] == ["timeout", "ok"]
 
     def test_two_opt_levels_two_samples(self, tmp_path):
         cc = write(tmp_path / "fake_cc.py", FAKE_CC)
@@ -191,6 +208,15 @@ class TestManifest:
         again = self.roundtrip(cm.Manifest([sample]), tmp_path)
         assert again.samples[0].quarantined
         assert again.samples[0].quarantine_reason.startswith("UnrecognizedHeader")
+
+    def test_unknown_status_rejected(self, tmp_path):
+        doc = cm.manifest_to_dict(cm.Manifest([
+            cm.CorpusSample("a", "MBI", "a.c", "Correct", compile_status="hung")]))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cm.SchemaViolation) as err:
+            cm.read_manifest(path)
+        assert err.value.pointer == "/samples/0/status"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         doc = cm.manifest_to_dict(cm.Manifest([

@@ -241,6 +241,22 @@ class TestRunScenario:
         assert report["aggregate"]["counts"]["ce"] == 1
         assert report["aggregate"]["metrics"]["coverage"] < 1.0
 
+    def test_timeouts_feed_aggregate_counts(self, fixture_manifest):
+        samples = [s for s in fixture_manifest.samples if s.suite == "MBI"]
+        hung = cm.CorpusSample("mbi:hung.c@O0", "MBI", "hung.c", "MessageRace",
+                               compile_status="timeout",
+                               compile_message="compiler timed out after 1 seconds")
+        options = desk_options(folds=5)
+        base = ev.run_scenario(cm.Manifest(samples, provenance={}), ev.Scenario(
+            kind="intra", suite="MBI", options=options))
+        report = ev.run_scenario(cm.Manifest(samples + [hung], provenance={}),
+                                 ev.Scenario(kind="intra", suite="MBI",
+                                             options=options))
+        assert report["aggregate"]["counts"] == dict(base["aggregate"]["counts"], to=1)
+        assert report["folds"] == base["folds"]
+        assert report["aggregate"]["metrics"]["conclusiveness"] < 1.0
+        assert report["aggregate"]["metrics"]["coverage"] == 1.0
+
     def test_index_normalization_and_ga_record_fold_artifacts(self, fixture_manifest):
         options = desk_options(normalization="index", ga_enabled=True, folds=5,
                                label_mode="binary")

@@ -139,6 +139,8 @@ class TestMalformed:
         ("@buf = global [4 x i32\n", 1),
         ("@\n", 1),
         ("define void @f() {\nentry:\n  store i32 0, ptr\n  ret void\n}", 3),
+        ("declare void @g()\ndeclare [4 x i32 @h()\n", 2),
+        ("declare void @g()\n\ndefine <2 x i32 @f() {\nentry:\n  ret void\n}", 3),
     ])
     def test_unparseable_line_names_its_line(self, text, line):
         with pytest.raises(MalformedIr) as info:

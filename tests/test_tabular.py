@@ -50,6 +50,12 @@ class TestTrainTree:
         tree = tb.train_tree(data)
         assert all(tb.predict_tree(tree, x[i]) == labels[i] for i in range(40))
 
+    def test_no_feature_gives_majority_leaf(self):
+        tree = tb.train_tree(make_data(np.zeros((3, 0)), ["B", "A", "B"], ["A", "B"]))
+        assert tree.root.is_leaf and tree.n_features == 0
+        assert tree.root.class_counts == {"A": 1, "B": 2}
+        assert tb.predict_tree(tree, []) == "B"
+
     def test_contradictory_rows_majority_with_tie_to_earliest(self):
         data = make_data([[1.0], [1.0], [1.0]], ["B", "A", "B"], ["A", "B"])
         tree = tb.train_tree(data)
@@ -128,6 +134,40 @@ def test_tree_matches_reference_cart_bit_for_bit(case, score_cells):
     ref = oracles.reference_train_tree(data)
     assert oracles.tree_dump(tree.root) == oracles.tree_dump(ref.root)
     assert (tree.n_features, tree.label_space) == (ref.n_features, ref.label_space)
+
+
+@st.composite
+def populations(draw):
+    """A tie-heavy data set (n 1-40, 1-10 classes) and a population of
+    equal-length individuals, duplicates and repeated genes included."""
+    x, labels, space = draw(tie_heavy_data())
+    genes = draw(st.integers(0, x.shape[1]))  # 0: a bare root per fold
+    individual = st.lists(st.integers(0, x.shape[1] - 1), min_size=genes,
+                          max_size=genes).map(tuple)
+    pool = draw(st.lists(individual, min_size=1, max_size=4))
+    population = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return make_data(x, labels, space), population, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(populations(), st.sampled_from([1, 64, tb._SCORE_CELLS]))
+def test_population_scores_match_reference_fitness(case, score_cells):
+    data, population, seed = case
+    cfg = tb.GaConfig(rng_seed=seed)
+    with mock.patch.object(tb, "_SCORE_CELLS", score_cells):  # chunks, blocks
+        got = tb._score_population(population, data, cfg)
+    assert got == [oracles.reference_fitness(ind, data, cfg) for ind in population]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_data(), st.integers(1, 5), st.integers(0, 2 ** 16))
+def test_fold_ids_match_reference(case, k, seed):
+    x, labels, _ = case
+    got = tb._stratified_fold_ids(labels, x, k, seed)
+    assert got.tolist() == oracles.reference_stratified_fold_ids(labels, x, k, seed)
+    stacked = tb._stratified_fold_ids(labels, np.stack([x, x[:, ::-1]]), k, seed)
+    assert stacked[1].tolist() == oracles.reference_stratified_fold_ids(
+        labels, x[:, ::-1], k, seed)
 
 
 class TestFitness:
@@ -240,7 +280,8 @@ class TestGa:
         data = make_data(data.x.round(1), data.labels, data.label_space)
         cfg = tb.GaConfig(population=12, generations=3, rng_seed=seed)
         run = tb.run_ga(data, cfg)
-        monkeypatch.setattr(tb, "train_tree", oracles.reference_train_tree)
+        monkeypatch.setattr(tb, "_score_population", lambda population, d, c: [
+            oracles.reference_fitness(ind, d, c) for ind in population])
         ref = tb.run_ga(data, cfg)
         assert run.best == ref.best
         assert run.log == ref.log

@@ -202,7 +202,8 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
                       "accuracy": agg["accuracy"],
                       "runtime_errors": len(report["failures"]["runtime_errors"])},
                      sort_keys=True))
-    return 1 if report["failures"]["runtime_errors"] else 0
+    failures = report["failures"]
+    return 1 if failures["runtime_errors"] or failures.get("timeouts") else 0
 
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:

@@ -348,8 +348,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     evaluable = [s for s in scope if not s.quarantined and s.compile_status == "ok"]
     ce_count = sum(1 for s in scope
                    if not s.quarantined and s.compile_status == "compile-error")
-    to_count = sum(1 for s in scope
-                   if not s.quarantined and s.compile_status == "timeout")
+    timeouts = sorted(s.id for s in scope
+                      if not s.quarantined and s.compile_status == "timeout")
     by_id = {s.id: s for s in evaluable}
     labels_by_id = {s.id: _label_for_mode(s, opts.label_mode) for s in evaluable}
     if opts.label_mode == "binary":
@@ -372,7 +372,7 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             raise SuiteMissing("cross scenario needs samples in both suites")
         fold_args.append((0, train_ids, val_ids, opts.seed))
 
-    aggregate = ConfusionCounts(ce=ce_count, to=to_count)
+    aggregate = ConfusionCounts(ce=ce_count, to=len(timeouts))
     per_label_hits: dict[str, list[int]] = {}
     re_samples: list[str] = []
     fold_docs = []
@@ -438,6 +438,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
         "per_label_accuracy": per_label,
         "failures": {"compile_errors": ce_count, "runtime_errors": sorted(re_samples)},
     }
+    if timeouts:  # reports without timeouts keep their shape
+        report["failures"]["timeouts"] = timeouts
     return report
 
 

@@ -41,6 +41,8 @@ class LabeledVectors:
             self.x = self.x.reshape(len(self.labels), -1)
         if len(self.labels) != self.x.shape[0]:
             raise ValueError("row/label count mismatch")
+        if np.isnan(self.x).any():  # NaN has no place in a sorted column
+            raise ValueError("feature values contain NaN")
         known = set(self.label_space)
         for lab in self.labels:
             if lab not in known:
@@ -107,7 +109,8 @@ class _Forest:
 def _level_splits(xt, y, order, sizes, counts, onehot):
     """Exhaustive search for every node at once: lowest weighted Gini; ties
     -> lowest feature index, then lowest threshold.  Thresholds are
-    midpoints of consecutive distinct sorted values.
+    midpoints of consecutive distinct sorted values (the lower value where
+    the midpoint is not below the upper one).
 
     Node j owns the next sizes[j] columns of order; see _grow_forest.
     Returns (feature, threshold) per node, feature -1 where no cut exists
@@ -158,7 +161,12 @@ def _level_splits(xt, y, order, sizes, counts, onehot):
         f, c = np.divmod(np.minimum.reduceat(hit.min(axis=0), starts)[won], n_cols)
         best_score[won] = low[won]
         best_feat[won] = lo + f
-        best_thr[won] = (xs[f, c] + xs[f, c + 1]) / 2.0
+        a, b = xs[f, c], xs[f, c + 1]
+        with np.errstate(over="ignore"):
+            mid = (a + b) / 2.0
+        # the midpoint can round onto b (adjacent doubles) or overflow; the
+        # lower value a splits the node's rows the same way
+        best_thr[won] = np.where((a <= mid) & (mid < b), mid, a)
     return best_feat, best_thr
 
 

@@ -135,6 +135,26 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["aggregate"]["metrics"]["accuracy"] == 1.0
 
+    def test_timeout_named_in_failures_and_exit_1(self, manifest_path, tmp_path,
+                                                  capsys):
+        doc = json.loads(manifest_path.read_text())
+        hung = dict(doc["samples"][0], id="mbi:hung.c@O0", status="timeout")
+        hung.pop("ir")
+        doc["samples"].append(hung)
+        timed_out = tmp_path / "m.json"
+        timed_out.write_text(json.dumps(doc))
+        reports = {}
+        for name, path in (("base", manifest_path), ("hung", timed_out)):
+            reports[name] = tmp_path / f"{name}.json"
+            code, _, _ = run_cli(
+                "evaluate", "--manifest", str(path), "--scenario", "intra",
+                "--suite", "MBI", "--labels", "binary", "--folds", "5",
+                "--report", str(reports[name]), capsys=capsys)
+            assert code == (1 if name == "hung" else 0)
+        base, report = (json.loads(reports[n].read_text()) for n in ("base", "hung"))
+        assert "timeouts" not in base["failures"]
+        assert report["failures"] == dict(base["failures"], timeouts=["mbi:hung.c@O0"])
+
     def test_byte_identical_reports(self, manifest_path, tmp_path, capsys):
         args = ["evaluate", "--manifest", str(manifest_path),
                 "--scenario", "intra", "--suite", "MBI",

@@ -253,6 +253,8 @@ class TestRunScenario:
                                  ev.Scenario(kind="intra", suite="MBI",
                                              options=options))
         assert report["aggregate"]["counts"] == dict(base["aggregate"]["counts"], to=1)
+        assert report["failures"] == dict(base["failures"], timeouts=["mbi:hung.c@O0"])
+        assert "timeouts" not in base["failures"]
         assert report["folds"] == base["folds"]
         assert report["aggregate"]["metrics"]["conclusiveness"] < 1.0
         assert report["aggregate"]["metrics"]["coverage"] == 1.0

@@ -32,6 +32,24 @@ class TestTrainTree:
         with pytest.raises(tb.EmptyDataset):
             tb.train_tree(make_data(np.zeros((0, 3)), "", ["A"]))
 
+    @pytest.mark.parametrize("lo, hi", [
+        (1 + 2**-52, 1 + 2**-51),  # adjacent doubles: the midpoint rounds to hi
+        (1e308, 1.7e308),          # the sum overflows to inf
+        (-1.7e308, -1e308),        # the sum overflows to -inf
+    ])
+    def test_split_where_the_midpoint_is_not_below_the_upper_value(self, lo, hi):
+        tree = tb.train_tree(make_data([[lo], [hi]], "AB"))
+        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        assert lo <= tree.root.threshold < hi
+        assert tb.predict_tree(tree, [lo]) == "A"
+        assert tb.predict_tree(tree, [hi]) == "B"
+        data = make_data([[lo]] * 5 + [[hi]] * 5, "AAAAABBBBB")
+        assert tb.fitness((0,), data, tb.GaConfig()) == 1.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            make_data([[0.0], [np.nan]], "AB")
+
     def test_matches_bruteforce_cart_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(50, 4)).round(2)  # duplicates force tie rules

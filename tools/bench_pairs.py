@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Paired benchmark of two commits: parent against change.
 
-    python3 tools/bench_pairs.py --parent REV --change REV --pairs 10 \\
-        --seconds 35 --first-seed 100 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent REV --change REV \\
+        --first-seed 100 --out BENCH_<n>.json
 
 Run from the repository root.  Both commits' committed files are
 extracted with ``git archive`` into a temporary directory, so the working
-tree and ``.git`` are left as they are.  For every workload, pair i runs
-``perfbench/run.py --workload W --seed <first-seed + i> --seconds S`` once
-in each checkout, one run at a time; the parent runs first in even pairs
-and second in odd ones.  The output file holds the environment, every
-run's end-to-end metrics, each side's median and quartiles, the change's
-wins per pair (ties count for neither side) and the median delta.
+tree and ``.git`` are left as they are.  For every workload that
+BENCHMARK.json declares, pair i of PAIRS runs ``perfbench/run.py
+--workload W --seed <first-seed + i> --seconds S`` once in each checkout,
+one run at a time, with S the declared ``run_seconds``; the parent runs
+first in even pairs and second in odd ones.  The output file holds the
+environment, every run's end-to-end metrics, each side's median and
+quartiles, the change's wins per pair (ties count for neither side) and
+the median delta.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -90,31 +93,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--workload", action="append",
-                        help="repeatable; default: every declared workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     revs = {side: git("rev-parse", rev)
             for side, rev in (("parent", args.parent), ("change", args.change))}
     doc = {"parent": revs["parent"], "change": revs["change"],
-           "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                        "seeds": [args.first_seed + i for i in range(args.pairs)],
+           "settings": {"pairs": PAIRS, "seconds": seconds,
+                        "seeds": [args.first_seed + i for i in range(PAIRS)],
                         "order": "parent first in even pairs, change first in odd"},
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {side: extract(rev, Path(tmp) / side) for side, rev in revs.items()}
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {side: run_once(dirs[side], workload, seed, args.seconds)
+                pair = {side: run_once(dirs[side], workload, seed, seconds)
                         for side in sides}
                 pairs.append(pair)
                 print(workload, seed, {s: pair[s]["metrics"]["evaluate_s"]

@@ -203,7 +203,8 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
                       "runtime_errors": len(report["failures"]["runtime_errors"])},
                      sort_keys=True))
     failures = report["failures"]
-    return 1 if failures["runtime_errors"] or failures.get("timeouts") else 0
+    return 1 if (failures["compile_errors"] or failures["runtime_errors"]
+                 or failures.get("timeouts")) else 0
 
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:

@@ -216,101 +216,94 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Backends
 
-class _DtBackend:
+class _Backend:
+    def __init__(self, options: ScenarioOptions):
+        self.options = options
+        self.inputs: dict[str, object] = {}  # sample id -> model input
+        self.failed: dict[str, str] = {}     # sample id -> why it did not load
+
+
+class _DtBackend(_Backend):
     """Embedding + normalization (+ optional GA) + decision tree."""
 
-    def __init__(self, options: ScenarioOptions, modules: dict[str, ircore.IrModule]):
-        self.options = options
-        vocab = embed_mod.SeedVocab(options.seed, options.embed_dim)
-        self.raw: dict[str, np.ndarray] = {}
-        self.failed: dict[str, str] = {}
-        for sid, module in modules.items():
-            try:
-                self.raw[sid] = embed_mod.embed(module, vocab, options.weights).values
-            except Exception as exc:  # propagated per sample as RE
-                self.failed[sid] = str(exc)
+    def __init__(self, options: ScenarioOptions):
+        super().__init__(options)
+        self.vocab = embed_mod.SeedVocab(options.seed, options.embed_dim)
 
-    def train_fold(self, train_ids, labels_by_id, label_space,
-                   fold_seed: int) -> tabular.DtModel:
+    def prepare(self, module: ircore.IrModule) -> np.ndarray:
+        return embed_mod.embed(module, self.vocab, self.options.weights).values
+
+    def fit(self, inputs, labels, label_space, fold_seed: int) -> tabular.DtModel:
         opts = self.options
-        x = np.vstack([self.raw[i] for i in train_ids])
+        x = np.vstack(inputs)
         strategy = opts.normalization
         if strategy == "index":
             strategy = embed_mod.fit_index_scaler(x)
         x = embed_mod.normalize(x, strategy)
         subset = None
-        data = tabular.LabeledVectors(x, [labels_by_id[i] for i in train_ids],
-                                      label_space)
+        data = tabular.LabeledVectors(x, labels, label_space)
         if opts.ga_enabled:
             subset = tabular.ga_select(data, replace(opts.ga, rng_seed=fold_seed))
             data = data.restrict(subset.indices)
         return tabular.DtModel(tabular.train_tree(data), strategy, subset,
                                opts.seed, opts.embed_dim, opts.weights)
 
-    def predict(self, model: tabular.DtModel, sample_id: str) -> str:
-        return model.predict(self.raw[sample_id])
+    def predict(self, model: tabular.DtModel, raw: np.ndarray) -> str:
+        return model.predict(raw)
 
 
-class _GnnBackend:
-    def __init__(self, options: ScenarioOptions, modules: dict[str, ircore.IrModule]):
-        self.options = options
-        self.graphs: dict[str, graph_mod.ProgramGraph] = {}
-        self.failed: dict[str, str] = {}
-        for sid, module in modules.items():
-            try:
-                g = graph_mod.build_graph(module)
-                if not g.nodes:
-                    raise gnn_mod.EmptyGraph(f"{sid}: module produced no nodes")
-                self.graphs[sid] = g
-            except Exception as exc:
-                self.failed[sid] = str(exc)
+class _GnnBackend(_Backend):
+    def prepare(self, module: ircore.IrModule) -> graph_mod.ProgramGraph:
+        g = graph_mod.build_graph(module)
+        if not g.nodes:
+            raise gnn_mod.EmptyGraph(f"{module.name}: module produced no nodes")
+        return g
 
-    def train_fold(self, train_ids, labels_by_id, label_space,
-                   fold_seed: int) -> gnn_mod.GnnModel:
+    def fit(self, inputs, labels, label_space, fold_seed: int) -> gnn_mod.GnnModel:
         cfg = replace(self.options.gnn, rng_seed=fold_seed,
                       num_classes=len(label_space))
-        vocab = gnn_mod.build_vocab([self.graphs[i] for i in train_ids])
-        model = gnn_mod.init_model(cfg, vocab, list(label_space))
-        model, _ = gnn_mod.train(
-            model, [(self.graphs[i], labels_by_id[i]) for i in train_ids])
+        model = gnn_mod.init_model(cfg, gnn_mod.build_vocab(inputs), list(label_space))
+        model, _ = gnn_mod.train(model, list(zip(inputs, labels)))
         return model
 
-    def predict(self, model: gnn_mod.GnnModel, sample_id: str) -> str:
-        return gnn_mod.predict_gnn(model, self.graphs[sample_id])
+    def predict(self, model: gnn_mod.GnnModel, g: graph_mod.ProgramGraph) -> str:
+        return gnn_mod.predict_gnn(model, g)
 
 
-def _load_modules(samples: list[CorpusSample]) -> tuple[dict, dict]:
-    modules: dict[str, ircore.IrModule] = {}
-    failures: dict[str, str] = {}
-    for s in samples:
-        try:
-            modules[s.id] = ircore.parse_ir(Path(s.ir_path).read_text(), s.id)
-        except Exception as exc:
-            failures[s.id] = str(exc)
-    return modules, failures
+_BACKENDS = {"ir2vec-dt": _DtBackend, "gnn": _GnnBackend}
 
 
 def _make_backend(options: ScenarioOptions, samples: list[CorpusSample]):
-    modules, parse_failures = _load_modules(samples)
-    if options.backend == "ir2vec-dt":
-        backend = _DtBackend(options, modules)
-    elif options.backend == "gnn":
-        backend = _GnnBackend(options, modules)
-    else:
+    """The backend with each sample's model input in `inputs`.  Samples pass
+    one at a time from IR file to model input, so no two parsed modules are
+    alive together; a sample failing at any step goes into `failed` with its
+    message and counts as RE."""
+    if options.backend not in _BACKENDS:
         raise InvalidScenario(f"unknown backend {options.backend!r}")
-    backend.failed.update(parse_failures)
+    backend = _BACKENDS[options.backend](options)
+    for s in samples:
+        try:
+            backend.inputs[s.id] = backend.prepare(
+                ircore.parse_ir(Path(s.ir_path).read_text(), s.id))
+        except Exception as exc:  # propagated per sample as RE
+            backend.failed[s.id] = str(exc)
     return backend
 
 
-def _train_fold(backend, fold_index: int, train_ids, labels_by_id, label_space,
-                fold_seed: int):
-    """Fit one fold on its loadable training samples."""
-    loaded = [i for i in train_ids if i not in backend.failed]
+def _fit_and_predict(backend, fold_index: int, train_ids, val_ids, labels_by_id,
+                     label_space, fold_seed: int):
+    """Fit one fold on its loadable training samples; returns the model and
+    {sample id: predicted label} for the loadable validation samples, in
+    validation order."""
+    loaded = [i for i in train_ids if i in backend.inputs]
     if not loaded:
         raise TooFewSamples(
             f"fold {fold_index}: all {len(train_ids)} training samples "
             f"failed to load")
-    return backend.train_fold(loaded, labels_by_id, label_space, fold_seed)
+    model = backend.fit([backend.inputs[i] for i in loaded],
+                        [labels_by_id[i] for i in loaded], label_space, fold_seed)
+    return model, {sid: backend.predict(model, backend.inputs[sid])
+                   for sid in val_ids if sid in backend.inputs}
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +370,12 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     re_samples: list[str] = []
     fold_docs = []
     for fold_index, train_ids, val_ids, fold_seed in fold_args:
-        model = _train_fold(backend, fold_index, train_ids, labels_by_id,
-                            label_space, fold_seed)
+        model, predicted = _fit_and_predict(backend, fold_index, train_ids, val_ids,
+                                            labels_by_id, label_space, fold_seed)
+        fold_re = [sid for sid in val_ids if sid not in predicted]
         preds, truths = [], []
-        fold_re = []
-        for sid in val_ids:
-            if sid in backend.failed:
-                fold_re.append(sid)
-                continue
+        for sid, pred in predicted.items():
             truth = labels_by_id[sid]
-            pred = backend.predict(model, sid)
             preds.append(to_binary(pred) if opts.label_mode == "error-type"
                          else pred)
             truths.append(to_binary(truth) if opts.label_mode == "error-type"
@@ -489,13 +478,13 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         if leaked:
             raise AssertionError(
                 f"excluded-label samples leaked into training fold {fi}: {leaked}")
-        model = _train_fold(backend, fi, train_ids, labels_by_id, BINARY_SPACE,
-                            options.seed + fi)
-        for sid in val_ids:
-            lab = orig_label[sid]
-            if lab in excluded and sid not in backend.failed:
-                hits[lab][1] += 1
-                hits[lab][0] += int(backend.predict(model, sid) == INCORRECT)
+        _, predicted = _fit_and_predict(
+            backend, fi, train_ids,
+            [sid for sid in val_ids if orig_label[sid] in excluded],
+            labels_by_id, BINARY_SPACE, options.seed + fi)
+        for sid, pred in predicted.items():
+            hits[orig_label[sid]][1] += 1
+            hits[orig_label[sid]][0] += int(pred == INCORRECT)
         fold_docs.append({"fold": fi, "train_size": len(train_ids),
                           "excluded_in_train": 0, "validation_ids": sorted(val_ids)})
     return {

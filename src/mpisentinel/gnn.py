@@ -124,16 +124,7 @@ class GnnModel:
         return out
 
     def parameter_items(self) -> list[tuple[str, Tensor]]:
-        items = [("embedding", self.embedding)]
-        for li, layer in enumerate(self.layers):
-            for rel in RELATIONS:
-                tag = f"layer{li}.{rel[0]}-{rel[1]}-{rel[2]}"
-                p = layer[rel]
-                items += [(f"{tag}.w_att", p.w_att), (f"{tag}.a", p.a),
-                          (f"{tag}.w_val", p.w_val)]
-        items += [("fc1.w", self.fc1_w), ("fc1.b", self.fc1_b),
-                  ("fc2.w", self.fc2_w), ("fc2.b", self.fc2_b)]
-        return items
+        return [(t.name, t) for t in self.parameters()]
 
 
 def build_vocab(graphs: list[ProgramGraph]) -> dict[str, int]:

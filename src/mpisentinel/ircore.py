@@ -770,15 +770,14 @@ def _module_line(module: IrModule, seen: set[str], line: str,
     if line == "}":
         raise MalformedIr(lineno, "unmatched '}'")
     if line.startswith("define") and (line.endswith("{") or " {" in line):
-        body_inline = None
         sig = line[len("define"):]
-        if not sig.rstrip().endswith("{"):
-            sig, body_inline = sig.split("{", 1)
-        else:
-            sig = sig.rstrip()[:-1]
-        fn_parser = _FunctionParser(_add_function(module, seen, sig, lineno, False), lineno)
-        if body_inline and body_inline.strip():
-            inline = body_inline.strip()
+        cut = _body_brace(sig)
+        if cut is None:
+            raise MalformedIr(lineno, "define without a body brace")
+        fn_parser = _FunctionParser(
+            _add_function(module, seen, sig[:cut], lineno, False), lineno)
+        inline = sig[cut + 1:].strip()
+        if inline:
             closed = inline.endswith("}")
             if closed:
                 inline = inline[:-1].strip()
@@ -811,6 +810,19 @@ def _module_line(module: IrModule, seen: set[str], line: str,
     if any(line.startswith(p) for p in _SKIP_PREFIXES):
         return None
     raise MalformedIr(lineno, f"instruction outside a function/block: {line[:40]!r}")
+
+
+def _body_brace(sig: str) -> int | None:
+    """Offset in a define signature of the brace that opens the body: the
+    first `{` after the parameter list, since an aggregate return type has
+    braces of its own.  Without an @name(...) it is the first `{`."""
+    found = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(sig)]
+    tokens = [t for t, _ in found]
+    for k in range(len(tokens) - 1):
+        if tokens[k].startswith("@") and tokens[k + 1] == "(":
+            end = _consume_group(tokens, k + 1)
+            return next((at for t, at in found[end:] if t == "{"), None)
+    return sig.index("{")
 
 
 def _add_function(module: IrModule, seen: set[str], signature: str, lineno: int,

@@ -1,0 +1,60 @@
+"""Verdicts of tools/bench_pairs.py on made-up paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DECLARED = {
+    "evaluate_s": {"name": "evaluate_s", "unit": "s", "better": "lower",
+                   "bound": 0.25},
+    "accuracy": {"name": "accuracy", "unit": "share", "better": "higher",
+                 "bound": 0.25},
+}
+
+
+def pairs_of(parent_runs: dict, change_runs: dict) -> list[dict]:
+    n = len(next(iter(parent_runs.values())))
+    return [{side: {"metrics": {name: runs[name][i] for name in runs}}
+             for side, runs in (("parent", parent_runs), ("change", change_runs))}
+            for i in range(n)]
+
+
+STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+ACCURACY = [0.8] * 10
+
+
+@pytest.mark.parametrize("change_s,change_acc,expected_s,expected_acc", [
+    (STEADY, ACCURACY, "within-bound", "within-bound"),
+    ([v * 1.3 for v in STEADY], ACCURACY, "regression", "within-bound"),
+    ([v * 0.8 for v in STEADY], [0.5] * 10, "gain", "regression"),
+    # nine of ten pairs won by a wide median gap is still a gain
+    ([v * 0.8 for v in STEADY[:9]] + [1.05], [0.9] * 10, "gain", "gain"),
+    # eight of ten pairs is not
+    ([v * 0.8 for v in STEADY[:8]] + [1.05, 1.05], ACCURACY,
+     "within-bound", "within-bound"),
+], ids=["same", "slower", "faster-less-accurate", "nine-wins", "eight-wins"])
+def test_verdicts(change_s, change_acc, expected_s, expected_acc):
+    out = bench_pairs.summarize(
+        pairs_of({"evaluate_s": STEADY, "accuracy": ACCURACY},
+                 {"evaluate_s": change_s, "accuracy": change_acc}), DECLARED)
+    assert out["evaluate_s"]["verdict"] == expected_s
+    assert out["accuracy"]["verdict"] == expected_acc
+
+
+def test_wide_parent_spread_is_unresolved_unless_every_run_beats():
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    parent = {"evaluate_s": wide, "accuracy": ACCURACY}
+    out = bench_pairs.summarize(
+        pairs_of(parent, {"evaluate_s": list(reversed(wide)),
+                          "accuracy": ACCURACY}), DECLARED)
+    assert out["evaluate_s"]["verdict"] == "unresolved"
+    out = bench_pairs.summarize(
+        pairs_of(parent, {"evaluate_s": [0.1 + i / 100 for i in range(10)],
+                          "accuracy": ACCURACY}), DECLARED)
+    assert out["evaluate_s"]["verdict"] == "gain"

@@ -155,6 +155,25 @@ class TestEvaluate:
         assert "timeouts" not in base["failures"]
         assert report["failures"] == dict(base["failures"], timeouts=["mbi:hung.c@O0"])
 
+    def test_compile_error_counted_and_exit_1(self, manifest_path, tmp_path,
+                                              capsys):
+        doc = json.loads(manifest_path.read_text())
+        broken = dict(doc["samples"][0], id="mbi:broken.c@O0",
+                      status="compile-error")
+        broken.pop("ir")
+        doc["samples"].append(broken)
+        with_ce = tmp_path / "m.json"
+        with_ce.write_text(json.dumps(doc))
+        report_path = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            "evaluate", "--manifest", str(with_ce), "--scenario", "intra",
+            "--suite", "MBI", "--labels", "binary", "--folds", "5",
+            "--report", str(report_path), capsys=capsys)
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        assert report["failures"]["compile_errors"] == 1
+        assert report["aggregate"]["counts"]["ce"] == 1
+
     def test_byte_identical_reports(self, manifest_path, tmp_path, capsys):
         args = ["evaluate", "--manifest", str(manifest_path),
                 "--scenario", "intra", "--suite", "MBI",
@@ -448,7 +467,8 @@ class TestPredict:
         train = [s.id for s in samples if s.id not in set(validation)]
         labels = {s.id: s.label for s in samples}
         backend = ev._make_backend(opts, samples)
-        model = backend.train_fold(train, labels, sorted(set(labels.values())), 1)
+        model, predicted = ev._fit_and_predict(
+            backend, 1, train, validation, labels, sorted(set(labels.values())), 1)
         assert model.subset is not None
         model_path = tmp_path / "fold.json"
         model.save(model_path)
@@ -457,7 +477,7 @@ class TestPredict:
             code, stdout, _ = run_cli("predict", "--model", str(model_path),
                                       "--ir", ir_paths[sid], capsys=capsys)
             assert code == 0
-            assert json.loads(stdout)["label"] == backend.predict(model, sid)
+            assert json.loads(stdout)["label"] == predicted[sid]
 
     @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width", "gnn-no-config",
                                       "list"])

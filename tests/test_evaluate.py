@@ -415,22 +415,97 @@ class TestCsvFlattening:
         assert lines[-1].startswith("aggregate,")
 
 
+def broken_mbi_manifest(tmp_path, failure: str, stem: str) -> cm.Manifest:
+    """The fixture MBI corpus with one sample's IR malformed, or deleted
+    after ingest."""
+    import shutil
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURES_DIR / "corpus_mbi", corpus_dir)
+    if failure == "malformed":
+        (corpus_dir / f"{stem}.ll").write_text("define void @f() {\n ret void\n")
+    samples = cm.ingest_mbi(corpus_dir)
+    cm.attach_ir(samples, "none")
+    if failure == "deleted":
+        (corpus_dir / f"{stem}.ll").unlink()
+    return cm.Manifest(samples, provenance={})
+
+
+def tiny_gnn_options(**kw):
+    from mpisentinel import gnn as gnn_mod
+    return desk_options(backend="gnn", gnn=gnn_mod.GnnConfig(
+        layer_sizes=(8, 6, 4), node_embed_dim=4, fc_hidden=4, epochs=1,
+        batch_size=16), **kw)
+
+
 class TestRuntimeErrorPropagation:
-    def test_broken_ir_marks_sample_re_without_aborting(self, tmp_path,
-                                                        fixture_manifest):
-        import shutil
-        corpus_dir = tmp_path / "corpus"
-        shutil.copytree(FIXTURES_DIR / "corpus_mbi", corpus_dir)
-        (corpus_dir / "correct_0.ll").write_text("define void @f() {\n ret void\n")
-        samples = cm.ingest_mbi(corpus_dir)
-        cm.attach_ir(samples, "none")
-        manifest = cm.Manifest(samples, provenance={})
+    @pytest.mark.parametrize("failure", ["malformed", "deleted"])
+    @pytest.mark.parametrize("backend", ["ir2vec-dt", "gnn"])
+    def test_broken_ir_marks_sample_re_without_aborting(self, tmp_path, backend,
+                                                        failure):
+        manifest = broken_mbi_manifest(tmp_path, failure, "correct_0")
+        options = (desk_options(folds=5) if backend == "ir2vec-dt"
+                   else tiny_gnn_options(folds=3))
         report = ev.run_scenario(manifest, ev.Scenario(
-            kind="intra", suite="MBI", options=desk_options(folds=5)))
+            kind="intra", suite="MBI", options=options))
         assert report["aggregate"]["counts"]["re"] == 1
         assert len(report["failures"]["runtime_errors"]) == 1
         assert "correct_0" in report["failures"]["runtime_errors"][0]
         assert report["aggregate"]["metrics"]["conclusiveness"] < 1.0
+
+    @pytest.mark.parametrize("failure", ["malformed", "deleted"])
+    def test_ablation_leaves_out_broken_excluded_sample(self, tmp_path, failure):
+        manifest = broken_mbi_manifest(tmp_path, failure, "messagerace_0")
+        total = sum(s.label == "MessageRace" for s in manifest.evaluable())
+        report = ev.ablation(manifest, {"MessageRace"},
+                             desk_options(label_mode="binary", folds=4))
+        assert report["sample_counts"] == {"MessageRace": total - 1}
+
+
+class TestOnePreparationLoop:
+    """Samples pass one at a time from IR file to model input."""
+
+    @pytest.mark.parametrize("backend,stage", [
+        ("ir2vec-dt", "embed"), ("gnn", "build_graph")])
+    def test_no_earlier_module_alive_while_preparing(
+            self, monkeypatch, fixture_manifest, backend, stage):
+        import weakref
+        from mpisentinel import graph as gm
+        from mpisentinel import ircore
+        refs, alive_at = [], {}
+        real_parse = ircore.parse_ir
+
+        def parse(text, name=""):
+            module = real_parse(text, name)
+            refs.append(weakref.ref(module))
+            return module
+
+        owner = em if stage == "embed" else gm
+        real_stage = getattr(owner, stage)
+
+        def prepare(module, *args, **kwargs):
+            alive_at[module.name] = [k for k, r in enumerate(refs)
+                                     if r() not in (None, module)]
+            return real_stage(module, *args, **kwargs)
+
+        monkeypatch.setattr(ircore, "parse_ir", parse)
+        monkeypatch.setattr(owner, stage, prepare)
+        samples = [s for s in fixture_manifest.samples if s.suite == "MBI"]
+        backend_obj = ev._make_backend(ev.ScenarioOptions(backend=backend), samples)
+        assert backend_obj.failed == {}
+        assert list(alive_at) == [s.id for s in samples] and len(refs) == len(samples)
+        assert {sid: k for sid, k in alive_at.items() if k} == {}
+        assert list(backend_obj.inputs) == list(alive_at)
+
+    def test_unknown_backend_rejected_before_reading(self, monkeypatch,
+                                                     fixture_manifest):
+        from mpisentinel import ircore
+        parsed = []
+        monkeypatch.setattr(ircore, "parse_ir",
+                            lambda text, name="": parsed.append(name))
+        with pytest.raises(ev.InvalidScenario):
+            ev._make_backend(ev.ScenarioOptions(backend="svm"),
+                             fixture_manifest.samples)
+        assert parsed == []
 
 
 class TestGnnScenario:

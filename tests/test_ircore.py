@@ -321,6 +321,17 @@ entry:
         assert canonical_type(instrs[3].type_str) == "aggTy"
         assert instrs[4].opcode == "fence"
 
+    @pytest.mark.parametrize("ret", ["{ i32, i32 }", "<{ i8, i32 }>",
+                                     "[2 x { i32 }]"])
+    def test_one_line_define_with_aggregate_return(self, ret):
+        one = parse_ir(f"define {ret} @f(i32 %x) {{ ret {ret} zeroinitializer }}")
+        three = parse_ir(f"define {ret} @f(i32 %x) {{\n"
+                         f"  ret {ret} zeroinitializer\n}}\n")
+        assert render(one) == render(three)
+        assert one.functions[0].params == [("%x", "i32")]
+        with pytest.raises(MalformedIr, match="without a body brace"):
+            parse_ir(f"define {ret} @f(i32 %x)")
+
     def test_global_constants(self):
         module = parse_ir('@.str = private unnamed_addr constant [4 x i8] c"abc\\00"\n')
         assert module.global_constants[0][0] == ".str"

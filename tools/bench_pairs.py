@@ -12,8 +12,16 @@ BENCHMARK.json declares, pair i of PAIRS runs ``perfbench/run.py
 one run at a time, with S the declared ``run_seconds``; the parent runs
 first in even pairs and second in odd ones.  The output file holds the
 environment, every run's end-to-end metrics, each side's median and
-quartiles, the change's wins per pair (ties count for neither side) and
-the median delta.
+quartiles, the change's wins per pair (ties count for neither side), the
+median delta and a verdict per metric:
+
+- ``regression``: the change's median is worse than the parent's by more
+  than ``bound`` x |parent median|;
+- ``unresolved``: the parent's interquartile range is wider than that
+  margin, and not every change run beats every parent run;
+- ``gain``: the change wins at least 9 of 10 pairs, and its median is
+  better by more than the parent's interquartile range;
+- ``within-bound``: none of these.
 """
 
 from __future__ import annotations
@@ -69,22 +77,43 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: dict, change: dict, change_wins: int, pairs: int,
+            sign: float, bound: float) -> str:
+    """regression, unresolved, gain or within-bound; see the module doc."""
+    margin = bound * abs(parent["median"])
+    worse_by = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    # sign * value is lower-is-better whichever way the metric points
+    every_run_beats = (max(sign * v for v in change["runs"])
+                       < min(sign * v for v in parent["runs"]))
+    if worse_by > margin:
+        return "regression"
+    if iqr > margin and not every_run_beats:
+        return "unresolved"
+    if 10 * change_wins >= 9 * pairs and -worse_by > iqr:
+        return "gain"
+    return "within-bound"
+
+
 def summarize(pairs: list[dict], declared: dict) -> dict:
-    """Per metric: each side's spread, wins of the change and the delta."""
+    """Per metric: each side's spread, wins of the change, the delta and
+    the verdict."""
     out = {}
     for name, spec in declared.items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if spec["better"] == "lower" else -1.0
         p, c = spread(parent), spread(change)
+        wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": p, "change": c,
-            "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+            "change_wins": wins,
             "parent_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
             "delta": c["median"] - p["median"],
             "ratio": c["median"] / p["median"] if p["median"] else None,
             "parent_iqr": p["q3"] - p["q1"],
+            "verdict": verdict(p, c, wins, len(pairs), sign, spec["bound"]),
         }
     return out
 

@@ -483,8 +483,9 @@ class TestOnePreparationLoop:
         real_stage = getattr(owner, stage)
 
         def prepare(module, *args, **kwargs):
-            alive_at[module.name] = [k for k, r in enumerate(refs)
-                                     if r() not in (None, module)]
+            assert refs[-1]() is module
+            alive_at[module.name] = [k for k, r in enumerate(refs[:-1])
+                                     if r() is not None]
             return real_stage(module, *args, **kwargs)
 
         monkeypatch.setattr(ircore, "parse_ir", parse)

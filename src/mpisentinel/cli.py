@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from . import embed as embed_mod
 from . import evaluate as eval_mod
 from . import gnn as gnn_mod
 from . import graph as graph_mod
@@ -248,7 +249,11 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
     except ircore.MalformedIr as exc:
         return _error("MalformedIr", str(exc), 2)
     if kind == "ir2vec-dt":
-        leaf = model.leaf(model.embed(module))
+        try:
+            raw = model.embed(module)
+        except embed_mod.FlowDiverges as exc:
+            return _error("FlowDiverges", str(exc), 2)
+        leaf = model.leaf(raw)
         print(json.dumps({"label": leaf.label, "leaf_class_counts": leaf.class_counts},
                          sort_keys=True))
         return 0

@@ -4,8 +4,15 @@ A deterministic seeded vocabulary maps entity tokens (opcodes, type classes,
 operand kinds) to base vectors.  ``embed`` is the one encoder: its symbolic
 half sums weighted token vectors per instruction; its flow-aware half
 additionally propagates the embeddings of defining instructions through
-operand uses, resolved by a damped fixed-point iteration.  Both halves are
-concatenated into one 512-element feature vector per compilation unit.
+operand uses.  Those rows are the solution of a linear system,
+X = B + w_arg * A X, where A[u, d] counts the operands of instruction u
+that instruction d defines; since only the sum of a function's rows enters
+the embedding, one vector solve per function, (I - w_arg * A^T) y = 1 and
+1^T X = y^T B, replaces solving for X.  The rows exist only when the
+spectral radius of w_arg * A is below 1 (a cycle of uses that multiplies
+its own value by 1 or more diverges); `embed` raises FlowDiverges,
+naming the function, when it is not.  Both halves are concatenated into
+one 512-element feature vector per compilation unit.
 """
 
 from __future__ import annotations
@@ -20,15 +27,15 @@ from .ircore import IrFunction, IrModule, OperandKind, token_triple
 
 DEFAULT_DIM = 256
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.2)  # opcode, type, operand-kind
-# flow-aware fixed point: step size, stopping residual (summed over a
-# function's instructions) and iteration cap
-DAMPING = 0.5
-TOL = 1e-6
-MAX_ITER = 100
 
 
 class ScalerMismatch(Exception):
     pass
+
+
+class FlowDiverges(ValueError):
+    """A function's flow-aware rows have no finite solution: its uses form
+    a cycle whose spectral radius times w_arg is 1 or more."""
 
 
 class SeedVocab:
@@ -69,7 +76,6 @@ class SeedVocab:
 @dataclass
 class EmbeddingVector:
     values: np.ndarray  # length 2*dim: symbolic then flow-aware
-    warning: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -112,56 +118,29 @@ def _function_parts(fn: IrFunction, vocab: SeedVocab, weights):
     return rows, base, links
 
 
-def _rank_table(users: np.ndarray, n_rows: int) -> np.ndarray:
-    """Schedule that adds link values into rows in link order without a
-    scatter.  users must be non-decreasing.  Entry [r, i] is the index of
-    row i's r-th link, or len(users) (a -0.0 pad row, since x + -0.0 == x
-    bit for bit) where row i has fewer than r + 1 links.  Adding the
-    gathered values rank by rank performs, for every row, the same additions
-    in the same order as np.add.at(rows, users, values)."""
-    n = len(users)
-    ranks = np.arange(n) - np.searchsorted(users, users)
-    table = np.full((int(ranks.max()) + 1, n_rows), n, dtype=np.intp)
-    table[ranks, users] = np.arange(n)
-    return table
-
-
-def _add_by_rank(rows: np.ndarray, table: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
-    """rows plus values[table[r]] for every rank r, added in rank order;
-    index len(values) reads a -0.0 pad row."""
-    padded = np.concatenate([values, np.full((1, values.shape[1]), -0.0)])
-    out = rows.copy()
-    for ranked in table:
-        out += padded[ranked]
-    return out
-
-
-def _fixed_point(base: np.ndarray, links: list[tuple[int, int]], w_arg: float,
-                 ) -> tuple[np.ndarray, bool, int, float]:
-    """Damped iteration of row = base + w_arg * (sum of its links' rows);
-    returns (sum of the final rows, converged, iterations, final residual)."""
-    dim = base.shape[1]
+def _flow_sum(base: np.ndarray, links: list[tuple[int, int]],
+              w_arg: float) -> np.ndarray:
+    """Sum of the rows X = base + w_arg * A X, where A[u, d] counts the
+    (user u, def d) links, as y^T base with (I - w_arg * A^T) y = 1.
+    X exists exactly when that Z-matrix is a nonsingular M-matrix, that is
+    when y is positive; raises FlowDiverges when it is not, or when the
+    system is singular to working precision."""
     if not links:
         # summation order matches the symbolic half so the two agree bitwise
-        return _seq_sum(base, dim), True, 0, 0.0
-    users = np.array([u for u, _ in links])
-    defs = np.array([d for _, d in links])
-    table = _rank_table(users, base.shape[0])
-    state = base.copy()
-    residual = np.inf
-    # per-instruction residuals add up in the function sum, so the stopping
-    # threshold is scaled down by the instruction count to keep the summed
-    # result within tol of the fixed point
-    tol_eff = TOL / max(1, base.shape[0])
-    for it in range(1, MAX_ITER + 1):
-        prop = _add_by_rank(base, table, w_arg * state[defs])
-        nxt = (1.0 - DAMPING) * state + DAMPING * prop
-        residual = float(np.max(np.abs(nxt - state)))
-        state = nxt
-        if residual < tol_eff:
-            return _seq_sum(state, dim), True, it, residual
-    return _seq_sum(state, dim), False, MAX_ITER, residual
+        return _seq_sum(base, base.shape[1])
+    users, defs = np.array(links).T
+    m = np.eye(base.shape[0])
+    np.add.at(m, (defs, users), -w_arg)
+    try:
+        y = np.linalg.solve(m, np.ones(base.shape[0]))
+    except np.linalg.LinAlgError:
+        raise FlowDiverges("I - w_arg * A^T is singular") from None
+    # an M-matrix has a nonnegative inverse, whose infinity norm is max(y)
+    cond = np.abs(m).sum(1).max() * y.max()
+    if not (np.all(y > 0) and cond * np.finfo(float).eps < 1):
+        raise FlowDiverges(f"I - w_arg * A^T is not a nonsingular M-matrix "
+                           f"(adjoint weights in [{y.min():.3e}, {y.max():.3e}])")
+    return y @ base
 
 
 def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -173,21 +152,20 @@ def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
 
 def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS) -> EmbeddingVector:
     """Concatenated symbolic (first half) and flow-aware (second half) vector,
-    from one walk over each function.  A fixed point that does not converge
-    within MAX_ITER keeps its last iterate and is noted on the result (the
-    last non-converged function's message)."""
+    from one walk over each function.  The weights are nonnegative.  Raises
+    FlowDiverges for the first function whose flow-aware rows have no
+    finite solution."""
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
-    note = None
     for fn in module.defined_functions():
         rows, base, links = _function_parts(fn, vocab, weights)
         sym += _seq_sum(rows, vocab.dim)
-        vec, converged, iters, residual = _fixed_point(base, links, weights[2])
-        if not converged:
-            note = (f"flow-aware fixed point did not converge after "
-                    f"{iters} iterations (residual {residual:.3e})")
-        flow += vec
-    return EmbeddingVector(np.concatenate([sym, flow]), note)
+        try:
+            flow += _flow_sum(base, links, weights[2])
+        except FlowDiverges as exc:
+            raise FlowDiverges(f"{module.name}: flow-aware embedding of "
+                               f"@{fn.name} diverges: {exc}") from None
+    return EmbeddingVector(np.concatenate([sym, flow]))
 
 
 # ---------------------------------------------------------------------------

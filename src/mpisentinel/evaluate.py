@@ -429,6 +429,9 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     }
     if timeouts:  # reports without timeouts keep their shape
         report["failures"]["timeouts"] = timeouts
+    if re_samples:  # likewise reports without runtime errors
+        report["failures"]["runtime_error_reasons"] = {
+            sid: backend.failed[sid] for sid in re_samples}
     return report
 
 

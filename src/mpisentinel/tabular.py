@@ -577,6 +577,8 @@ class DtModel:
                     FeatureSubset(tuple(int(i) for i in subset)) if subset else None,
                     doc["seed"], meta.get("dim", embed_mod.DEFAULT_DIM),
                     tuple(meta.get("weights", embed_mod.DEFAULT_WEIGHTS)))
+        if not model.weights[2] >= 0:  # the flow-aware solve assumes it
+            raise ValueError(f"negative operand-kind weight {model.weights[2]!r}")
         width = 2 * model.dim
         if isinstance(strategy, embed_mod.IndexScaler) \
                 and strategy.mins.shape != (width,):

@@ -28,6 +28,27 @@ def two_fn_call_text() -> str:
     return (FIXTURES / "two_fn_call.ll").read_text()
 
 
+def phi_call_loop(k: int) -> str:
+    """One loop whose phi %a feeds a call that passes it k times and whose
+    result %s feeds the phi back: with the default operand weight w = 0.2
+    the flow-aware cycle has spectral radius w * sqrt(k), below 1 for
+    k = 20 (0.89) and above 1 for k = 30 (1.10)."""
+    return f"""
+declare i32 @g({", ".join(["i32"] * k)})
+
+define i32 @f() {{
+entry:
+  br label %loop
+loop:
+  %a = phi i32 [ 0, %entry ], [ %s, %loop ]
+  %s = call i32 @g({", ".join(["i32 %a"] * k)})
+  br i1 true, label %loop, label %out
+out:
+  ret i32 %s
+}}
+"""
+
+
 def tape_nodes(root):
     """Every autodiff tensor reachable from root through its parents."""
     nodes, stack, seen = [], [root], set()

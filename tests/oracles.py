@@ -2,9 +2,9 @@
 
 The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
-bit-exact ones keep an earlier, slower implementation (the np.add.at
-embedding, the per-feature CART, the per-individual GA fitness, the
-np.add.at autodiff engine) that the library must still match bit for bit.
+bit-exact ones keep an earlier, slower implementation (the per-feature
+CART, the per-individual GA fitness, the np.add.at autodiff engine) that
+the library must still match bit for bit.
 They share only the parsed IR structures, the graph and tree data classes,
 predict_tree, the autodiff Tensor and the seeded vocabulary lookups with
 the code under test.  The IR helpers at the
@@ -52,7 +52,9 @@ def symbolic_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray
 def flow_aware_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
                    damping: float = 0.5, tol: float = 1e-6,
                    max_iter: int = 100) -> np.ndarray:
-    """Dict-and-loop reimplementation of the damped fixed point."""
+    """Dict-and-loop damped fixed-point iteration of the flow-aware rows;
+    run with tol=1e-14 and max_iter=1000 it stops at the exact fixed point
+    up to rounding, the reference for the library's linear solve."""
     w_op, w_ty, w_arg = weights
     total = np.zeros(vocab.dim)
     for fn in module.defined_functions():
@@ -197,46 +199,6 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-# ---------------------------------------------------------------------------
-# The embedding as computed with an np.add.at scatter in the flow-aware fixed
-# point: the bit-exact reference for the library's rank-by-rank schedule.
-# Same static parts, update expressions and summation order as the library.
-
-def _instruction_static_parts(fn, vocab, weights):
-    """Per-instruction base vector and dynamic (defining-instruction) links."""
-    w_op, w_ty, w_arg = weights
-    defs: dict[str, int] = {}
-    instrs = []
-    for block in fn.blocks:
-        for instr in block.instructions:
-            idx = len(instrs)
-            instrs.append(instr)
-            if instr.result_id is not None:
-                defs[instr.result_id] = idx
-    base = np.zeros((len(instrs), vocab.dim))
-    links: list[tuple[int, int]] = []  # (user index, def index)
-    for idx, instr in enumerate(instrs):
-        triple = token_triple(instr)
-        vec = w_op * vocab.vector(triple.opcode_token) \
-            + w_ty * vocab.vector(triple.type_token)
-        for op in instr.operands:
-            if op.kind is OperandKind.LABEL:
-                continue
-            if op.kind is OperandKind.LOCAL and op.token in defs:
-                links.append((idx, defs[op.token]))
-            else:
-                vec = vec + w_arg * vocab.vector(op.kind.value)
-        base[idx] = vec
-    return base, links
-
-
-def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
-    total = np.zeros(dim)
-    for row in rows:
-        total += row
-    return total
-
-
 def symbolic_function_sum(fn, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
     """One function's symbolic encoding, summed instruction by instruction."""
     w_op, w_ty, w_arg = weights
@@ -250,50 +212,6 @@ def symbolic_function_sum(fn, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
                 vec = vec + w_arg * vocab.vector(kind)
             total += vec
     return total
-
-
-def flow_aware_add_at(fn, vocab, weights=(1.0, 0.5, 0.2), damping: float = 0.5,
-                      tol: float = 1e-6, max_iter: int = 100,
-                      ) -> tuple[np.ndarray, bool, int, float]:
-    """Returns (sum of converged per-instruction embeddings, converged,
-    iterations, final residual)."""
-    w_arg = weights[2]
-    base, links = _instruction_static_parts(fn, vocab, weights)
-    if not links:
-        return _seq_sum(base, vocab.dim), True, 0, 0.0
-    users = np.array([u for u, _ in links])
-    defs = np.array([d for _, d in links])
-    state = base.copy()
-    residual = np.inf
-    tol_eff = tol / max(1, base.shape[0])
-    for it in range(1, max_iter + 1):
-        prop = base.copy()
-        np.add.at(prop, users, w_arg * state[defs])
-        nxt = (1.0 - damping) * state + damping * prop
-        residual = float(np.max(np.abs(nxt - state)))
-        state = nxt
-        if residual < tol_eff:
-            return _seq_sum(state, vocab.dim), True, it, residual
-    return _seq_sum(state, vocab.dim), False, max_iter, residual
-
-
-def embed_add_at(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
-                 damping: float = 0.5, tol: float = 1e-6, max_iter: int = 100,
-                 ) -> tuple[np.ndarray, str | None]:
-    """(symbolic half then flow-aware half, message of the last function
-    that did not converge or None)."""
-    sym = np.zeros(vocab.dim)
-    flow = np.zeros(vocab.dim)
-    note = None
-    for fn in module.defined_functions():
-        sym += symbolic_function_sum(fn, vocab, weights)
-        vec, converged, iters, residual = flow_aware_add_at(
-            fn, vocab, weights, damping, tol, max_iter)
-        if not converged:
-            note = (f"flow-aware fixed point did not converge after "
-                    f"{iters} iterations (residual {residual:.3e})")
-        flow += vec
-    return np.concatenate([sym, flow]), note
 
 
 # ---------------------------------------------------------------------------

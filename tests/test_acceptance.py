@@ -109,7 +109,8 @@ def test_criterion_4_embedding_determinism_and_oracle():
         assert np.array_equal(first, second), path
         want = np.concatenate([
             oracles.symbolic_sum(module, em.SeedVocab(42, 256)),
-            oracles.flow_aware_sum(module, em.SeedVocab(42, 256))])
+            oracles.flow_aware_sum(module, em.SeedVocab(42, 256),
+                                   tol=1e-14, max_iter=1000)])
         diff = float(np.max(np.abs(first - want))) if first.size else 0.0
         worst = max(worst, diff)
         assert diff < 1e-9, (path, diff)

@@ -1,6 +1,9 @@
-"""Verdicts of tools/bench_pairs.py on made-up paired runs."""
+"""Verdicts and previous-record lookup of tools/bench_pairs.py on made-up
+paired runs and records."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,45 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_beats():
         pairs_of(parent, {"evaluate_s": [0.1 + i / 100 for i in range(10)],
                           "accuracy": ACCURACY}), DECLARED)
     assert out["evaluate_s"]["verdict"] == "gain"
+
+
+def _record(medians: dict) -> dict:
+    return {"workloads": {"dt-ga": {"metrics": {
+        name: {"change": {"median": value}} for name, value in medians.items()}}}}
+
+
+def test_previous_median_from_newest_committed_record(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name, medians in (("BENCH_8.json", {"evaluate_s": 3.0}),
+                          ("BENCH_9.json", {"evaluate_s": 2.0}),
+                          ("BENCH_10.json", {"evaluate_s": 1.0})):
+        (tmp_path / name).write_text(json.dumps(_record(medians)))
+    git("add", ".")
+    git("commit", "-q", "-m", "records")
+    # not committed, so not a previous record
+    (tmp_path / "BENCH_11.json").write_text(json.dumps(_record({"evaluate_s": 0.5})))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+
+    # numeric order: BENCH_10 is newer than BENCH_9; the output file is skipped
+    name, doc = bench_pairs.previous_record("HEAD", "BENCH_11.json")
+    assert name == "BENCH_10.json"
+    name, doc = bench_pairs.previous_record("HEAD", "BENCH_10.json")
+    assert name == "BENCH_9.json"
+    previous = doc["workloads"]["dt-ga"]["metrics"]
+    out = bench_pairs.summarize(
+        pairs_of({"evaluate_s": STEADY, "accuracy": ACCURACY},
+                 {"evaluate_s": STEADY, "accuracy": ACCURACY}), DECLARED, previous)
+    assert out["evaluate_s"]["previous_median"] == 2.0
+    assert out["accuracy"]["previous_median"] is None  # not in that record
+
+
+def test_no_previous_record(tmp_path, monkeypatch):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit",
+                    "-q", "--allow-empty", "-m", "empty"], cwd=tmp_path, check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.previous_record("HEAD", "BENCH_1.json") == (None, {})

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, phi_call_loop
 from mpisentinel import cli
 from mpisentinel import embed as em
 from mpisentinel import evaluate as ev
@@ -387,6 +387,22 @@ class TestPredict:
             results.add(json.loads(stdout)["label"])
         assert len(results) == 1
 
+    @pytest.mark.parametrize("k,code", [(20, 0), (30, 2)])
+    def test_dt_on_phi_call_loop(self, tmp_path, capsys, k, code):
+        model_path = tmp_path / "dt.json"
+        train_dt_model_file(model_path)
+        ir = tmp_path / f"loop{k}.ll"
+        ir.write_text(phi_call_loop(k))
+        got, stdout, stderr = run_cli("predict", "--model", str(model_path),
+                                      "--ir", str(ir), capsys=capsys)
+        assert got == code
+        if code == 0:
+            assert "label" in json.loads(stdout)
+        else:
+            err = json.loads(stderr.splitlines()[-1])
+            assert err["error"] == "FlowDiverges"
+            assert f"loop{k}.ll: flow-aware embedding of @f diverges" in err["message"]
+
     def test_gnn_model_predicts(self, tmp_path, capsys):
         model_path = tmp_path / "gnn.json"
         train_gnn_model_file(model_path)
@@ -479,7 +495,8 @@ class TestPredict:
             assert code == 0
             assert json.loads(stdout)["label"] == predicted[sid]
 
-    @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width", "gnn-no-config",
+    @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width",
+                                      "dt-negative-weight", "gnn-no-config",
                                       "list"])
     def test_malformed_model_file_exit_2(self, tmp_path, capsys, case):
         model_path = tmp_path / "model.json"
@@ -488,6 +505,8 @@ class TestPredict:
             doc = json.loads(model_path.read_text())
             if case == "dt-no-tree":
                 del doc["tree"]
+            elif case == "dt-negative-weight":
+                doc["normalization"]["weights"] = [1.0, 0.5, -0.2]
             else:
                 doc["n_features"] = 7
         elif case == "gnn-no-config":

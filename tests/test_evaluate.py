@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mpisentinel import evaluate as ev
 from mpisentinel import tabular
 from mpisentinel.ircore import parse_ir
 from conftest import FIXTURES as FIXTURES_DIR
+from conftest import phi_call_loop
 
 MBI_DIST = {"Correct": 745, "CallOrdering": 400, "ParameterMatching": 180,
             "InvalidParameter": 170, "MessageRace": 120,
@@ -423,6 +426,8 @@ def broken_mbi_manifest(tmp_path, failure: str, stem: str) -> cm.Manifest:
     shutil.copytree(FIXTURES_DIR / "corpus_mbi", corpus_dir)
     if failure == "malformed":
         (corpus_dir / f"{stem}.ll").write_text("define void @f() {\n ret void\n")
+    elif failure == "diverging":
+        (corpus_dir / f"{stem}.ll").write_text(phi_call_loop(30))
     samples = cm.ingest_mbi(corpus_dir)
     cm.attach_ir(samples, "none")
     if failure == "deleted":
@@ -451,6 +456,22 @@ class TestRuntimeErrorPropagation:
         assert len(report["failures"]["runtime_errors"]) == 1
         assert "correct_0" in report["failures"]["runtime_errors"][0]
         assert report["aggregate"]["metrics"]["conclusiveness"] < 1.0
+
+    @pytest.mark.parametrize("failure,reason", [
+        ("malformed", r"^line \d+: "),
+        ("diverging", r"flow-aware embedding of @f diverges"),
+        ("none", None)])
+    def test_runtime_error_reasons_name_the_cause(self, tmp_path, failure, reason):
+        manifest = broken_mbi_manifest(tmp_path, failure, "correct_0")
+        report = ev.run_scenario(manifest, ev.Scenario(
+            kind="intra", suite="MBI", options=desk_options(folds=5)))
+        failures = report["failures"]
+        if reason is None:  # reports without runtime errors keep their shape
+            assert set(failures) == {"compile_errors", "runtime_errors"}
+            return
+        (sid,) = failures["runtime_errors"]
+        assert list(failures["runtime_error_reasons"]) == [sid]
+        assert re.search(reason, failures["runtime_error_reasons"][sid])
 
     @pytest.mark.parametrize("failure", ["malformed", "deleted"])
     def test_ablation_leaves_out_broken_excluded_sample(self, tmp_path, failure):

@@ -13,7 +13,10 @@ one run at a time, with S the declared ``run_seconds``; the parent runs
 first in even pairs and second in odd ones.  The output file holds the
 environment, every run's end-to-end metrics, each side's median and
 quartiles, the change's wins per pair (ties count for neither side), the
-median delta and a verdict per metric:
+median delta, the change's median in the newest committed
+``BENCH_<n>.json`` other than the output file (``previous_median``, null
+where that file lacks the metric or there is none) and a verdict per
+metric:
 
 - ``regression``: the change's median is worse than the parent's by more
   than ``bound`` x |parent median|;
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +58,20 @@ def extract(rev: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def previous_record(rev: str, out: str) -> tuple[str | None, dict]:
+    """(name, contents) of the BENCH_<n>.json with the largest n committed
+    at rev, other than out; (None, {}) when there is none."""
+    numbered = {}
+    for name in git("ls-tree", "--name-only", rev).splitlines():
+        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
+        if match and name != Path(out).name:
+            numbered[int(match.group(1))] = name
+    if not numbered:
+        return None, {}
+    name = numbered[max(numbered)]
+    return name, json.loads(git("show", f"{rev}:{name}"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -95,9 +113,12 @@ def verdict(parent: dict, change: dict, change_wins: int, pairs: int,
     return "within-bound"
 
 
-def summarize(pairs: list[dict], declared: dict) -> dict:
-    """Per metric: each side's spread, wins of the change, the delta and
-    the verdict."""
+def summarize(pairs: list[dict], declared: dict,
+              previous: dict | None = None) -> dict:
+    """Per metric: each side's spread, wins of the change, the delta, the
+    previous record's change median and the verdict.  previous holds the
+    previous record's metrics for the same workload."""
+    previous = previous or {}
     out = {}
     for name, spec in declared.items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -113,6 +134,7 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "delta": c["median"] - p["median"],
             "ratio": c["median"] / p["median"] if p["median"] else None,
             "parent_iqr": p["q3"] - p["q1"],
+            "previous_median": previous.get(name, {}).get("change", {}).get("median"),
             "verdict": verdict(p, c, wins, len(pairs), sign, spec["bound"]),
         }
     return out
@@ -130,7 +152,9 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     revs = {side: git("rev-parse", rev)
             for side, rev in (("parent", args.parent), ("change", args.change))}
+    previous_name, previous = previous_record(revs["change"], args.out)
     doc = {"parent": revs["parent"], "change": revs["change"],
+           "previous": previous_name,
            "settings": {"pairs": PAIRS, "seconds": seconds,
                         "seeds": [args.first_seed + i for i in range(PAIRS)],
                         "order": "parent first in even pairs, change first in odd"},
@@ -153,7 +177,9 @@ def main(argv=None) -> int:
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in revs},
                 "problems": {s: [x for p in pairs for x in p[s]["problems"]]
                              for s in revs},
-                "metrics": summarize(pairs, declared),
+                "metrics": summarize(
+                    pairs, declared,
+                    previous.get("workloads", {}).get(workload, {}).get("metrics", {})),
             }
             Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

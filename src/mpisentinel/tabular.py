@@ -577,8 +577,10 @@ class DtModel:
                     FeatureSubset(tuple(int(i) for i in subset)) if subset else None,
                     doc["seed"], meta.get("dim", embed_mod.DEFAULT_DIM),
                     tuple(meta.get("weights", embed_mod.DEFAULT_WEIGHTS)))
-        if not model.weights[2] >= 0:  # the flow-aware solve assumes it
-            raise ValueError(f"negative operand-kind weight {model.weights[2]!r}")
+        # three weights; the flow-aware solve needs w_arg >= 0
+        if len(model.weights) != 3 or not model.weights[2] >= 0:
+            raise ValueError(f"weights {model.weights!r} are not three with a "
+                             f"nonnegative operand-kind weight")
         width = 2 * model.dim
         if isinstance(strategy, embed_mod.IndexScaler) \
                 and strategy.mins.shape != (width,):

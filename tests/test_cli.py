@@ -496,8 +496,8 @@ class TestPredict:
             assert json.loads(stdout)["label"] == predicted[sid]
 
     @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width",
-                                      "dt-negative-weight", "gnn-no-config",
-                                      "list"])
+                                      "dt-negative-weight", "dt-two-weights",
+                                      "gnn-no-config", "list"])
     def test_malformed_model_file_exit_2(self, tmp_path, capsys, case):
         model_path = tmp_path / "model.json"
         if case.startswith("dt"):
@@ -507,6 +507,8 @@ class TestPredict:
                 del doc["tree"]
             elif case == "dt-negative-weight":
                 doc["normalization"]["weights"] = [1.0, 0.5, -0.2]
+            elif case == "dt-two-weights":
+                doc["normalization"]["weights"] = [1.0, 0.5]
             else:
                 doc["n_features"] = 7
         elif case == "gnn-no-config":

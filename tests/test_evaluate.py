@@ -10,8 +10,7 @@ from mpisentinel import embed as em
 from mpisentinel import evaluate as ev
 from mpisentinel import tabular
 from mpisentinel.ircore import parse_ir
-from conftest import FIXTURES as FIXTURES_DIR
-from conftest import phi_call_loop
+from conftest import FIXTURES as FIXTURES_DIR, phi_call_loop
 
 MBI_DIST = {"Correct": 745, "CallOrdering": 400, "ParameterMatching": 180,
             "InvalidParameter": 170, "MessageRace": 120,

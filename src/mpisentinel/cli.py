@@ -254,7 +254,8 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
         except embed_mod.FlowDiverges as exc:
             return _error("FlowDiverges", str(exc), 2)
         leaf = model.leaf(raw)
-        print(json.dumps({"label": leaf.label, "leaf_class_counts": leaf.class_counts},
+        print(json.dumps({"label": model.tree.label(leaf),
+                          "leaf_class_counts": model.tree.class_counts(leaf)},
                          sort_keys=True))
         return 0
     try:

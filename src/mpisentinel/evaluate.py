@@ -339,8 +339,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     opts = scenario.options
     scope = _scope_samples(manifest, scenario)
     evaluable = [s for s in scope if not s.quarantined and s.compile_status == "ok"]
-    ce_count = sum(1 for s in scope
-                   if not s.quarantined and s.compile_status == "compile-error")
+    compile_errors = {s.id: s.compile_message for s in scope
+                      if not s.quarantined and s.compile_status == "compile-error"}
     timeouts = sorted(s.id for s in scope
                       if not s.quarantined and s.compile_status == "timeout")
     by_id = {s.id: s for s in evaluable}
@@ -365,7 +365,7 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             raise SuiteMissing("cross scenario needs samples in both suites")
         fold_args.append((0, train_ids, val_ids, opts.seed))
 
-    aggregate = ConfusionCounts(ce=ce_count, to=len(timeouts))
+    aggregate = ConfusionCounts(ce=len(compile_errors), to=len(timeouts))
     per_label_hits: dict[str, list[int]] = {}
     re_samples: list[str] = []
     fold_docs = []
@@ -425,8 +425,11 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             "metrics": metrics_to_dict(metrics(aggregate, opts.specificity_formula)),
         },
         "per_label_accuracy": per_label,
-        "failures": {"compile_errors": ce_count, "runtime_errors": sorted(re_samples)},
+        "failures": {"compile_errors": len(compile_errors),
+                     "runtime_errors": sorted(re_samples)},
     }
+    if compile_errors:  # reports without compile errors keep their shape
+        report["failures"]["compile_error_reasons"] = compile_errors
     if timeouts:  # reports without timeouts keep their shape
         report["failures"]["timeouts"] = timeouts
     if re_samples:  # likewise reports without runtime errors

@@ -83,7 +83,6 @@ class IrFunction:
 class IrModule:
     name: str
     functions: list[IrFunction]
-    global_constants: list[tuple[str, str]]
 
     def defined_functions(self) -> list[IrFunction]:
         return [f for f in self.functions if not f.is_declaration]
@@ -741,7 +740,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     Raises MalformedIr on structural problems; unknown opcodes and
     module-level constructs outside the subset degrade gracefully.
     """
-    module = IrModule(name=name, functions=[], global_constants=[])
+    module = IrModule(name=name, functions=[])
     seen: set[str] = set()  # function names, defined or declared
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
@@ -792,16 +791,11 @@ def _module_line(module: IrModule, seen: set[str], line: str,
         return None
     if line.startswith("define"):
         raise MalformedIr(lineno, "define without a body brace")
-    if line.startswith("@"):
-        tokens = _tokenize(line)
-        gname = tokens[0][1:]
-        gtype = "opaque"
-        for k in range(1, len(tokens)):
-            got = consume_type(tokens, k, allow_named=True)
-            if got is not None:
-                gtype = got[0]
-                break
-        module.global_constants.append((gname, gtype))
+    if line.startswith("@"):  # a global: nothing reads it, but it must be whole
+        text = _STRING_RE.sub("", line)
+        if not _TOKEN_RE.match(line) or _bracket_depth(text) \
+                or text.count("{") != text.count("}"):
+            raise MalformedIr(lineno, f"unnamed or unbalanced global: {line[:40]!r}")
         return None
     if line.startswith("%") and "= type" in line:
         return None

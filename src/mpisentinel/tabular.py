@@ -55,25 +55,86 @@ class LabeledVectors:
         return LabeledVectors(self.x[:, idx], list(self.labels), list(self.label_space))
 
 
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: str | None = None
-    class_counts: dict[str, int] | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    root: TreeNode
+    """CART as flat node arrays, rooted at node 0 (a batch grown together
+    roots tree t at node t).  A split sends a row left when its value of
+    feature[i] is <= threshold[i]; its children come after it.  A leaf has
+    feature -1 and is its own left and right child.  counts (nodes, labels)
+    holds every node's class counts over label_space."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
     n_features: int
     label_space: list[str]
+
+    def leaves(self, xt: np.ndarray, roots: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        """The leaf that column cols[i] of xt (F, S) reaches from roots[i]."""
+        node = roots
+        feature = self.feature[node]
+        while (feature >= 0).any():  # a leaf reads any feature, stays put
+            node = np.where(xt[feature, cols] <= self.threshold[node],
+                            self.left[node], self.right[node])
+            feature = self.feature[node]
+        return node
+
+    def leaf(self, row) -> int:
+        """The leaf one row of n_features values reaches from the root."""
+        row = np.asarray(row, dtype=np.float64).ravel()
+        if row.shape[0] != self.n_features:
+            raise WidthMismatch(
+                f"row width {row.shape[0]} != training width {self.n_features}")
+        zero = np.zeros(1, np.intp)
+        return int(self.leaves(row[:, None], zero, zero)[0])
+
+    def codes(self, nodes) -> np.ndarray:
+        """Label code of each node: the argmax of its counts, ties to the
+        earliest label."""
+        return self.counts[nodes].argmax(axis=-1)
+
+    def label(self, node: int) -> str:
+        return self.label_space[int(self.codes(node))]
+
+    def class_counts(self, node: int) -> dict[str, int]:
+        return {lab: c for lab, c in zip(self.label_space, self.counts[node].tolist())
+                if c}
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist()
+                for name in ("feature", "threshold", "left", "right", "counts")}
+
+    @classmethod
+    def from_dict(cls, doc: dict, n_features: int,
+                  label_space: list[str]) -> "DecisionTree":
+        """Raises ValueError unless doc's arrays form such a tree; children
+        after their parent also make every walk end."""
+        feature, left, right, counts = (np.asarray(doc[name]) for name in
+                                        ("feature", "left", "right", "counts"))
+        threshold = np.asarray(doc["threshold"])
+        n = len(feature)
+        if not n or not label_space \
+                or any(a.shape != (n,) for a in (threshold, left, right)) \
+                or counts.shape != (n, len(label_space)):
+            raise ValueError(f"tree arrays are empty or differ from {n} nodes "
+                             f"with counts of shape (nodes, {len(label_space)})")
+        if any(a.dtype.kind != "i" for a in (feature, left, right, counts)) \
+                or threshold.dtype.kind not in "if":
+            raise ValueError("tree arrays hold values of the wrong type")
+        if (counts < 0).any() or not np.isfinite(threshold).all():
+            raise ValueError("tree has a negative count or a non-finite threshold")
+        ids = np.arange(n)
+        split = feature >= 0
+        if (feature < -1).any() or (feature >= n_features).any():
+            raise ValueError(f"tree feature neither -1 (a leaf) nor in [0, {n_features})")
+        if ((left <= ids) | (right <= ids) | (left >= n) | (right >= n))[split].any():
+            raise ValueError("a split's child is out of range or not after it")
+        if ((left != ids) | (right != ids))[~split].any():
+            raise ValueError("a leaf is not its own left and right child")
+        return cls(feature, threshold.astype(np.float64), left, right, counts,
+                   n_features, list(label_space))
 
 
 # Upper bound on features x rows x classes in one scoring pass: it bounds
@@ -81,29 +142,6 @@ class DecisionTree:
 # how many GA individuals' trees grow together (at least one feature of
 # one individual per pass).
 _SCORE_CELLS = 1 << 15
-
-
-@dataclass
-class _Forest:
-    """Trees grown together, as flat node arrays.  A leaf has feature -1 and
-    is its own left and right child; counts holds every node's class
-    counts."""
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    counts: np.ndarray
-    depth: int
-
-    def leaves(self, xt: np.ndarray, roots: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
-        """The leaf that column cols[i] of xt (F, S) reaches from roots[i]:
-        left when value <= threshold, as in predict_tree."""
-        node = roots
-        for _ in range(self.depth - 1):  # a leaf reads any feature, stays put
-            node = np.where(xt[self.feature[node], cols] <= self.threshold[node],
-                            self.left[node], self.right[node])
-        return node
 
 
 def _level_splits(xt, y, order, sizes, counts, onehot):
@@ -171,7 +209,7 @@ def _level_splits(xt, y, order, sizes, counts, onehot):
 
 
 def _grow_forest(xt: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
-                 n_classes: int) -> _Forest:
+                 n_features: int, label_space: list[str]) -> DecisionTree:
     """Level-wise CART for a batch of trees: every open node of every tree
     is scored in one pass per level, then all of them split at once.
 
@@ -179,6 +217,7 @@ def _grow_forest(xt: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
     their label codes.  order (F, N) holds slot ids: tree t owns the next
     sizes[t] columns, and each row lists them sorted stably by its
     feature.  Tree t is rooted at node t."""
+    n_classes = len(label_space)
     onehot = np.eye(n_classes, dtype=np.int32)
     sizes = np.asarray(sizes)
     parts = []
@@ -213,15 +252,8 @@ def _grow_forest(xt: np.ndarray, y: np.ndarray, order: np.ndarray, sizes,
                                 kept[~mask].reshape(len(xt), -1)), axis=1)
         n_left = np.bincount(node[mask[0]], minlength=k)[split]
         sizes = np.concatenate((n_left, sizes[split] - n_left))
-    return _Forest(*(np.concatenate(arrays) for arrays in zip(*parts)),
-                   depth=len(parts))
-
-
-def _leaf(counts: np.ndarray, label_space: list[str]) -> TreeNode:
-    label = label_space[int(counts.argmax())]  # argmax ties -> earliest label
-    return TreeNode(label=label,
-                    class_counts={label_space[i]: c
-                                  for i, c in enumerate(counts.tolist()) if c})
+    return DecisionTree(*(np.concatenate(arrays) for arrays in zip(*parts)),
+                        n_features, list(label_space))
 
 
 def train_tree(data: LabeledVectors) -> DecisionTree:
@@ -229,38 +261,16 @@ def train_tree(data: LabeledVectors) -> DecisionTree:
     level by level (see _grow_forest)."""
     if data.x.shape[0] == 0:
         raise EmptyDataset("cannot train on zero rows")
-    label_space = data.label_space
-    index = {lab: i for i, lab in enumerate(label_space)}
+    index = {lab: i for i, lab in enumerate(data.label_space)}
     y = np.array([index[lab] for lab in data.labels])
     # with no feature, a constant column grows a bare root
     xt = data.x.T if data.x.shape[1] else np.zeros((1, len(y)))
-    forest = _grow_forest(xt, y, np.argsort(xt, axis=1, kind="stable"),
-                          [len(y)], len(label_space))
-    return DecisionTree(_tree_node(forest, 0, label_space), data.x.shape[1],
-                        list(label_space))
-
-
-def _tree_node(forest: _Forest, i: int, label_space: list[str]) -> TreeNode:
-    if forest.feature[i] < 0:
-        return _leaf(forest.counts[i], label_space)
-    return TreeNode(feature=int(forest.feature[i]), threshold=forest.threshold[i],
-                    left=_tree_node(forest, forest.left[i], label_space),
-                    right=_tree_node(forest, forest.right[i], label_space))
-
-
-def _descend(tree: DecisionTree, row) -> TreeNode:
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.shape[0] != tree.n_features:
-        raise WidthMismatch(
-            f"row width {row.shape[0]} != training width {tree.n_features}")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+    return _grow_forest(xt, y, np.argsort(xt, axis=1, kind="stable"),
+                        [len(y)], data.x.shape[1], data.label_space)
 
 
 def predict_tree(tree: DecisionTree, row) -> str:
-    return _descend(tree, row).label
+    return tree.label(tree.leaf(row))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,6 @@ def _score_population(individuals: list[tuple[int, ...]], data: LabeledVectors,
     k = min(5, n)
     index = {lab: i for i, lab in enumerate(data.label_space)}
     y = np.array([index[lab] for lab in data.labels])
-    n_classes = len(data.label_space)
     # fold sizes depend on the labels alone: each label's rows are dealt
     # round-robin, whatever their order
     n_val = np.bincount(_stratified_fold_ids(data.labels, np.zeros((n, 0)), k,
@@ -377,14 +386,15 @@ def _score_population(individuals: list[tuple[int, ...]], data: LabeledVectors,
             sizes += [rows.shape[2]] * m
         del sorted_rows, sorted_folds
         forest = _grow_forest(np.tile(xt, len(used)), np.tile(y, len(used) * m),
-                              np.concatenate(orders, axis=1), sizes, n_classes)
+                              np.concatenate(orders, axis=1), sizes, n_feat,
+                              data.label_space)
         # every held-out row descends its individual's tree of its fold
         ind, row = np.nonzero(use_pos[fold_of] >= 0)
         leaf = forest.leaves(xt, use_pos[fold_of[ind, row]] * m + ind, ind * n + row)
-        hit = forest.counts[leaf].argmax(axis=1) == y[row]  # ties -> earliest
+        hit = forest.codes(leaf) == y[row]
         return np.bincount(ind[hit], minlength=m).tolist()
 
-    per_ind = max(1, _SCORE_CELLS // (max(n_feat, 1) * n_classes
+    per_ind = max(1, _SCORE_CELLS // (max(n_feat, 1) * len(data.label_space)
                                       * int((n - n_val[used]).sum())))
     return [hits / total for lo in range(0, len(genes), per_ind)
             for hits in held_out_hits(genes[lo:lo + per_ind])]
@@ -483,23 +493,6 @@ def write_ga_log_csv(log: list[GenerationStats], path):
 # ---------------------------------------------------------------------------
 # Model file
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"label": node.label, "counts": node.class_counts}
-    return {"split": [node.feature, node.threshold],
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "label" in doc:
-        return TreeNode(label=doc["label"], class_counts=doc["counts"])
-    f, thr = doc["split"]
-    return TreeNode(feature=int(f), threshold=float(thr),
-                    left=_node_from_dict(doc["left"]),
-                    right=_node_from_dict(doc["right"]))
-
-
 @dataclass
 class DtModel:
     """A fitted ir2vec-dt pipeline.  A module is embedded with the seed, dim
@@ -524,8 +517,8 @@ class DtModel:
     def predict(self, raw: np.ndarray) -> str:
         return predict_tree(self.tree, self._features(raw))
 
-    def leaf(self, raw: np.ndarray) -> TreeNode:
-        return _descend(self.tree, self._features(raw))
+    def leaf(self, raw: np.ndarray) -> int:
+        return self.tree.leaf(self._features(raw))
 
     def fold_artifacts(self) -> dict:
         """The fold-report entries this model contributes."""
@@ -546,7 +539,7 @@ class DtModel:
                         maxs=self.normalization.maxs.tolist())
         doc = {
             "kind": "ir2vec-dt",
-            "tree": _node_to_dict(self.tree.root),
+            "tree": self.tree.to_dict(),
             "n_features": self.tree.n_features,
             "feature_subset": (list(self.subset.indices)
                                if self.subset is not None else None),
@@ -571,8 +564,8 @@ class DtModel:
         elif strategy not in (None, "none", "vector"):
             raise ValueError(f"unknown normalization strategy {strategy!r}")
         subset = doc.get("feature_subset")
-        model = cls(DecisionTree(_node_from_dict(doc["tree"]), doc["n_features"],
-                                 doc["label_space"]),
+        model = cls(DecisionTree.from_dict(doc["tree"], doc["n_features"],
+                                           doc["label_space"]),
                     strategy,
                     FeatureSubset(tuple(int(i) for i in subset)) if subset else None,
                     doc["seed"], meta.get("dim", embed_mod.DEFAULT_DIM),

@@ -5,17 +5,19 @@ plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
 CART, the per-individual GA fitness, the np.add.at autodiff engine) that
 the library must still match bit for bit.
-They share only the parsed IR structures, the graph and tree data classes,
-predict_tree, the autodiff Tensor and the seeded vocabulary lookups with
-the code under test.  The IR helpers at the
-end (def-use map, structural equality, printer) serve the parser's tests;
-the per-character IR scanners and the two-pass graph builder before them
-are the references for the parser's scanners and for ``build_graph``.
+They share only the parsed IR structures, the graph data classes, the
+autodiff Tensor and the seeded vocabulary lookups with the code under
+test; the reference trees are nested tuples, as cart_train's are.  The
+IR helpers at the end (def-use map, structural equality, printer) serve
+the parser's tests; the per-character IR scanners and the two-pass graph
+builder before them are the references for the parser's scanners and for
+``build_graph``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +28,7 @@ from mpisentinel.ircore import (
     BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, Operand,
     OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
 )
-from mpisentinel.tabular import (
-    DecisionTree, EmptyDataset, FeatureSubset, LabeledVectors, TreeNode,
-    predict_tree,
-)
+from mpisentinel.tabular import EmptyDataset, FeatureSubset, LabeledVectors
 
 
 def symbolic_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
@@ -324,15 +323,22 @@ def _reference_best_split(x: np.ndarray, y: np.ndarray, n_classes: int):
     return best
 
 
-def _reference_leaf(y: np.ndarray, label_space: list[str]) -> TreeNode:
+@dataclass
+class ReferenceTree:
+    """root is ("split", feature, threshold, left, right) or ("leaf", label,
+    class counts); cart_predict walks it."""
+    root: tuple
+    n_features: int
+    label_space: list[str]
+
+
+def _reference_leaf(y: np.ndarray, label_space: list[str]) -> tuple:
     counts = np.bincount(y, minlength=len(label_space))
     label = label_space[int(np.argmax(counts))]  # argmax ties -> earliest label
-    return TreeNode(label=label,
-                    class_counts={label_space[i]: int(c)
-                                  for i, c in enumerate(counts) if c})
+    return ("leaf", label, {label_space[i]: int(c) for i, c in enumerate(counts) if c})
 
 
-def _reference_grow(x: np.ndarray, y: np.ndarray, label_space: list[str]) -> TreeNode:
+def _reference_grow(x: np.ndarray, y: np.ndarray, label_space: list[str]) -> tuple:
     if len(y) < 2 or np.all(y == y[0]):
         return _reference_leaf(y, label_space)
     split = _reference_best_split(x, y, len(label_space))
@@ -340,25 +346,23 @@ def _reference_grow(x: np.ndarray, y: np.ndarray, label_space: list[str]) -> Tre
         return _reference_leaf(y, label_space)
     f, thr = split
     mask = x[:, f] <= thr
-    node = TreeNode(feature=f, threshold=thr)
-    node.left = _reference_grow(x[mask], y[mask], label_space)
-    node.right = _reference_grow(x[~mask], y[~mask], label_space)
-    return node
+    return ("split", f, thr, _reference_grow(x[mask], y[mask], label_space),
+            _reference_grow(x[~mask], y[~mask], label_space))
 
 
-def reference_train_tree(data: LabeledVectors) -> DecisionTree:
+def reference_train_tree(data: LabeledVectors) -> ReferenceTree:
     if data.x.shape[0] == 0:
         raise EmptyDataset("cannot train on zero rows")
     index = {lab: i for i, lab in enumerate(data.label_space)}
     y = np.array([index[lab] for lab in data.labels])
     root = _reference_grow(data.x, y, data.label_space)
-    return DecisionTree(root, data.x.shape[1], list(data.label_space))
+    return ReferenceTree(root, data.x.shape[1], list(data.label_space))
 
 
 # ---------------------------------------------------------------------------
 # GA fitness as computed before trees grew together: one sorted() over
 # (label, value tuple) per individual, one reference_train_tree per inner
-# fold, and held-out rows through predict_tree one at a time.  The
+# fold, and held-out rows through cart_predict one at a time.  The
 # bit-exact reference for the library's population scorer.
 
 def reference_stratified_fold_ids(labels: list[str], values: np.ndarray, k: int,
@@ -406,17 +410,31 @@ def reference_fitness(subset, data: LabeledVectors, cfg) -> float:
             sub.x[train_rows], [sub.labels[i] for i in train_rows], sub.label_space))
         for i in val_rows:
             total += 1
-            if predict_tree(tree, sub.x[i]) == sub.labels[i]:
+            if cart_predict(tree.root, sub.x[i]) == sub.labels[i]:
                 correct += 1
     return correct / total if total else 1.0
 
 
-def tree_dump(node: TreeNode):
-    """Nested tuples of feature, threshold bits, label and class counts."""
-    if node.is_leaf:
-        return ("leaf", node.label, tuple(sorted(node.class_counts.items())))
-    return (node.feature, float(node.threshold).hex(),
-            tree_dump(node.left), tree_dump(node.right))
+def tree_dump(tree) -> tuple:
+    """Nested tuples of feature, threshold bits, label and class counts, of
+    a ReferenceTree or of the library's flat DecisionTree."""
+    if isinstance(tree, ReferenceTree):
+        def dump(node):
+            if node[0] == "leaf":
+                return ("leaf", node[1], tuple(sorted(node[2].items())))
+            _, f, thr, left, right = node
+            return (f, float(thr).hex(), dump(left), dump(right))
+        return dump(tree.root)
+
+    def flat(i):
+        if tree.feature[i] < 0:
+            counts = tree.counts[i].tolist()
+            return ("leaf", tree.label_space[int(np.argmax(counts))],
+                    tuple(sorted((lab, c) for lab, c in zip(tree.label_space, counts)
+                                 if c)))
+        return (int(tree.feature[i]), float(tree.threshold[i]).hex(),
+                flat(tree.left[i]), flat(tree.right[i]))
+    return flat(0)
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +694,11 @@ def structurally_equal(a: IrModule, b: IrModule) -> bool:
                                         i.result_id, i.call_target, i.operands)
                                        for i in b2.instructions))
                       for b2 in f.blocks))
-    return ([fn_key(f) for f in a.functions] == [fn_key(f) for f in b.functions]
-            and a.global_constants == b.global_constants)
+    return [fn_key(f) for f in a.functions] == [fn_key(f) for f in b.functions]
 
 
 def render(module: IrModule) -> str:
     parts = []
-    for gname, gtype in module.global_constants:
-        parts.append(f"@{gname} = global {gtype} zeroinitializer")
     for fn in module.functions:
         params = ", ".join(f"{t} {p}" for p, t in fn.params)
         if fn.is_declaration:

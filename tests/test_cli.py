@@ -159,7 +159,7 @@ class TestEvaluate:
                                               capsys):
         doc = json.loads(manifest_path.read_text())
         broken = dict(doc["samples"][0], id="mbi:broken.c@O0",
-                      status="compile-error")
+                      status="compile-error", message="broken.c:1: error")
         broken.pop("ir")
         doc["samples"].append(broken)
         with_ce = tmp_path / "m.json"
@@ -172,6 +172,8 @@ class TestEvaluate:
         assert code == 1
         report = json.loads(report_path.read_text())
         assert report["failures"]["compile_errors"] == 1
+        assert report["failures"]["compile_error_reasons"] == {
+            "mbi:broken.c@O0": "broken.c:1: error"}
         assert report["aggregate"]["counts"]["ce"] == 1
 
     def test_byte_identical_reports(self, manifest_path, tmp_path, capsys):
@@ -497,6 +499,9 @@ class TestPredict:
 
     @pytest.mark.parametrize("case", ["dt-no-tree", "dt-width",
                                       "dt-negative-weight", "dt-two-weights",
+                                      "dt-cycle", "dt-child-out-of-range",
+                                      "dt-split-feature", "dt-counts-width",
+                                      "dt-unequal-lengths", "dt-nested-tree",
                                       "gnn-no-config", "list"])
     def test_malformed_model_file_exit_2(self, tmp_path, capsys, case):
         model_path = tmp_path / "model.json"
@@ -509,6 +514,20 @@ class TestPredict:
                 doc["normalization"]["weights"] = [1.0, 0.5, -0.2]
             elif case == "dt-two-weights":
                 doc["normalization"]["weights"] = [1.0, 0.5]
+            elif case == "dt-cycle":
+                doc["tree"]["right"][0] = 0
+            elif case == "dt-child-out-of-range":
+                doc["tree"]["left"][0] = len(doc["tree"]["left"])
+            elif case == "dt-split-feature":
+                doc["tree"]["feature"][0] = doc["n_features"]
+            elif case == "dt-counts-width":
+                doc["tree"]["counts"] = [row + [0] for row in doc["tree"]["counts"]]
+            elif case == "dt-unequal-lengths":
+                doc["tree"]["threshold"].pop()
+            elif case == "dt-nested-tree":
+                doc["tree"] = {"split": [0, 0.5],
+                               "left": {"label": "correct", "counts": {"correct": 1}},
+                               "right": {"label": "correct", "counts": {"correct": 1}}}
             else:
                 doc["n_features"] = 7
         elif case == "gnn-no-config":

@@ -242,6 +242,9 @@ class TestRunScenario:
             kind="intra", suite="MBI", options=desk_options(folds=5)))
         assert report["aggregate"]["counts"]["ce"] == 1
         assert report["aggregate"]["metrics"]["coverage"] < 1.0
+        assert report["failures"]["compile_errors"] == 1
+        assert report["failures"]["compile_error_reasons"] == {
+            "mbi:broken.c@O0": "exploded"}
 
     def test_timeouts_feed_aggregate_counts(self, fixture_manifest):
         samples = [s for s in fixture_manifest.samples if s.suite == "MBI"]

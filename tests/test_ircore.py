@@ -17,7 +17,6 @@ from oracles import def_use_map, render, structurally_equal
 def test_empty_text_gives_empty_module():
     module = parse_ir("")
     assert module.functions == []
-    assert module.global_constants == []
 
 
 def test_minimal_function():
@@ -331,11 +330,6 @@ entry:
         assert one.functions[0].params == [("%x", "i32")]
         with pytest.raises(MalformedIr, match="without a body brace"):
             parse_ir(f"define {ret} @f(i32 %x)")
-
-    def test_global_constants(self):
-        module = parse_ir('@.str = private unnamed_addr constant [4 x i8] c"abc\\00"\n')
-        assert module.global_constants[0][0] == ".str"
-        assert canonical_type(module.global_constants[0][1]) == "aggTy"
 
     def test_unnamed_entry_block_and_numeric_labels(self):
         text = """

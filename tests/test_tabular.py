@@ -19,12 +19,12 @@ def make_data(x, labels, space=None):
 class TestTrainTree:
     def test_single_label_single_leaf(self):
         tree = tb.train_tree(make_data([[1.0], [2.0], [3.0]], "AAA"))
-        assert tree.root.is_leaf and tree.root.label == "A"
+        assert tree.feature[0] == -1 and tree.label(0) == "A"
 
     def test_separable_pair(self):
         tree = tb.train_tree(make_data([[0.0], [1.0]], "AB"))
-        assert not tree.root.is_leaf
-        assert 0.0 < tree.root.threshold < 1.0
+        assert tree.feature[0] != -1
+        assert 0.0 < tree.threshold[0] < 1.0
         assert tb.predict_tree(tree, [0.0]) == "A"
         assert tb.predict_tree(tree, [1.0]) == "B"
 
@@ -39,8 +39,8 @@ class TestTrainTree:
     ])
     def test_split_where_the_midpoint_is_not_below_the_upper_value(self, lo, hi):
         tree = tb.train_tree(make_data([[lo], [hi]], "AB"))
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
-        assert lo <= tree.root.threshold < hi
+        assert tree.feature[tree.left[0]] == -1 and tree.feature[tree.right[0]] == -1
+        assert lo <= tree.threshold[0] < hi
         assert tb.predict_tree(tree, [lo]) == "A"
         assert tb.predict_tree(tree, [hi]) == "B"
         data = make_data([[lo]] * 5 + [[hi]] * 5, "AAAAABBBBB")
@@ -70,16 +70,16 @@ class TestTrainTree:
 
     def test_no_feature_gives_majority_leaf(self):
         tree = tb.train_tree(make_data(np.zeros((3, 0)), ["B", "A", "B"], ["A", "B"]))
-        assert tree.root.is_leaf and tree.n_features == 0
-        assert tree.root.class_counts == {"A": 1, "B": 2}
+        assert tree.feature[0] == -1 and tree.n_features == 0
+        assert tree.class_counts(0) == {"A": 1, "B": 2}
         assert tb.predict_tree(tree, []) == "B"
 
     def test_contradictory_rows_majority_with_tie_to_earliest(self):
         data = make_data([[1.0], [1.0], [1.0]], ["B", "A", "B"], ["A", "B"])
         tree = tb.train_tree(data)
-        assert tree.root.is_leaf and tree.root.label == "B"
+        assert tree.feature[0] == -1 and tree.label(0) == "B"
         tied = tb.train_tree(make_data([[1.0], [1.0]], ["B", "A"], ["A", "B"]))
-        assert tied.root.label == "A"  # earliest in label space wins ties
+        assert tied.label(0) == "A"  # earliest in label space wins ties
 
 
 class TestPredict:
@@ -150,7 +150,7 @@ def test_tree_matches_reference_cart_bit_for_bit(case, score_cells):
     with mock.patch.object(tb, "_SCORE_CELLS", score_cells):  # feature blocks
         tree = tb.train_tree(data)
     ref = oracles.reference_train_tree(data)
-    assert oracles.tree_dump(tree.root) == oracles.tree_dump(ref.root)
+    assert oracles.tree_dump(tree) == oracles.tree_dump(ref)
     assert (tree.n_features, tree.label_space) == (ref.n_features, ref.label_space)
 
 
@@ -340,3 +340,17 @@ class TestModelFile:
         again = loaded.tree
         for i in range(20):
             assert tb.predict_tree(again, data.x[i]) == tb.predict_tree(tree, data.x[i])
+
+    def test_deep_chain_tree_trains_saves_loads_and_predicts(self, tmp_path):
+        # alternating labels on one feature: each split peels off one row,
+        # a chain 1,499 splits deep, beyond Python's recursion limit
+        x = np.arange(1500.0)[:, None]
+        labels = ["A", "B"] * 750
+        tree = tb.train_tree(make_data(x, labels))
+        path = tmp_path / "deep.json"
+        # an embedding of width 2 restricted to its first coordinate
+        tb.DtModel(tree, "none", tb.FeatureSubset((0,)), dim=1).save(path)
+        loaded = tb.DtModel.load(path).tree
+        assert [tb.predict_tree(loaded, row) for row in x] == labels
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            assert np.array_equal(getattr(loaded, name), getattr(tree, name)), name

@@ -16,7 +16,10 @@ quartiles, the change's wins per pair (ties count for neither side), the
 median delta, the change's median in the newest committed
 ``BENCH_<n>.json`` other than the output file (``previous_median``, null
 where that file lacks the metric or there is none) and a verdict per
-metric:
+metric.  ``previous_median`` was measured on another day, when the
+machine may have run faster or slower, so it is context only: no verdict
+reads it, and only the paired runs of one invocation compare code.
+The verdicts:
 
 - ``regression``: the change's median is worse than the parent's by more
   than ``bound`` x |parent median|;

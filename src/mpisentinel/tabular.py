@@ -41,8 +41,10 @@ class LabeledVectors:
             self.x = self.x.reshape(len(self.labels), -1)
         if len(self.labels) != self.x.shape[0]:
             raise ValueError("row/label count mismatch")
-        if np.isnan(self.x).any():  # NaN has no place in a sorted column
-            raise ValueError("feature values contain NaN")
+        # NaN has no place in a sorted column, and an infinity can become a
+        # threshold, which a model file may not hold
+        if not np.isfinite(self.x).all():
+            raise ValueError("feature values contain NaN or an infinity")
         known = set(self.label_space)
         for lab in self.labels:
             if lab not in known:

@@ -50,6 +50,11 @@ class TestTrainTree:
         with pytest.raises(ValueError, match="NaN"):
             make_data([[0.0], [np.nan]], "AB")
 
+    def test_infinity_rejected(self):
+        # -inf next to a finite value would split at a -inf threshold
+        with pytest.raises(ValueError, match="infinity"):
+            make_data([[-np.inf], [0.0]], "AB")
+
     def test_matches_bruteforce_cart_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(50, 4)).round(2)  # duplicates force tie rules

@@ -248,8 +248,8 @@ class _DtBackend(_Backend):
         return tabular.DtModel(tabular.train_tree(data), strategy, subset,
                                opts.seed, opts.embed_dim, opts.weights)
 
-    def predict(self, model: tabular.DtModel, raw: np.ndarray) -> str:
-        return model.predict(raw)
+    def predict(self, model: tabular.DtModel, inputs) -> list[str]:
+        return model.predict(np.vstack(inputs))  # one walk for every row
 
 
 class _GnnBackend(_Backend):
@@ -266,8 +266,8 @@ class _GnnBackend(_Backend):
         model, _ = gnn_mod.train(model, list(zip(inputs, labels)))
         return model
 
-    def predict(self, model: gnn_mod.GnnModel, g: graph_mod.ProgramGraph) -> str:
-        return gnn_mod.predict_gnn(model, g)
+    def predict(self, model: gnn_mod.GnnModel, inputs) -> list[str]:
+        return [gnn_mod.predict_gnn(model, g) for g in inputs]
 
 
 _BACKENDS = {"ir2vec-dt": _DtBackend, "gnn": _GnnBackend}
@@ -294,7 +294,7 @@ def _fit_and_predict(backend, fold_index: int, train_ids, val_ids, labels_by_id,
                      label_space, fold_seed: int):
     """Fit one fold on its loadable training samples; returns the model and
     {sample id: predicted label} for the loadable validation samples, in
-    validation order."""
+    validation order, predicted in one backend call."""
     loaded = [i for i in train_ids if i in backend.inputs]
     if not loaded:
         raise TooFewSamples(
@@ -302,8 +302,9 @@ def _fit_and_predict(backend, fold_index: int, train_ids, val_ids, labels_by_id,
             f"failed to load")
     model = backend.fit([backend.inputs[i] for i in loaded],
                         [labels_by_id[i] for i in loaded], label_space, fold_seed)
-    return model, {sid: backend.predict(model, backend.inputs[sid])
-                   for sid in val_ids if sid in backend.inputs}
+    val = [sid for sid in val_ids if sid in backend.inputs]
+    preds = backend.predict(model, [backend.inputs[sid] for sid in val]) if val else []
+    return model, dict(zip(val, preds))
 
 
 # ---------------------------------------------------------------------------

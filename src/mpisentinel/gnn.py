@@ -182,6 +182,15 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     row for j sums attention-weighted value transforms of the sources.
     Destinations without incoming edges output zeros.  `edges` is an (E, 2)
     int64 array of (source row, destination row) or a list of such pairs.
+
+    Where no destination has two incoming edges, the scores are not
+    computed: each edge's attention is exactly 1 (score minus its own max
+    is +0.0, exp gives 1, over a denominator of 1), so the output is the
+    scattered value transforms, bit for bit.  The gradient the full path
+    gives a score there is g/1 - g*1/1 = +0.0, so w_att and a keep their
+    zero gradients, and every other gradient differs at most in the sign
+    of an exact zero.  Only a non-finite score, which would make the full
+    path's attention NaN, gives a different result.
     """
     n_dst = h_dst.data.shape[0]
     out_dim = params.w_val.data.shape[0]
@@ -193,6 +202,9 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
         return ad.zeros((n_dst, out_dim))
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     hs = ad.gather_rows(h_src, src_idx)
+    values = ad.matmul(hs, _t(params.w_val))              # (E, out)
+    if np.bincount(dst_idx, minlength=n_dst).max() <= 1:
+        return ad.segment_sum(values, dst_idx, n_dst)     # attention is 1
     hd = ad.gather_rows(h_dst, dst_idx)
     pair = ad.concat([hs, hd], axis=1)
     scores = ad.matmul(ad.leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
@@ -204,7 +216,6 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     expd = ad.exp(shifted)
     denom = ad.segment_sum(expd, dst_idx, n_dst)          # (n_dst, 1)
     alpha = ad.div(expd, ad.gather_rows(denom, dst_idx))  # (E, 1)
-    values = ad.matmul(hs, _t(params.w_val))              # (E, out)
     return ad.segment_sum(ad.mul(values, alpha), dst_idx, n_dst)
 
 

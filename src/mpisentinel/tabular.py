@@ -83,14 +83,17 @@ class DecisionTree:
             feature = self.feature[node]
         return node
 
-    def leaf(self, row) -> int:
-        """The leaf one row of n_features values reaches from the root."""
-        row = np.asarray(row, dtype=np.float64).ravel()
-        if row.shape[0] != self.n_features:
+    def leaf(self, rows):
+        """The leaf a row of n_features values reaches from the root, or
+        the array of leaves the rows of a 2-D block reach in one walk."""
+        x = np.asarray(rows, dtype=np.float64)
+        block = x if x.ndim == 2 else x.reshape(1, -1)
+        if block.shape[1] != self.n_features:
             raise WidthMismatch(
-                f"row width {row.shape[0]} != training width {self.n_features}")
-        zero = np.zeros(1, np.intp)
-        return int(self.leaves(row[:, None], zero, zero)[0])
+                f"row width {block.shape[1]} != training width {self.n_features}")
+        n = block.shape[0]
+        nodes = self.leaves(block.T, np.zeros(n, np.intp), np.arange(n))
+        return nodes if x.ndim == 2 else int(nodes[0])
 
     def codes(self, nodes) -> np.ndarray:
         """Label code of each node: the argmax of its counts, ties to the
@@ -271,8 +274,12 @@ def train_tree(data: LabeledVectors) -> DecisionTree:
                         [len(y)], data.x.shape[1], data.label_space)
 
 
-def predict_tree(tree: DecisionTree, row) -> str:
-    return tree.label(tree.leaf(row))
+def predict_tree(tree: DecisionTree, rows) -> str | list[str]:
+    """The label of a row, or the labels of the rows of a 2-D block."""
+    nodes = tree.leaf(rows)
+    if isinstance(nodes, int):
+        return tree.label(nodes)
+    return [tree.label_space[c] for c in tree.codes(nodes)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +520,11 @@ class DtModel:
         return embed_mod.embed(module, vocab, self.weights).values
 
     def _features(self, raw: np.ndarray) -> np.ndarray:
-        row = embed_mod.normalize(raw, self.normalization)
-        return row if self.subset is None else row[list(self.subset.indices)]
+        x = embed_mod.normalize(raw, self.normalization)
+        return x if self.subset is None else x[..., list(self.subset.indices)]
 
-    def predict(self, raw: np.ndarray) -> str:
+    def predict(self, raw: np.ndarray) -> str | list[str]:
+        """The label of a raw vector, or of each row of a 2-D block."""
         return predict_tree(self.tree, self._features(raw))
 
     def leaf(self, raw: np.ndarray) -> int:

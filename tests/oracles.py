@@ -3,8 +3,9 @@
 The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
-CART, the per-individual GA fitness, the np.add.at autodiff engine) that
-the library must still match bit for bit.
+CART, the per-individual GA fitness, the np.add.at autodiff engine, the
+GATv2 relation that scores every edge) that the library must still match
+bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  The
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mpisentinel import autodiff
-from mpisentinel.autodiff import Tensor
+from mpisentinel.autodiff import ShapeMismatch, Tensor
+from mpisentinel.gnn import RelationParams, _t
 from mpisentinel.graph import EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph
 from mpisentinel.ircore import (
     BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, Operand,
@@ -282,6 +284,49 @@ def use_reference_autodiff(monkeypatch):
     monkeypatch.setattr(autodiff, "segment_sum", segment_sum_add_at)
     monkeypatch.setattr(autodiff.Tensor, "accumulate", accumulate_zeros_then_add)
     monkeypatch.setattr(autodiff.Tensor, "backward", backward_keeping_grads)
+
+
+# ---------------------------------------------------------------------------
+# The GATv2 relation as it was before one-incoming-edge relations skipped
+# their scoring: every edge is scored and softmaxed.  The bit-exact
+# reference for gnn.gatv2_relation; tests monkeypatch it into mpisentinel.gnn.
+
+ad = autodiff
+
+
+def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
+                        slope: float = 0.2) -> Tensor:
+    """Attention messages for one relation.
+
+    Per edge (i, j): score = a . leaky_relu(W_att [h_i || h_j]); attention is
+    the softmax of scores over each destination's incoming edges; the output
+    row for j sums attention-weighted value transforms of the sources.
+    Destinations without incoming edges output zeros.  `edges` is an (E, 2)
+    int64 array of (source row, destination row) or a list of such pairs.
+    """
+    n_dst = h_dst.data.shape[0]
+    out_dim = params.w_val.data.shape[0]
+    if params.w_att.data.shape[1] != h_src.data.shape[1] + h_dst.data.shape[1]:
+        raise ShapeMismatch(
+            f"w_att expects width {params.w_att.data.shape[1]}, got "
+            f"{h_src.data.shape[1]} + {h_dst.data.shape[1]}")
+    if len(edges) == 0:
+        return ad.zeros((n_dst, out_dim))
+    src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    hs = ad.gather_rows(h_src, src_idx)
+    hd = ad.gather_rows(h_dst, dst_idx)
+    pair = ad.concat([hs, hd], axis=1)
+    scores = ad.matmul(ad.leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
+                       params.a)                         # (E, 1)
+    # softmax per destination; the shift is a constant so gradients are exact
+    shift = np.full(n_dst, -np.inf)
+    np.maximum.at(shift, dst_idx, scores.data.ravel())
+    shifted = ad.add(scores, Tensor(-shift[dst_idx][:, None]))
+    expd = ad.exp(shifted)
+    denom = ad.segment_sum(expd, dst_idx, n_dst)          # (n_dst, 1)
+    alpha = ad.div(expd, ad.gather_rows(denom, dst_idx))  # (E, 1)
+    values = ad.matmul(hs, _t(params.w_val))              # (E, out)
+    return ad.segment_sum(ad.mul(values, alpha), dst_idx, n_dst)
 
 
 # ---------------------------------------------------------------------------

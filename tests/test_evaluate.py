@@ -275,6 +275,24 @@ class TestRunScenario:
         assert report["aggregate"]["metrics"]["accuracy"] == 1.0
 
 
+    @pytest.mark.parametrize("normalization,ga", [("vector", False), ("index", True)])
+    def test_each_fold_labels_its_validation_rows_in_one_walk(
+            self, fixture_manifest, monkeypatch, normalization, ga):
+        predict_tree = tabular.predict_tree
+        blocks = []
+
+        def one_walk_per_fold(tree, rows):
+            labels = predict_tree(tree, rows)
+            assert labels == [predict_tree(tree, row) for row in rows]
+            blocks.append(len(rows))
+            return labels
+
+        monkeypatch.setattr(tabular, "predict_tree", one_walk_per_fold)
+        report = ev.run_scenario(fixture_manifest, ev.Scenario(
+            kind="intra", suite="MBI", options=desk_options(
+                folds=5, normalization=normalization, ga_enabled=ga)))
+        assert blocks == [len(f["validation_ids"]) for f in report["folds"]]
+
 class TestNoLeakage:
     def test_fold_artifacts_recomputable_from_training_fold_only(
             self, fixture_manifest):

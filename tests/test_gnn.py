@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import FIXTURES, tape_nodes
@@ -131,6 +134,53 @@ class TestGatv2Relation:
         with pytest.raises(gnn.ShapeMismatch):
             gnn.gatv2_relation(ad.Tensor(np.zeros((2, 3))),
                                ad.Tensor(np.zeros((2, 3))), [(0, 0)], params)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_edge_per_destination_matches_full_attention(self, data):
+        """With at most one incoming edge per destination the unscored path
+        gives the full path's output and gradients bit for bit, and w_att
+        and a get no gradient."""
+        d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        n_src, n_dst = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        shared = data.draw(st.booleans())  # a self relation: one feature tensor
+        if shared:
+            n_dst = n_src
+        values = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-10, 10, allow_nan=False))
+
+        def matrix(shape):
+            return data.draw(arrays(np.float64, shape, elements=values))
+
+        sources = data.draw(st.lists(st.one_of(st.none(), st.integers(0, n_src - 1)),
+                                     min_size=n_dst, max_size=n_dst))
+        edges = data.draw(st.permutations(
+            [(i, j) for j, i in enumerate(sources) if i is not None]))
+        h_src, h_dst = matrix((n_src, d_in)), matrix((n_dst, d_in))
+        w_att, a = matrix((d_out, 2 * d_in)), matrix((d_out, 1))
+        w_val, weights = matrix((d_out, d_in)), matrix((n_dst, d_out))
+
+        def run(relation):
+            src = ad.Tensor(h_src.copy(), requires_grad=True)
+            dst = src if shared else ad.Tensor(h_dst.copy(), requires_grad=True)
+            params = relation_params(w_att, a, w_val)
+            leaves = [src, dst, *params.tensors()]
+            for t in leaves:
+                t.zero_grad()
+            out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params)
+            weighted = ad.matmul(ad.mul(out, ad.Tensor(weights)),
+                                 ad.Tensor(np.ones((d_out, 1))))
+            ad.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
+            return out.data, [t.grad for t in leaves]
+
+        out, (g_src, g_dst, g_att, g_a, g_val) = run(gnn.gatv2_relation)
+        ref, (r_src, r_dst, r_att, r_a, r_val) = run(oracles.gatv2_relation_full)
+        assert out.tobytes() == ref.tobytes()
+        for g, r in ((g_src, r_src), (g_dst, r_dst), (g_val, r_val)):
+            assert g.tobytes() == r.tobytes()
+        assert not g_att.any() and not g_a.any()
+        assert not r_att.any() and not r_a.any()
 
 
 class TestHeteroLayer:
@@ -376,6 +426,40 @@ class TestTrainingEngine:
             assert t.data.tobytes() == r.data.tobytes(), name
         for g, _ in fixture_samples:
             assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_full_attention_run(self, seed, fixture_samples, monkeypatch):
+        model, log = train_fixture_model(fixture_samples, seed)
+        monkeypatch.setattr(gnn, "gatv2_relation", oracles.gatv2_relation_full)
+        ref, ref_log = train_fixture_model(fixture_samples, seed)
+        assert log == ref_log
+        for (name, t), (_, r) in zip(model.parameter_items(),
+                                     ref.parameter_items()):
+            assert t.data.tobytes() == r.data.tobytes(), name
+        for g, _ in fixture_samples:
+            assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
+
+    def test_only_relations_with_two_incoming_edges_are_scored(
+            self, fixture_samples, monkeypatch):
+        graphs = [g for g, _ in fixture_samples]
+        model = gnn.init_model(tiny_config(), gnn.build_vocab(graphs), ["bad", "ok"])
+        rel_edges = gnn._build_batch(graphs, model.vocab).rel_edges
+        scored = [rel for rel, e in rel_edges.items()
+                  if len(e) and np.bincount(e[:, 1]).max() >= 2]
+        unscored = [rel for rel, e in rel_edges.items()
+                    if len(e) and rel not in scored]
+        assert scored and {(t, "self", t) for t in gnn.NODE_TYPES} <= set(unscored)
+        leaky_relu = ad.leaky_relu
+        calls = []
+
+        def counted(a, slope=0.2):
+            calls.append(a.data.shape[0])  # one row per scored edge
+            return leaky_relu(a, slope)
+
+        monkeypatch.setattr(ad, "leaky_relu", counted)
+        gnn.logits_batch(model, graphs)
+        per_layer = [len(rel_edges[rel]) for rel in scored]
+        assert calls == per_layer * len(model.layers)
 
     def test_backward_keeps_only_leaf_grads(self, fixture_samples, monkeypatch):
         graphs = [g for g, _ in fixture_samples]

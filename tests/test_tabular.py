@@ -359,3 +359,19 @@ class TestModelFile:
         assert [tb.predict_tree(loaded, row) for row in x] == labels
         for name in ("feature", "threshold", "left", "right", "counts"):
             assert np.array_equal(getattr(loaded, name), getattr(tree, name)), name
+
+    def test_deep_chain_tree_labels_every_row_in_one_walk(self, monkeypatch):
+        x = np.arange(1500.0)[:, None]
+        labels = ["A", "B"] * 750
+        tree = tb.train_tree(make_data(x, labels))
+        walks = []
+        leaves = tb.DecisionTree.leaves
+
+        def counted(self, xt, roots, cols):
+            walks.append(len(roots))
+            return leaves(self, xt, roots, cols)
+
+        monkeypatch.setattr(tb.DecisionTree, "leaves", counted)
+        assert tb.predict_tree(tree, x) == labels
+        assert walks == [1500]
+        assert tb.predict_tree(tree, x[:0]) == []

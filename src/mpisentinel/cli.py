@@ -47,8 +47,12 @@ def _setting(flag_value, env_name, file_cfg, file_key, default):
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top-level JSON value must be an object, "
+                         f"not {type(doc).__name__}")
+    return doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,9 +247,12 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
             gnn_mod.CheckpointParamsMismatch) as exc:
         return _error("ModelIncompatible", f"{type(exc).__name__}: {exc}", 2)
     try:
-        module = ircore.parse_ir(Path(args.ir).read_text(), Path(args.ir).name)
+        module = ircore.parse_ir(Path(args.ir).read_text(encoding="utf-8"),
+                                 Path(args.ir).name)
     except OSError as exc:
         return _error("IrLoadError", str(exc), 2)
+    except UnicodeDecodeError as exc:
+        return _error("IrLoadError", f"{args.ir} is not UTF-8 text: {exc}", 2)
     except ircore.MalformedIr as exc:
         return _error("MalformedIr", str(exc), 2)
     if kind == "ir2vec-dt":
@@ -275,7 +282,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         file_cfg = _load_config_file(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or shape
         return _error("ConfigError", str(exc), 2)
     jobs_raw = _setting(args.jobs, ENV_JOBS, file_cfg, "jobs", os.cpu_count() or 1)
     try:

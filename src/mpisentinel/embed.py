@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ircore import IrFunction, IrModule, OperandKind, token_triple
+from .ircore import IrFunction, IrModule, OperandKind, canonical_type
 
 DEFAULT_DIM = 256
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.2)  # opcode, type, operand-kind
@@ -83,11 +83,14 @@ class EmbeddingVector:
             raise ValueError("embedding contains non-finite values")
 
 
-def _function_parts(fn: IrFunction, vocab: SeedVocab, weights):
+def _function_parts(fn: IrFunction, vocab: SeedVocab, weights, memo: dict):
     """One walk over a function's instructions.  Returns the symbolic rows,
     the flow-aware base rows (the symbolic row without the operands that a
     local definition resolves) and the (user index, def index) links, which
-    come out in user order and, within one user, in operand order."""
+    come out in user order and, within one user, in operand order.  A row
+    depends only on its key, (opcode, type string, non-label operand kinds)
+    for a symbolic row and the same with only the unresolved kinds for a
+    base row; `memo` holds the rows of one embed call by key."""
     w_op, w_ty, w_arg = weights
     defs: dict[str, int] = {}
     instrs = []
@@ -97,25 +100,33 @@ def _function_parts(fn: IrFunction, vocab: SeedVocab, weights):
             instrs.append(instr)
             if instr.result_id is not None:
                 defs[instr.result_id] = idx
-    rows = np.zeros((len(instrs), vocab.dim))
-    base = np.zeros((len(instrs), vocab.dim))
+    rows = []
+    base = []
     links: list[tuple[int, int]] = []
     for idx, instr in enumerate(instrs):
-        triple = token_triple(instr)
-        sym = flow = w_op * vocab.vector(triple.opcode_token) \
-            + w_ty * vocab.vector(triple.type_token)
+        kinds = []
+        free = []
         for op in instr.operands:
             if op.kind is OperandKind.LABEL:
                 continue
-            arg = w_arg * vocab.vector(op.kind.value)
-            sym = sym + arg
+            kinds.append(op.kind)
             if op.kind is OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                flow = flow + arg
-        rows[idx] = sym
-        base[idx] = flow
-    return rows, base, links
+                free.append(op.kind)
+        for out, key in ((rows, (instr.opcode, instr.type_str, tuple(kinds))),
+                         (base, (instr.opcode, instr.type_str, tuple(free)))):
+            row = memo.get(key)
+            if row is None:
+                opcode, type_str, arg_kinds = key
+                row = w_op * vocab.vector(opcode) \
+                    + w_ty * vocab.vector(canonical_type(type_str))
+                for kind in arg_kinds:
+                    row = row + w_arg * vocab.vector(kind.value)
+                memo[key] = row
+            out.append(row)
+    shape = (len(instrs), vocab.dim)
+    return np.array(rows).reshape(shape), np.array(base).reshape(shape), links
 
 
 def _flow_sum(base: np.ndarray, links: list[tuple[int, int]],
@@ -157,8 +168,9 @@ def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS) -> Embedd
     finite solution."""
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
+    memo: dict = {}
     for fn in module.defined_functions():
-        rows, base, links = _function_parts(fn, vocab, weights)
+        rows, base, links = _function_parts(fn, vocab, weights, memo)
         sym += _seq_sum(rows, vocab.dim)
         try:
             flow += _flow_sum(base, links, weights[2])

@@ -284,7 +284,7 @@ def _make_backend(options: ScenarioOptions, samples: list[CorpusSample]):
     for s in samples:
         try:
             backend.inputs[s.id] = backend.prepare(
-                ircore.parse_ir(Path(s.ir_path).read_text(), s.id))
+                ircore.parse_ir(Path(s.ir_path).read_text(encoding="utf-8"), s.id))
         except Exception as exc:  # propagated per sample as RE
             backend.failed[s.id] = str(exc)
     return backend

@@ -4,15 +4,17 @@ The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
 CART, the per-individual GA fitness, the np.add.at autodiff engine, the
-GATv2 relation that scores every edge) that the library must still match
-bit for bit.
+GATv2 relation that scores every edge, the embedding's per-instruction
+walk) that the library must still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
-test; the reference trees are nested tuples, as cart_train's are.  The
-IR helpers at the end (def-use map, structural equality, printer) serve
-the parser's tests; the per-character IR scanners and the two-pass graph
-builder before them are the references for the parser's scanners and for
-``build_graph``.
+test; the reference trees are nested tuples, as cart_train's are.  Two
+references are narrower: the embedding walk's reuses embed's row sums and
+flow solve, and the memo-free parse_ir reuses the library's function-body
+and module-line handling, isolating the memos.  The IR helpers at the end
+(def-use map, structural equality, printer) serve the parser's tests; the
+per-character IR scanners and the two-pass graph builder before them are
+the references for the parser's scanners and for ``build_graph``.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpisentinel import autodiff
+from mpisentinel import autodiff, embed, ircore
 from mpisentinel.autodiff import ShapeMismatch, Tensor
 from mpisentinel.gnn import RelationParams, _t
 from mpisentinel.graph import EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph
 from mpisentinel.ircore import (
-    BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, Operand,
-    OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
+    BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, MalformedIr,
+    Operand, OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
 )
 from mpisentinel.tabular import EmptyDataset, FeatureSubset, LabeledVectors
 
@@ -213,6 +215,53 @@ def symbolic_function_sum(fn, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
                 vec = vec + w_arg * vocab.vector(kind)
             total += vec
     return total
+
+
+# ---------------------------------------------------------------------------
+# The embedding's per-function walk as it was before rows were memoized by
+# key: one token_triple and one set of vocabulary adds per instruction.  The
+# bit-exact reference for embed._function_parts and, through it, embed.
+
+def reference_function_parts(fn: IrFunction, vocab, weights):
+    w_op, w_ty, w_arg = weights
+    defs: dict[str, int] = {}
+    instrs = []
+    for block in fn.blocks:
+        for instr in block.instructions:
+            idx = len(instrs)
+            instrs.append(instr)
+            if instr.result_id is not None:
+                defs[instr.result_id] = idx
+    rows = np.zeros((len(instrs), vocab.dim))
+    base = np.zeros((len(instrs), vocab.dim))
+    links: list[tuple[int, int]] = []
+    for idx, instr in enumerate(instrs):
+        triple = token_triple(instr)
+        sym = flow = w_op * vocab.vector(triple.opcode_token) \
+            + w_ty * vocab.vector(triple.type_token)
+        for op in instr.operands:
+            if op.kind is OperandKind.LABEL:
+                continue
+            arg = w_arg * vocab.vector(op.kind.value)
+            sym = sym + arg
+            if op.kind is OperandKind.LOCAL and op.token in defs:
+                links.append((idx, defs[op.token]))
+            else:
+                flow = flow + arg
+        rows[idx] = sym
+        base[idx] = flow
+    return rows, base, links
+
+
+def reference_embed(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
+    """embed's vector with every function's rows from reference_function_parts."""
+    sym = np.zeros(vocab.dim)
+    flow = np.zeros(vocab.dim)
+    for fn in module.defined_functions():
+        rows, base, links = reference_function_parts(fn, vocab, weights)
+        sym += embed._seq_sum(rows, vocab.dim)
+        flow += embed._flow_sum(base, links, weights[2])
+    return np.concatenate([sym, flow])
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +656,55 @@ def reference_partition(tokens: list[str], sep: str) -> tuple[list[str], str, li
     return tokens, "", []
 
 
+def _reference_logical_lines(raw_lines: list[str]):
+    i = 0
+    n = len(raw_lines)
+    while i < n:
+        line = reference_strip_comment(raw_lines[i]).strip()
+        lineno = i + 1
+        i += 1
+        if not line:
+            continue
+        probe = line[:-1] if line.endswith("{") else line
+        depth = reference_bracket_depth(probe)
+        while i < n and (depth > 0 or raw_lines[i].split()[:1] in (
+                ["to"], ["cleanup"], ["cleanup,"], ["catch"], ["filter"])):
+            nxt = reference_strip_comment(raw_lines[i]).strip()
+            i += 1
+            line = line + " " + nxt
+            depth += reference_bracket_depth(nxt)
+        yield lineno, line
+
+
+def reference_parse_ir(text: str, name: str = "") -> IrModule:
+    """parse_ir without memos: every instruction line is parsed afresh by
+    parse_instruction, and logical lines are joined with the per-character
+    scanners above.  The reference for parse_ir's memoized parse (same
+    module, same MalformedIr line and message)."""
+    module = IrModule(name=name, functions=[])
+    seen: set[str] = set()
+    fn_parser = None
+    for lineno, line in _reference_logical_lines(text.splitlines()):
+        if fn_parser is not None:
+            if line == "}":
+                fn_parser.finish()
+                fn_parser = None
+            elif line.startswith("define ") or line.startswith("declare "):
+                raise MalformedIr(lineno, "function inside function body (unbalanced braces?)")
+            else:
+                fn_parser.feed(line, lineno)
+            continue
+        try:
+            fn_parser = ircore._module_line(module, seen, ircore.parse_instruction,
+                                            line, lineno)
+        except (ValueError, IndexError, TypeError) as exc:
+            raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
+    if fn_parser is not None:
+        raise MalformedIr(len(text.splitlines()),
+                          "unbalanced braces: unterminated function body")
+    return module
+
+
 # ---------------------------------------------------------------------------
 # The program graph as built before one pass per function: every function's
 # nodes first, then every function's edges, through dicts keyed by function
@@ -835,6 +933,7 @@ def _render_instruction(instr: IrInstruction) -> str:  # noqa: C901
     if op == "fence":
         return "fence seq_cst"
     vals = ", ".join(_render_value(o) for o in ops)
-    ty = instr.type_str if instr.type_str != "void" else ""
+    # an untyped `resume %x` would read its operand as a named type
+    ty = instr.type_str if instr.type_str != "void" or vals else ""
     sep = " " if ty and vals else ""
     return f"{prefix}{op} {ty}{sep}{vals}".rstrip()

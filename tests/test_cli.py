@@ -461,6 +461,18 @@ class TestPredict:
                                   "--ir", str(broken), capsys=capsys)
         assert code == 2
 
+    def test_ir_not_utf8_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "dt.json"
+        train_dt_model_file(model_path)
+        binary = tmp_path / "binary.ll"
+        binary.write_bytes(b"\xff\xfe bad")
+        code, _, stderr = run_cli("predict", "--model", str(model_path),
+                                  "--ir", str(binary), capsys=capsys)
+        assert code == 2
+        error = json.loads(stderr.splitlines()[-1])
+        assert error["error"] == "IrLoadError"
+        assert "not UTF-8" in error["message"]
+
     @pytest.mark.parametrize("text", [
         "declare i32 @MPI_Wait(ptr,\n",
         "define void @f() {\nentry:\n  store i32 0, ptr\n  ret void\n}\n",
@@ -610,6 +622,19 @@ class TestConfigPrecedence:
             "--dir", str(FIXTURES / "corpus_mbi"), "--out", str(out),
             capsys=capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("doc", ["5", "[1]", '"jobs"'])
+    def test_config_file_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = tmp_path / "m.json"
+        code, _, stderr = run_cli(
+            "--config", str(cfg), "ingest", "--suite", "mbi",
+            "--dir", str(FIXTURES / "corpus_mbi"), "--compiler-cmd", "none",
+            "--out", str(out), capsys=capsys)
+        assert code == 2
+        assert json.loads(stderr.splitlines()[-1])["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.main(["evaluate", "--scenario", "bogus"]) == 2

@@ -190,6 +190,45 @@ class TestEmbed:
             assert np.max(np.abs(first - want)) < 1e-9, path
 
 
+class TestRowMemo:
+    """Rows are memoized by key within one embed call; the parts and the
+    vector stay byte-identical to the per-instruction walk."""
+
+    @pytest.mark.parametrize("weights", [em.DEFAULT_WEIGHTS, (0.3, 0.7, 0.05)])
+    def test_function_parts_match_reference_on_fixtures(self, vocab, all_fixture_modules,
+                                                        weights):
+        for path, module in all_fixture_modules:
+            memo: dict = {}  # one per module, as in embed
+            for fn in module.defined_functions():
+                rows, base, links = em._function_parts(fn, vocab, weights, memo)
+                want = oracles.reference_function_parts(fn, vocab, weights)
+                assert rows.shape == want[0].shape, (path, fn.name)
+                assert rows.tobytes() == want[0].tobytes(), (path, fn.name)
+                assert base.tobytes() == want[1].tobytes(), (path, fn.name)
+                assert np.array(links).tobytes() == np.array(want[2]).tobytes()
+
+    def test_repeated_instructions_share_one_row_per_key(self, vocab):
+        module = parse_ir("""
+define i32 @f(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %b = add i32 %a, 1
+  %c = add i32 %x, 1
+  ret i32 %c
+}
+""")
+        fn = module.functions[0]
+        memo: dict = {}
+        rows, base, links = em._function_parts(fn, vocab, em.DEFAULT_WEIGHTS, memo)
+        # %a, %b and %c have one symbolic key; %b's base row drops its local
+        assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+        assert base[1].tobytes() != base[0].tobytes()
+        assert links == [(1, 0), (3, 2)]
+        assert len(memo) == 4  # add: both kinds, constant only; ret: local, none
+        want = oracles.reference_function_parts(fn, vocab, em.DEFAULT_WEIGHTS)
+        assert base.tobytes() == want[1].tobytes()
+
+
 class TestNormalize:
     def test_vector_divides_by_max(self):
         out = em.normalize(np.array([[2.0, 4.0, 8.0]]), "vector")

@@ -439,8 +439,8 @@ class TestCsvFlattening:
 
 
 def broken_mbi_manifest(tmp_path, failure: str, stem: str) -> cm.Manifest:
-    """The fixture MBI corpus with one sample's IR malformed, or deleted
-    after ingest."""
+    """The fixture MBI corpus with one sample's IR malformed, diverging,
+    not UTF-8, or deleted after ingest."""
     import shutil
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(FIXTURES_DIR / "corpus_mbi", corpus_dir)
@@ -448,6 +448,8 @@ def broken_mbi_manifest(tmp_path, failure: str, stem: str) -> cm.Manifest:
         (corpus_dir / f"{stem}.ll").write_text("define void @f() {\n ret void\n")
     elif failure == "diverging":
         (corpus_dir / f"{stem}.ll").write_text(phi_call_loop(30))
+    elif failure == "not-utf8":
+        (corpus_dir / f"{stem}.ll").write_bytes(b"\xff\xfe bad")
     samples = cm.ingest_mbi(corpus_dir)
     cm.attach_ir(samples, "none")
     if failure == "deleted":
@@ -480,6 +482,7 @@ class TestRuntimeErrorPropagation:
     @pytest.mark.parametrize("failure,reason", [
         ("malformed", r"^line \d+: "),
         ("diverging", r"flow-aware embedding of @f diverges"),
+        ("not-utf8", r"'utf-8' codec can't decode byte 0xff"),
         ("none", None)])
     def test_runtime_error_reasons_name_the_cause(self, tmp_path, failure, reason):
         manifest = broken_mbi_manifest(tmp_path, failure, "correct_0")

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -239,6 +240,100 @@ class TestScannersMatchReference:
             oracles.reference_consume_group, tokens, i, opener, closer)
 
 
+class TestLineMemo:
+    """parse_ir parses a repeated instruction line once per call; the result
+    equals the memo-free reference in tests/oracles.py."""
+
+    TWO_FUNCTIONS = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
+                     "  ret i32 %a\n}\n"
+                     "define i32 @g(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
+                     "  ret i32 %a\n}\n")
+
+    def test_repeated_line_gives_distinct_instructions(self):
+        module = parse_ir(self.TWO_FUNCTIONS)
+        first, second = (fn.blocks[0].instructions[0] for fn in module.functions)
+        assert first is not second and first == second
+        assert first.operands is second.operands  # immutable, so shared
+        first.type_str, first.result_id = "i64", "%z"
+        first.operands = ()
+        assert (second.type_str, second.result_id) == ("i32", "%a")
+        assert [op.token for op in second.operands] == ["%x", "1"]
+        again = parse_ir(self.TWO_FUNCTIONS)  # no memo outlives its call
+        assert again.functions[0].blocks[0].instructions[0] == second
+
+    def test_repeated_line_after_terminator_raises_at_its_line(self):
+        text = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
+                "  ret i32 %a\n  %a = add i32 %x, 1\n}\n")
+        with pytest.raises(MalformedIr) as info:
+            parse_ir(text)
+        assert (info.value.line, info.value.message) == (
+            5, "instruction after block terminator")
+
+    def test_line_that_raises_is_never_stored(self):
+        parse_line = ircore._InstructionParser()
+        for lineno in (3, 8):
+            with pytest.raises(MalformedIr) as info:
+                parse_line("store i32 0, ptr", lineno)
+            assert info.value.line == lineno
+        assert parse_line.lines == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shuffled_repeated_lines_parse_like_reference(self, data):
+        text = data.draw(_shuffled_module(_fixture_lines()))
+        got = _outcome(parse_ir, text, "m")
+        want = _outcome(oracles.reference_parse_ir, text, "m")
+        if got[0] == want[0] == "returned":
+            assert render(got[1]) == render(want[1])
+            assert got[1] == want[1]
+        else:
+            assert got == want
+
+
+@functools.cache
+def _fixture_lines() -> tuple[list[str], list[list[str]]]:
+    """(the fixtures' indented instruction lines that neither end a block nor
+    name one, every fixture's lines)."""
+    bodies, texts = set(), []
+    for path in corpus_ll_files():
+        lines = path.read_text().split("\n")
+        texts.append(lines)
+        for line in lines:
+            if not line.startswith("  ") or line.rstrip().endswith(":"):
+                continue
+            try:
+                instr = parse_instruction(line)
+            except MalformedIr:
+                continue
+            if not instr.is_terminator() and all(
+                    op.kind is not OperandKind.LABEL for op in instr.operands):
+                bodies.add(line)
+    return sorted(bodies), texts
+
+
+@st.composite
+def _shuffled_module(draw, pools):
+    """Either functions whose bodies are drawn with repeats from the fixtures'
+    instruction lines, or one fixture with some of its lines repeated at
+    random places and a few lines swapped."""
+    bodies, texts = pools
+    if draw(st.booleans()):
+        parts = []
+        for k in range(draw(st.integers(1, 3))):
+            lines = draw(st.lists(st.sampled_from(bodies), max_size=12))
+            parts += [f"define void @f{k}() {{", "entry:"]
+            parts += ["  " + line for line in lines] + ["  ret void", "}"]
+        return "\n".join(parts)
+    lines = list(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from(lines))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
 class TestSubsetBreadth:
     def test_generic_opcode_never_rejected(self):
         module = parse_ir("define void @f() {\nentry:\n  %x = frobnicate i32 %y, 7\n  ret void\n}")
@@ -347,6 +442,49 @@ define i32 @f(i32 %x) {
         module = parse_ir(text)
         labels = [b.label for b in module.functions[0].blocks]
         assert labels == ["entry", "2", "3"]
+
+
+    def test_clause_lines_join_their_instruction(self):
+        module = parse_ir("""
+define i32 @main() personality ptr @__gxx_personality_v0 {
+entry:
+  invoke void @work()
+          to label %cont unwind label %lpad, !dbg !7
+cont:
+  ret i32 0
+lpad:
+  %lp = landingpad { ptr, i32 }
+          cleanup
+          catch ptr @_ZTIi
+  %r = cleanuppad within none []
+  cleanupret from %r unwind to caller
+}
+""")
+        entry, _, lpad = module.functions[0].blocks
+        (invoke,) = entry.instructions
+        assert [op.token for op in invoke.operands] == ["@work", "cont", "lpad"]
+        landingpad, pad, ret = lpad.instructions
+        assert (landingpad.opcode, landingpad.operands) == (
+            "landingpad", (ircore.Operand(OperandKind.GLOBAL, "@_ZTIi"),))
+        assert (pad.opcode, ret.opcode) == ("cleanuppad", "cleanupret")
+
+    def test_clang_style_fixture(self, fixtures_dir):
+        from mpisentinel.embed import SeedVocab, embed
+        from mpisentinel.graph import build_graph, validate_graph
+        text = (fixtures_dir / "clang_style.ll").read_text()
+        module = parse_ir(text, "clang_style")
+        assert module == oracles.reference_parse_ir(text, "clang_style")
+        assert [f.name for f in module.defined_functions()] == [
+            "main", "_Z4swapRiS_", "legacy_sum"]
+        main, swap, legacy = module.defined_functions()
+        assert [b.label for b in main.blocks] == [
+            "entry", "invoke.cont", "lpad", "return", "eh.resume"]
+        assert main.blocks[2].instructions[0].opcode == "landingpad"
+        assert main.blocks[-1].instructions[-1].opcode == "resume"
+        assert legacy.params == [("%p", "i32 *"), ("%n", "i32")]
+        assert swap.params == [("%a", "ptr"), ("%b", "ptr")]
+        assert validate_graph(build_graph(module)) == []
+        assert embed(module, SeedVocab(0)).values.any()
 
 
 class TestCanonicalTypes:

@@ -656,6 +656,10 @@ def reference_partition(tokens: list[str], sep: str) -> tuple[list[str], str, li
     return tokens, "", []
 
 
+# clause lines that continue an invoke, callbr or landingpad
+_REF_CLAUSE_RE = re.compile(r"\s*(?:to\s+label|cleanup|catch|filter)\b")
+
+
 def _reference_logical_lines(raw_lines: list[str]):
     i = 0
     n = len(raw_lines)
@@ -667,8 +671,7 @@ def _reference_logical_lines(raw_lines: list[str]):
             continue
         probe = line[:-1] if line.endswith("{") else line
         depth = reference_bracket_depth(probe)
-        while i < n and (depth > 0 or raw_lines[i].split()[:1] in (
-                ["to"], ["cleanup"], ["cleanup,"], ["catch"], ["filter"])):
+        while i < n and (depth > 0 or _REF_CLAUSE_RE.match(raw_lines[i])):
             nxt = reference_strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt

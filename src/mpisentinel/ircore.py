@@ -6,14 +6,13 @@ result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
 while lexing.  One parse_ir call parses each distinct instruction line once;
-its memos die with the call.
+its memo dies with the call.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -156,8 +155,11 @@ _NUMBER_RE = re.compile(r"^[-+]?(?:0x[0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?
 
 _LABEL_LINE_RE = re.compile(r'^(?:"([^"]+)"|([-A-Za-z$._0-9]+)):')
 
-# `to label ...` under an invoke or callbr, a landingpad's clauses
-_CLAUSE_RE = re.compile(r"\s*(?:to\s+label|cleanup|catch|filter)\b")
+# An invoke, callbr or landingpad, and the clause lines LLVM prints under it:
+# `to label ...`, `cleanup`, `catch ...`, `filter ...`, but not a block label
+# such as `cleanup:` or `catch.dispatch:`.
+_CLAUSE_HEAD_RE = re.compile(r'(?:%(?:"[^"]*"|[-\w$.]+)\s*=\s*)?(?:invoke|callbr|landingpad)\b')
+_CLAUSE_RE = re.compile(r"\s*(?:to\s+label|cleanup|catch|filter)\b(?![-\w$.]*:)")
 
 _STRING_RE = re.compile(r'"[^"]*"?')  # a string may run to the end of the line
 _CODE_RE = re.compile(r'[^";]*(?:"[^"]*"?[^";]*)*')  # text before a `;` comment
@@ -318,331 +320,39 @@ def _value_operand(tok: str) -> Operand:
     return Operand(OperandKind.CONSTANT, tok)
 
 
-def _skip_flags(tokens: list[str]) -> list[str]:
-    i = 0
-    while i < len(tokens) and tokens[i] in ARITH_FLAGS:
-        i += 1
-    return tokens[i:]
-
-
-class _InstructionParser:
-    """Parses instruction lines; calling it parses one.  One instance serves
-    one parse_ir call, and its memos die with it: a line seen before is not
-    parsed again, and a value operand's token maps to one Operand."""
-
-    def __init__(self):
-        self.lines: dict[str, IrInstruction] = {}
-        self.values: dict[str, Operand] = {}
-
-    def __call__(self, line: str, lineno: int) -> IrInstruction:
-        """Each occurrence of a line gets an IrInstruction of its own, which
-        shares only the immutable operand tuple; a line that raises is never
-        stored, so every occurrence raises at its own line."""
-        first = self.lines.get(line)
-        if first is None:
-            first = self.lines[line] = self.parse(line, lineno)
-        return IrInstruction(first.opcode, first.type_str, first.operands,
-                             first.result_id, first.call_target)
-
-    def _value(self, tok: str) -> Operand:
-        op = self.values.get(tok)
-        if op is None:
-            op = self.values[tok] = _value_operand(tok)
-        return op
-
-    def parse(self, line: str, lineno: int) -> IrInstruction:
-        tokens = _tokenize(line)
-        if not tokens:
-            raise MalformedIr(lineno, "empty instruction")
-        result_id = None
-        if tokens[0].startswith("%") and len(tokens) > 1 and tokens[1] == "=":
-            result_id = tokens[0]
-            tokens = tokens[2:]
-        i = 0
-        while i < len(tokens) and tokens[i] in CALL_PREFIX_WORDS:
-            i += 1
-        if i >= len(tokens):
-            raise MalformedIr(lineno, "missing opcode")
-        opcode = tokens[i]
-        rest = tokens[i + 1:]
-        try:
-            instr = self._parse_opcode(opcode, rest, result_id)
-        except (ValueError, IndexError, TypeError) as exc:
-            raise MalformedIr(lineno, f"cannot parse {opcode!r} instruction: {exc}") from exc
-        if None in instr.operands:
-            raise MalformedIr(lineno, f"{opcode} instruction with a missing operand")
-        if result_id is not None:
-            if instr.type_str == "void":
-                raise MalformedIr(lineno, f"{opcode} assigns a result but has void type")
-            instr.result_id = result_id
-        elif instr.type_str != "void":
-            # value-producing instruction with an ignored result defines nothing
-            instr.type_str = "void"
-        return instr
-
-    def _typed_value(self, fragment: list[str]) -> Operand | None:
-        """Read `<type> <attrs>* <value>` or bare `<value>` from a fragment."""
-        toks = [t for t in fragment if t not in PARAM_ATTR_WORDS]
-        if not toks:
-            return None
-        got = consume_type(toks, 0)
-        rest = toks[got[1]:] if got else toks
-        if not rest:
-            # fragment was only a type (e.g. varargs "..."), or a lone constant
-            # expression; treat single non-type tokens as values
-            if got and got[1] == len(toks) and len(toks) == 1 and toks[0].startswith("%"):
-                return self._value(toks[0])
-            return None
-        val = rest[0]
-        if val == "(":  # constant expression
-            return Operand(OperandKind.CONSTANT, "constexpr")
-        if val in ("getelementptr", "bitcast", "ptrtoint", "inttoptr", "add",
-                   "sub", "mul", "icmp", "select", "trunc"):
-            return Operand(OperandKind.CONSTANT, "constexpr")
-        if val in ("{", "[", "<"):
-            return Operand(OperandKind.CONSTANT, "aggregate")
-        return self._value(val)
-
-    def _parse_opcode(self, opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
-        if opcode == "ret":
-            if rest and rest[0] == "void":
-                return IrInstruction("ret", "void", ())
-            op = self._typed_value(rest)
-            return IrInstruction("ret", "void", (op,) if op else ())
-
-        if opcode == "br":
-            if rest and rest[0] == "label":
-                return IrInstruction("br", "void",
-                                     (Operand(OperandKind.LABEL, rest[1].lstrip("%")),))
-            parts = _split_top_level(rest)
-            cond = self._typed_value(parts[0])
-            labels = tuple(Operand(OperandKind.LABEL, p[1].lstrip("%"))
-                           for p in parts[1:] if p and p[0] == "label")
-            return IrInstruction("br", "void", (cond, *labels))
-
-        if opcode == "switch":
-            head, _, case_toks = _partition(rest, "[")
-            parts = _split_top_level(head)
-            value = self._typed_value(parts[0])
-            default = Operand(OperandKind.LABEL, parts[1][1].lstrip("%"))
-            operands = [value, default]
-            if case_toks and case_toks[-1] == "]":
-                case_toks = case_toks[:-1]
-            # cases are `<ty> <const>, label %bb` pairs
-            for chunk in _split_top_level(case_toks):
-                if not chunk:
-                    continue
-                if chunk[0] == "label":
-                    operands.append(Operand(OperandKind.LABEL, chunk[1].lstrip("%")))
-                else:
-                    operands.append(self._typed_value(chunk))
-            return IrInstruction("switch", "void", tuple(o for o in operands if o))
-
-        if opcode == "unreachable":
-            return IrInstruction("unreachable", "void", ())
-
-        if opcode in ("call", "invoke"):
-            return self._parse_call(opcode, rest, result_id)
-
-        if opcode == "load":
-            toks = [t for t in rest if t not in ("atomic", "volatile")]
-            parts = _split_top_level(toks)
-            got = consume_type(parts[0], 0, allow_named=True)
-            if got is None:
-                raise ValueError("load without a type")
-            type_str, j = got
-            if j < len(parts[0]):  # old-style `load i32* %p`
-                ptr = self._typed_value(parts[0][j:]) or self._value(parts[0][j])
-                if type_str.endswith("*"):
-                    type_str = type_str[:-1].strip()
-                return IrInstruction("load", type_str, (ptr,))
-            ptr = self._typed_value(parts[1])
-            return IrInstruction("load", type_str, (ptr,))
-
-        if opcode == "store":
-            toks = [t for t in rest if t not in ("atomic", "volatile")]
-            parts = _split_top_level(toks)
-            val = self._typed_value(parts[0])
-            ptr = self._typed_value(parts[1])
-            return IrInstruction("store", "void", (val, ptr))
-
-        if opcode == "alloca":
-            parts = _split_top_level([t for t in rest if t != "inalloca"])
-            operands = []
-            for extra in parts[1:]:
-                op = self._typed_value(extra)
-                if op:
-                    operands.append(op)
-            return IrInstruction("alloca", "ptr", tuple(operands))
-
-        if opcode == "getelementptr":
-            toks = [t for t in rest if t not in ("inbounds", "nuw", "nusw", "inrange")]
-            parts = _split_top_level(toks)
-            operands = []
-            for frag in parts[1:]:
-                op = self._typed_value(frag)
-                if op:
-                    operands.append(op)
-            return IrInstruction("getelementptr", "ptr", tuple(operands))
-
-        if opcode in BINARY_OPCODES:
-            toks = _skip_flags(rest)
-            got = consume_type(toks, 0, allow_named=True)
-            if got is None:
-                raise ValueError(f"{opcode} without a type")
-            type_str, j = got
-            parts = _split_top_level(toks[j:])
-            ops = tuple(self._value(p[-1]) if p else None for p in parts)
-            return IrInstruction(opcode, type_str, tuple(o for o in ops if o))
-
-        if opcode == "fneg":
-            toks = _skip_flags(rest)
-            got = consume_type(toks, 0)
-            type_str, j = got
-            return IrInstruction("fneg", type_str, (self._value(toks[j]),))
-
-        if opcode in ("icmp", "fcmp"):
-            toks = _skip_flags(rest)
-            pred, toks = toks[0], toks[1:]  # noqa: F841  (predicate not retained)
-            got = consume_type(toks, 0, allow_named=True)
-            _, j = got
-            parts = _split_top_level(toks[j:])
-            ops = tuple(self._value(p[-1]) for p in parts if p)
-            return IrInstruction(opcode, "i1", ops)
-
-        if opcode in CAST_OPCODES:
-            head, _, tail = _partition(rest, "to")
-            src = self._typed_value(head)
-            got = consume_type(tail, 0, allow_named=True)
-            type_str = got[0] if got else "opaque"
-            return IrInstruction(opcode, type_str, (src,) if src else ())
-
-        if opcode == "freeze":
-            got = consume_type(rest, 0, allow_named=True)
-            type_str, j = got
-            return IrInstruction("freeze", type_str, (self._value(rest[j]),))
-
-        if opcode == "phi":
-            toks = _skip_flags(rest)
-            got = consume_type(toks, 0, allow_named=True)
-            type_str, j = got
-            operands: list[Operand] = []
-            for pair in _split_top_level(toks[j:]):
-                if not pair or pair[0] != "[":
-                    continue
-                inner = pair[1:-1] if pair[-1] == "]" else pair[1:]
-                halves = _split_top_level(inner)
-                operands.append(self._typed_value(halves[0]) or self._value(halves[0][-1]))
-                operands.append(Operand(OperandKind.LABEL, halves[1][-1].lstrip("%")))
-            return IrInstruction("phi", type_str, tuple(operands))
-
-        if opcode == "select":
-            parts = _split_top_level(rest)
-            cond = self._typed_value(parts[0])
-            got = consume_type(parts[1], 0, allow_named=True)
-            type_str = got[0] if got else "opaque"
-            a = self._typed_value(parts[1])
-            b = self._typed_value(parts[2])
-            return IrInstruction("select", type_str, (cond, a, b))
-
-        if opcode == "atomicrmw":
-            toks = [t for t in rest if t != "volatile"]
-            toks = toks[1:]  # drop the rmw operation name
-            parts = _split_top_level(toks)
-            ptr = self._typed_value(parts[0])
-            got = consume_type(parts[1], 0, allow_named=True)
-            type_str = got[0] if got else "opaque"
-            val = self._typed_value(parts[1])
-            return IrInstruction("atomicrmw", type_str, (ptr, val))
-
-        if opcode == "cmpxchg":
-            toks = [t for t in rest if t not in ("volatile", "weak")]
-            parts = _split_top_level(toks)
-            ptr = self._typed_value(parts[0])
-            got = consume_type(parts[1], 0, allow_named=True)
-            inner = got[0] if got else "opaque"
-            cmp = self._typed_value(parts[1])
-            new = self._typed_value(parts[2])
-            return IrInstruction("cmpxchg", "{ %s , i1 }" % inner, (ptr, cmp, new))
-
-        if opcode == "fence":
-            return IrInstruction("fence", "void", ())
-
-        return self._parse_generic(opcode, rest, result_id)
-
-
-    def _parse_call(self, opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
-        toks = [t for t in rest if t not in PARAM_ATTR_WORDS and t not in CALL_PREFIX_WORDS]
-        # locate the callee: last %/@ token directly followed by "(" at top level
-        callee_idx = None
-        for k, t in _top_level(toks):
-            if t == "(" and k > 0 and toks[k - 1][0] in "@%":
-                callee_idx = k - 1
-        if callee_idx is None:
-            raise ValueError("call without a callable")
-        callee = toks[callee_idx]
-        got = consume_type(toks, 0, allow_named=True)
-        if got is not None and got[1] <= callee_idx:
-            ret_type = got[0]
-            if "(" in ret_type:  # full function type: keep only the return part
-                ret_type = ret_type.split("(", 1)[0].strip()
-        else:
-            ret_type = "void"
-        if result_id is None:
-            ret_type = "void"
-        arg_end = _consume_group(toks, callee_idx + 1)
-        arg_toks = toks[callee_idx + 2:arg_end - 1]
-        if callee.startswith("@"):
-            fn_operand = Operand(OperandKind.FUNCTION, callee)
-            target = callee[1:]
-        else:
-            fn_operand = Operand(OperandKind.LOCAL, callee)
-            target = callee
-        operands = [fn_operand]
-        for frag in _split_top_level(arg_toks):
-            op = self._typed_value(frag)
-            if op:
-                operands.append(op)
-        if opcode == "invoke":
-            tail = toks[arg_end:]
-            for k, t in enumerate(tail):
-                if t == "label" and k + 1 < len(tail):
-                    operands.append(Operand(OperandKind.LABEL, tail[k + 1].lstrip("%")))
-        return IrInstruction(opcode, ret_type, tuple(operands),
-                             result_id=None, call_target=target)
-
-
-    def _parse_generic(self, opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
-        """Unknown opcode: harvest a type and any obvious value operands."""
-        got = consume_type(rest, 0, allow_named=True)
-        if got is not None:
-            type_str, j = got
-        else:
-            type_str, j = ("opaque" if result_id is not None else "void"), 0
-        operands = []
-        for t in rest[j:]:
-            if t.startswith("%") or t.startswith("@"):
-                operands.append(self._value(t))
-            elif _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
-                operands.append(self._value(t))
-        if result_id is not None and type_str == "void":
-            type_str = "opaque"
-        return IrInstruction(opcode, type_str, tuple(operands))
-
-
-def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
-    return _InstructionParser().parse(line, lineno)
+def _typed_value(fragment: list[str]) -> Operand | None:
+    """Read `<type> <attrs>* <value>` or bare `<value>` from a fragment."""
+    toks = [t for t in fragment if t not in PARAM_ATTR_WORDS]
+    if not toks:
+        return None
+    got = consume_type(toks, 0)
+    rest = toks[got[1]:] if got else toks
+    if not rest:
+        # fragment was only a type (e.g. varargs "..."), or a lone constant
+        # expression; treat single non-type tokens as values
+        if got and got[1] == len(toks) and len(toks) == 1 and toks[0].startswith("%"):
+            return _value_operand(toks[0])
+        return None
+    val = rest[0]
+    if val == "(":  # constant expression
+        return Operand(OperandKind.CONSTANT, "constexpr")
+    if val in ("getelementptr", "bitcast", "ptrtoint", "inttoptr", "add",
+               "sub", "mul", "icmp", "select", "trunc"):
+        return Operand(OperandKind.CONSTANT, "constexpr")
+    if val in ("{", "[", "<"):
+        return Operand(OperandKind.CONSTANT, "aggregate")
+    return _value_operand(val)
 
 
 class _FunctionParser:
-    """Parses one function body, one logical line at a time; `parse_line`
-    parses its instruction lines."""
+    """Parses one function body, one logical line at a time.  `parsed` maps
+    an instruction line to the IrInstruction of its first occurrence; parse_ir
+    shares one such dict among the functions of a module."""
 
-    def __init__(self, fn: IrFunction, lineno: int,
-                 parse_line: Callable[[str, int], IrInstruction]):
+    def __init__(self, fn: IrFunction, lineno: int, parsed: dict[str, IrInstruction]):
         self.fn = fn
         self.lineno = lineno
-        self.parse_line = parse_line
+        self.parsed = parsed
         self.current: IrBlock | None = None
         self.seen_labels: set[str] = set()
 
@@ -674,7 +384,18 @@ class _FunctionParser:
             self._open_block("entry")
         if self.current.instructions and self.current.instructions[-1].is_terminator():
             raise MalformedIr(lineno, "instruction after block terminator")
-        self.current.instructions.append(self.parse_line(line, lineno))
+        first = self.parsed.get(line)
+        if first is None:
+            # a line that raises is never stored, so each occurrence raises
+            # at its own line; nothing in parse_ir mutates an instruction
+            # once built, so the first occurrence can serve as the template
+            instr = self.parsed[line] = parse_instruction(line, lineno)
+        else:
+            # a repeat gets its own IrInstruction sharing only the immutable
+            # operand tuple
+            instr = IrInstruction(first.opcode, first.type_str, first.operands,
+                                  first.result_id, first.call_target)
+        self.current.instructions.append(instr)
 
     def finish(self):
         self._close_block()
@@ -692,6 +413,271 @@ class _FunctionParser:
                             self.lineno,
                             f"branch target %{op.token} does not name a block "
                             f"in @{self.fn.name}")
+
+
+def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
+    tokens = _tokenize(line)
+    if not tokens:
+        raise MalformedIr(lineno, "empty instruction")
+    result_id = None
+    if tokens[0].startswith("%") and len(tokens) > 1 and tokens[1] == "=":
+        result_id = tokens[0]
+        tokens = tokens[2:]
+    i = 0
+    while i < len(tokens) and tokens[i] in CALL_PREFIX_WORDS:
+        i += 1
+    if i >= len(tokens):
+        raise MalformedIr(lineno, "missing opcode")
+    opcode = tokens[i]
+    rest = tokens[i + 1:]
+    try:
+        instr = _parse_opcode(opcode, rest, result_id)
+    except (ValueError, IndexError, TypeError) as exc:
+        raise MalformedIr(lineno, f"cannot parse {opcode!r} instruction: {exc}") from exc
+    if None in instr.operands:
+        raise MalformedIr(lineno, f"{opcode} instruction with a missing operand")
+    if result_id is not None:
+        if instr.type_str == "void":
+            raise MalformedIr(lineno, f"{opcode} assigns a result but has void type")
+        instr.result_id = result_id
+    elif instr.type_str != "void":
+        # value-producing instruction with an ignored result defines nothing
+        instr.type_str = "void"
+    return instr
+
+
+def _skip_flags(tokens: list[str]) -> list[str]:
+    i = 0
+    while i < len(tokens) and tokens[i] in ARITH_FLAGS:
+        i += 1
+    return tokens[i:]
+
+
+def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
+    if opcode == "ret":
+        if rest and rest[0] == "void":
+            return IrInstruction("ret", "void", ())
+        op = _typed_value(rest)
+        return IrInstruction("ret", "void", (op,) if op else ())
+
+    if opcode == "br":
+        if rest and rest[0] == "label":
+            return IrInstruction("br", "void",
+                                 (Operand(OperandKind.LABEL, rest[1].lstrip("%")),))
+        parts = _split_top_level(rest)
+        cond = _typed_value(parts[0])
+        labels = tuple(Operand(OperandKind.LABEL, p[1].lstrip("%"))
+                       for p in parts[1:] if p and p[0] == "label")
+        return IrInstruction("br", "void", (cond, *labels))
+
+    if opcode == "switch":
+        head, _, case_toks = _partition(rest, "[")
+        parts = _split_top_level(head)
+        value = _typed_value(parts[0])
+        default = Operand(OperandKind.LABEL, parts[1][1].lstrip("%"))
+        operands = [value, default]
+        if case_toks and case_toks[-1] == "]":
+            case_toks = case_toks[:-1]
+        # cases are `<ty> <const>, label %bb` pairs
+        for chunk in _split_top_level(case_toks):
+            if not chunk:
+                continue
+            if chunk[0] == "label":
+                operands.append(Operand(OperandKind.LABEL, chunk[1].lstrip("%")))
+            else:
+                operands.append(_typed_value(chunk))
+        return IrInstruction("switch", "void", tuple(o for o in operands if o))
+
+    if opcode == "unreachable":
+        return IrInstruction("unreachable", "void", ())
+
+    if opcode in ("call", "invoke"):
+        return _parse_call(opcode, rest, result_id)
+
+    if opcode == "load":
+        toks = [t for t in rest if t not in ("atomic", "volatile")]
+        parts = _split_top_level(toks)
+        got = consume_type(parts[0], 0, allow_named=True)
+        if got is None:
+            raise ValueError("load without a type")
+        type_str, j = got
+        if j < len(parts[0]):  # old-style `load i32* %p`
+            ptr = _typed_value(parts[0][j:]) or _value_operand(parts[0][j])
+            if type_str.endswith("*"):
+                type_str = type_str[:-1].strip()
+            return IrInstruction("load", type_str, (ptr,))
+        ptr = _typed_value(parts[1])
+        return IrInstruction("load", type_str, (ptr,))
+
+    if opcode == "store":
+        toks = [t for t in rest if t not in ("atomic", "volatile")]
+        parts = _split_top_level(toks)
+        val = _typed_value(parts[0])
+        ptr = _typed_value(parts[1])
+        return IrInstruction("store", "void", (val, ptr))
+
+    if opcode == "alloca":
+        parts = _split_top_level([t for t in rest if t != "inalloca"])
+        operands = []
+        for extra in parts[1:]:
+            op = _typed_value(extra)
+            if op:
+                operands.append(op)
+        return IrInstruction("alloca", "ptr", tuple(operands))
+
+    if opcode == "getelementptr":
+        toks = [t for t in rest if t not in ("inbounds", "nuw", "nusw", "inrange")]
+        parts = _split_top_level(toks)
+        operands = []
+        for frag in parts[1:]:
+            op = _typed_value(frag)
+            if op:
+                operands.append(op)
+        return IrInstruction("getelementptr", "ptr", tuple(operands))
+
+    if opcode in BINARY_OPCODES:
+        toks = _skip_flags(rest)
+        got = consume_type(toks, 0, allow_named=True)
+        if got is None:
+            raise ValueError(f"{opcode} without a type")
+        type_str, j = got
+        parts = _split_top_level(toks[j:])
+        ops = tuple(_value_operand(p[-1]) if p else None for p in parts)
+        return IrInstruction(opcode, type_str, tuple(o for o in ops if o))
+
+    if opcode == "fneg":
+        toks = _skip_flags(rest)
+        got = consume_type(toks, 0)
+        type_str, j = got
+        return IrInstruction("fneg", type_str, (_value_operand(toks[j]),))
+
+    if opcode in ("icmp", "fcmp"):
+        toks = _skip_flags(rest)
+        pred, toks = toks[0], toks[1:]  # noqa: F841  (predicate not retained)
+        got = consume_type(toks, 0, allow_named=True)
+        _, j = got
+        parts = _split_top_level(toks[j:])
+        ops = tuple(_value_operand(p[-1]) for p in parts if p)
+        return IrInstruction(opcode, "i1", ops)
+
+    if opcode in CAST_OPCODES:
+        head, _, tail = _partition(rest, "to")
+        src = _typed_value(head)
+        got = consume_type(tail, 0, allow_named=True)
+        type_str = got[0] if got else "opaque"
+        return IrInstruction(opcode, type_str, (src,) if src else ())
+
+    if opcode == "freeze":
+        got = consume_type(rest, 0, allow_named=True)
+        type_str, j = got
+        return IrInstruction("freeze", type_str, (_value_operand(rest[j]),))
+
+    if opcode == "phi":
+        toks = _skip_flags(rest)
+        got = consume_type(toks, 0, allow_named=True)
+        type_str, j = got
+        operands: list[Operand] = []
+        for pair in _split_top_level(toks[j:]):
+            if not pair or pair[0] != "[":
+                continue
+            inner = pair[1:-1] if pair[-1] == "]" else pair[1:]
+            halves = _split_top_level(inner)
+            operands.append(_typed_value(halves[0]) or _value_operand(halves[0][-1]))
+            operands.append(Operand(OperandKind.LABEL, halves[1][-1].lstrip("%")))
+        return IrInstruction("phi", type_str, tuple(operands))
+
+    if opcode == "select":
+        parts = _split_top_level(rest)
+        cond = _typed_value(parts[0])
+        got = consume_type(parts[1], 0, allow_named=True)
+        type_str = got[0] if got else "opaque"
+        a = _typed_value(parts[1])
+        b = _typed_value(parts[2])
+        return IrInstruction("select", type_str, (cond, a, b))
+
+    if opcode == "atomicrmw":
+        toks = [t for t in rest if t != "volatile"]
+        toks = toks[1:]  # drop the rmw operation name
+        parts = _split_top_level(toks)
+        ptr = _typed_value(parts[0])
+        got = consume_type(parts[1], 0, allow_named=True)
+        type_str = got[0] if got else "opaque"
+        val = _typed_value(parts[1])
+        return IrInstruction("atomicrmw", type_str, (ptr, val))
+
+    if opcode == "cmpxchg":
+        toks = [t for t in rest if t not in ("volatile", "weak")]
+        parts = _split_top_level(toks)
+        ptr = _typed_value(parts[0])
+        got = consume_type(parts[1], 0, allow_named=True)
+        inner = got[0] if got else "opaque"
+        cmp = _typed_value(parts[1])
+        new = _typed_value(parts[2])
+        return IrInstruction("cmpxchg", "{ %s , i1 }" % inner, (ptr, cmp, new))
+
+    if opcode == "fence":
+        return IrInstruction("fence", "void", ())
+
+    return _parse_generic(opcode, rest, result_id)
+
+
+def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
+    toks = [t for t in rest if t not in PARAM_ATTR_WORDS and t not in CALL_PREFIX_WORDS]
+    # locate the callee: last %/@ token directly followed by "(" at top level
+    callee_idx = None
+    for k, t in _top_level(toks):
+        if t == "(" and k > 0 and toks[k - 1][0] in "@%":
+            callee_idx = k - 1
+    if callee_idx is None:
+        raise ValueError("call without a callable")
+    callee = toks[callee_idx]
+    got = consume_type(toks, 0, allow_named=True)
+    if got is not None and got[1] <= callee_idx:
+        ret_type = got[0]
+        if "(" in ret_type:  # full function type: keep only the return part
+            ret_type = ret_type.split("(", 1)[0].strip()
+    else:
+        ret_type = "void"
+    if result_id is None:
+        ret_type = "void"
+    arg_end = _consume_group(toks, callee_idx + 1)
+    arg_toks = toks[callee_idx + 2:arg_end - 1]
+    if callee.startswith("@"):
+        fn_operand = Operand(OperandKind.FUNCTION, callee)
+        target = callee[1:]
+    else:
+        fn_operand = Operand(OperandKind.LOCAL, callee)
+        target = callee
+    operands = [fn_operand]
+    for frag in _split_top_level(arg_toks):
+        op = _typed_value(frag)
+        if op:
+            operands.append(op)
+    if opcode == "invoke":
+        tail = toks[arg_end:]
+        for k, t in enumerate(tail):
+            if t == "label" and k + 1 < len(tail):
+                operands.append(Operand(OperandKind.LABEL, tail[k + 1].lstrip("%")))
+    return IrInstruction(opcode, ret_type, tuple(operands),
+                         result_id=None, call_target=target)
+
+
+def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
+    """Unknown opcode: harvest a type and any obvious value operands."""
+    got = consume_type(rest, 0, allow_named=True)
+    if got is not None:
+        type_str, j = got
+    else:
+        type_str, j = ("opaque" if result_id is not None else "void"), 0
+    operands = []
+    for t in rest[j:]:
+        if t.startswith("%") or t.startswith("@"):
+            operands.append(_value_operand(t))
+        elif _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
+            operands.append(_value_operand(t))
+    if result_id is not None and type_str == "void":
+        type_str = "opaque"
+    return IrInstruction(opcode, type_str, tuple(operands))
 
 
 def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[str, str]]]:
@@ -751,7 +737,7 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[st
 
 def _logical_lines(raw_lines: list[str]):
     """Join physical lines while brackets other than the body brace are open,
-    and the clause lines LLVM prints under an invoke, callbr or landingpad."""
+    and the clause lines under an invoke, callbr or landingpad."""
     i = 0
     n = len(raw_lines)
     while i < n:
@@ -762,7 +748,8 @@ def _logical_lines(raw_lines: list[str]):
             continue
         probe = line[:-1] if line.endswith("{") else line
         depth = _bracket_depth(probe)
-        while i < n and (depth > 0 or _CLAUSE_RE.match(raw_lines[i])):
+        clauses = _CLAUSE_HEAD_RE.match(line)
+        while i < n and (depth > 0 or clauses and _CLAUSE_RE.match(raw_lines[i])):
             nxt = _strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
@@ -782,7 +769,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     """
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()  # function names, defined or declared
-    parse_line = _InstructionParser()
+    parsed: dict[str, IrInstruction] = {}  # instruction line -> first parse
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
         if fn_parser is not None:
@@ -795,7 +782,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = _module_line(module, seen, parse_line, line, lineno)
+            fn_parser = _module_line(module, seen, parsed, line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:
@@ -803,8 +790,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     return module
 
 
-def _module_line(module: IrModule, seen: set[str],
-                 parse_line: Callable[[str, int], IrInstruction],
+def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstruction],
                  line: str, lineno: int) -> _FunctionParser | None:
     """Add one line outside any function body to the module; returns the
     parser of a function body the line opens and leaves open."""
@@ -816,7 +802,7 @@ def _module_line(module: IrModule, seen: set[str],
         if cut is None:
             raise MalformedIr(lineno, "define without a body brace")
         fn_parser = _FunctionParser(
-            _add_function(module, seen, sig[:cut], lineno, False), lineno, parse_line)
+            _add_function(module, seen, sig[:cut], lineno, False), lineno, parsed)
         inline = sig[cut + 1:].strip()
         if inline:
             closed = inline.endswith("}")

@@ -11,7 +11,7 @@ autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Two
 references are narrower: the embedding walk's reuses embed's row sums and
 flow solve, and the memo-free parse_ir reuses the library's function-body
-and module-line handling, isolating the memos.  The IR helpers at the end
+and module-line handling, isolating the line memo.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
 the references for the parser's scanners and for ``build_graph``.
@@ -656,8 +656,31 @@ def reference_partition(tokens: list[str], sep: str) -> tuple[list[str], str, li
     return tokens, "", []
 
 
-# clause lines that continue an invoke, callbr or landingpad
-_REF_CLAUSE_RE = re.compile(r"\s*(?:to\s+label|cleanup|catch|filter)\b")
+def _reference_opens_clauses(line: str) -> bool:
+    """An invoke, callbr or landingpad, which clause lines may continue."""
+    words = line.split()
+    if len(words) > 2 and words[0].startswith("%") and words[1] == "=":
+        words = words[2:]
+    return bool(words) and words[0] in ("invoke", "callbr", "landingpad")
+
+
+def _reference_is_clause(raw: str) -> bool:
+    """`to label ...`, `cleanup`, `catch ...` or `filter ...`, perhaps with a
+    `, !dbg` tail; a block label such as `cleanup:` starts with a word that
+    ends in a colon instead."""
+    words = raw.replace(",", " , ").split()
+    if not words:
+        return False
+    if words[0] == "to":
+        return len(words) > 1 and words[1] == "label"
+    return words[0] in ("cleanup", "catch", "filter")
+
+
+class _Forgetful(dict):
+    """A line memo that never stores, so every instruction line is parsed."""
+
+    def __setitem__(self, line, instr):
+        pass
 
 
 def _reference_logical_lines(raw_lines: list[str]):
@@ -671,7 +694,8 @@ def _reference_logical_lines(raw_lines: list[str]):
             continue
         probe = line[:-1] if line.endswith("{") else line
         depth = reference_bracket_depth(probe)
-        while i < n and (depth > 0 or _REF_CLAUSE_RE.match(raw_lines[i])):
+        clauses = _reference_opens_clauses(line)
+        while i < n and (depth > 0 or clauses and _reference_is_clause(raw_lines[i])):
             nxt = reference_strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
@@ -680,10 +704,11 @@ def _reference_logical_lines(raw_lines: list[str]):
 
 
 def reference_parse_ir(text: str, name: str = "") -> IrModule:
-    """parse_ir without memos: every instruction line is parsed afresh by
-    parse_instruction, and logical lines are joined with the per-character
-    scanners above.  The reference for parse_ir's memoized parse (same
-    module, same MalformedIr line and message)."""
+    """parse_ir without its line memo: every instruction line is parsed
+    afresh by parse_instruction, and logical lines are joined with the
+    per-character scanners above and a word-based clause rule.  The
+    reference for parse_ir's memoized parse (same module, same MalformedIr
+    line and message)."""
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()
     fn_parser = None
@@ -698,8 +723,7 @@ def reference_parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = ircore._module_line(module, seen, ircore.parse_instruction,
-                                            line, lineno)
+            fn_parser = ircore._module_line(module, seen, _Forgetful(), line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:

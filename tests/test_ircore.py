@@ -270,12 +270,13 @@ class TestLineMemo:
             5, "instruction after block terminator")
 
     def test_line_that_raises_is_never_stored(self):
-        parse_line = ircore._InstructionParser()
+        parsed: dict = {}
+        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1, parsed)
         for lineno in (3, 8):
             with pytest.raises(MalformedIr) as info:
-                parse_line("store i32 0, ptr", lineno)
+                fn_parser.feed("store i32 0, ptr", lineno)
             assert info.value.line == lineno
-        assert parse_line.lines == {}
+        assert parsed == {}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -467,6 +468,43 @@ lpad:
         assert (landingpad.opcode, landingpad.operands) == (
             "landingpad", (ircore.Operand(OperandKind.GLOBAL, "@_ZTIi"),))
         assert (pad.opcode, ret.opcode) == ("cleanuppad", "cleanupret")
+
+    @pytest.mark.parametrize("label", [
+        "cleanup", "catch", "filter", "cleanup.cont", "catch.dispatch", "filter.1"])
+    def test_clause_named_label_after_terminator_opens_a_block(self, label):
+        text = f"""
+define void @f() personality ptr @__gxx_personality_v0 {{
+entry:
+  invoke void @work() to label %{label} unwind label %lpad
+{label}:
+  br label %{label}.next
+{label}.next:
+  ret void
+lpad:
+  %lp = landingpad {{ ptr, i32 }}
+          cleanup
+  br label %{label}
+}}
+"""
+        module = parse_ir(text)
+        assert module == oracles.reference_parse_ir(text)
+        blocks = module.functions[0].blocks
+        assert [b.label for b in blocks] == [
+            "entry", label, f"{label}.next", "lpad"]
+        assert [i.opcode for i in blocks[3].instructions] == ["landingpad", "br"]
+
+    def test_clause_word_prefix_stays_its_own_line(self):
+        module = parse_ir("define void @f() {\nentry:\n  br label %lpad\nlpad:\n"
+                          "  %lp = landingpad token cleanup\n"
+                          "  catchret from %lp to label %lpad\n}\n")
+        assert [i.opcode for i in module.functions[0].blocks[1].instructions] == [
+            "landingpad", "catchret"]
+
+    def test_clause_words_continue_only_invoke_callbr_or_landingpad(self):
+        module = parse_ir("define void @f() {\nentry:\n  call void @g()\n"
+                          "    to label %x\n  ret void\n}\n")
+        assert [i.opcode for i in module.functions[0].blocks[0].instructions] == [
+            "call", "to", "ret"]
 
     def test_clang_style_fixture(self, fixtures_dir):
         from mpisentinel.embed import SeedVocab, embed

@@ -227,7 +227,7 @@ def cmd_ablate(args, file_cfg, jobs: int) -> int:
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},
                      sort_keys=True))
-    return 0
+    return 1 if "failures" in report else 0
 
 
 def cmd_predict(args, file_cfg, jobs: int) -> int:

@@ -461,7 +461,8 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
              suite: str | None = None) -> dict:
     """Excluded-label protocol: binary training without the excluded labels;
     reported accuracy per label = excluded-label samples predicted Incorrect
-    over that label's total."""
+    over that label's total.  Samples that fail to load are named under
+    `failures`, whichever side of a fold they fall on."""
     if not 1 <= len(excluded) <= 2:
         raise InvalidScenario("exclude one or two labels")
     if CORRECT in excluded:
@@ -494,7 +495,7 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
             hits[orig_label[sid]][0] += int(pred == INCORRECT)
         fold_docs.append({"fold": fi, "train_size": len(train_ids),
                           "excluded_in_train": 0, "validation_ids": sorted(val_ids)})
-    return {
+    report = {
         "report_version": 1,
         "excluded": sorted(excluded),
         "options": options.to_dict(),
@@ -503,6 +504,10 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         "sample_counts": {lab: h[1] for lab, h in hits.items()},
         "folds": fold_docs,
     }
+    if backend.failed:  # reports without runtime errors keep their shape
+        report["failures"] = {"runtime_errors": sorted(backend.failed),
+                              "runtime_error_reasons": dict(backend.failed)}
+    return report
 
 
 def report_to_json(report: dict) -> str:

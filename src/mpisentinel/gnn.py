@@ -1,10 +1,11 @@
 """Heterogeneous GATv2 classifier over program graphs.
 
-Three attention layers (128, 64, 32) per relation, summed per destination
-node type with ELU between layers, elementwise max pooling over all nodes,
-and a two-layer fully connected head.  Trained with cross-entropy and Adam.
-Relations are the typed edge combinations the program graph produces plus a
-self-relation per node type so isolated nodes still update.
+Three layers (128, 64, 32).  In each, every typed edge of the program graph
+(`graph.RELATIONS`) is an attention relation; per node type the messages of
+its relations are summed with the node's own term `W_self h`, one matrix per
+node type (as in R-GCN), then ELU.  Elementwise max pooling over all nodes
+and a two-layer fully connected head follow.  Trained with cross-entropy and
+Adam.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, ClassOutOfRange, ShapeMismatch, Tensor, adam_step
-from .graph import NodeType, ProgramGraph
+from .graph import RELATIONS, NodeType, ProgramGraph
 
 __all__ = [
     "GnnConfig", "GnnModel", "RelationParams", "EmptyGraph",
@@ -49,23 +50,7 @@ class CheckpointParamsMismatch(Exception):
     exactly once."""
 
 
-CONTROL = NodeType.CONTROL.value
-VARIABLE = NodeType.VARIABLE.value
-CONSTANT = NodeType.CONSTANT.value
-NODE_TYPES = (CONTROL, VARIABLE, CONSTANT)
-
-# (source node type, relation name, destination node type); "self" loops are
-# added so every node receives at least one message per layer
-RELATIONS: tuple[tuple[str, str, str], ...] = (
-    (CONTROL, "control", CONTROL),
-    (CONTROL, "call", CONTROL),
-    (VARIABLE, "data", CONTROL),
-    (CONSTANT, "data", CONTROL),
-    (CONTROL, "data", VARIABLE),
-    (CONTROL, "self", CONTROL),
-    (VARIABLE, "self", VARIABLE),
-    (CONSTANT, "self", CONSTANT),
-)
+NODE_TYPES = tuple(t.value for t in NodeType)
 
 OOV_TOKEN = "<unk>"
 
@@ -109,6 +94,7 @@ class GnnModel:
     vocab: dict[str, int]                 # token -> embedding row; row 0 = OOV
     embedding: Tensor
     layers: list[dict[tuple[str, str, str], RelationParams]]
+    self_w: list[dict[str, Tensor]]       # per layer: node type -> (out, in)
     fc1_w: Tensor
     fc1_b: Tensor
     fc2_w: Tensor
@@ -117,9 +103,10 @@ class GnnModel:
 
     def parameters(self) -> list[Tensor]:
         out = [self.embedding]
-        for layer in self.layers:
+        for layer, own in zip(self.layers, self.self_w):
             for rel in RELATIONS:
                 out.extend(layer[rel].tensors())
+            out.extend(own[t] for t in NODE_TYPES)
         out.extend([self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b])
         return out
 
@@ -135,7 +122,8 @@ def build_vocab(graphs: list[ProgramGraph]) -> dict[str, int]:
 def init_model(cfg: GnnConfig, vocab: dict[str, int],
                label_space: list[str]) -> GnnModel:
     """Xavier-uniform parameters drawn from the seeded generator in a fixed
-    order (embedding, then per layer per relation, then the FC head)."""
+    order (embedding, then per layer each relation and each node type's self
+    matrix, then the FC head)."""
     cfg.validate()
     if cfg.num_classes != len(label_space):
         raise InvalidGnnConfig("num_classes must match the label space")
@@ -143,10 +131,10 @@ def init_model(cfg: GnnConfig, vocab: dict[str, int],
     emb = Tensor(ad.xavier_uniform(rng, len(vocab) + 1, cfg.node_embed_dim,
                                    (len(vocab) + 1, cfg.node_embed_dim)),
                  requires_grad=True, name="embedding")
-    layers = []
+    layers, self_w = [], []
     in_dim = cfg.node_embed_dim
     for li, out_dim in enumerate(cfg.layer_sizes):
-        layer = {}
+        layer, own = {}, {}
         for rel in RELATIONS:
             tag = f"layer{li}.{'-'.join(rel)}"
             layer[rel] = RelationParams(
@@ -159,7 +147,14 @@ def init_model(cfg: GnnConfig, vocab: dict[str, int],
                                                (out_dim, in_dim)),
                              requires_grad=True, name=f"{tag}.w_val"),
             )
+        for t in NODE_TYPES:
+            # skip the draws of the w_att and a that self loops had when they
+            # were relations, so every parameter keeps its initial value
+            rng.bit_generator.advance(out_dim * (2 * in_dim + 1))
+            own[t] = Tensor(ad.xavier_uniform(rng, in_dim, out_dim, (out_dim, in_dim)),
+                            requires_grad=True, name=f"layer{li}.{t}-self-{t}.w_val")
         layers.append(layer)
+        self_w.append(own)
         in_dim = out_dim
     fc1_w = Tensor(ad.xavier_uniform(rng, in_dim, cfg.fc_hidden,
                                      (in_dim, cfg.fc_hidden)),
@@ -169,8 +164,8 @@ def init_model(cfg: GnnConfig, vocab: dict[str, int],
                                      (cfg.fc_hidden, cfg.num_classes)),
                    requires_grad=True, name="fc2.w")
     fc2_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True, name="fc2.b")
-    return GnnModel(cfg, dict(vocab), emb, layers, fc1_w, fc1_b, fc2_w, fc2_b,
-                    list(label_space))
+    return GnnModel(cfg, dict(vocab), emb, layers, self_w, fc1_w, fc1_b, fc2_w,
+                    fc2_b, list(label_space))
 
 
 def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
@@ -233,18 +228,13 @@ def _t(p: Tensor) -> Tensor:
 def hetero_layer(features: dict[str, Tensor],
                  rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
-                 slope: float = 0.2) -> dict[str, Tensor]:
-    """One heterogeneous round: sum relation messages per destination type,
-    then ELU."""
-    for rel in rel_edges:
-        if rel not in layer_params:
-            raise MissingRelationParams(f"no parameters for relation {rel}")
-    out_dim = next(iter(layer_params.values())).w_val.data.shape[0]
+                 self_w: dict[str, Tensor], slope: float = 0.2) -> dict[str, Tensor]:
+    """One heterogeneous round: per node type, the messages of the relations
+    into it and then its own term `h W_selfᵀ`, summed in that order, then
+    ELU."""
     accum: dict[str, Tensor] = {}
     for rel, params in layer_params.items():
         src_t, _, dst_t = rel
-        if src_t not in features or dst_t not in features:
-            continue
         edges = rel_edges.get(rel, ())
         if len(edges) == 0:
             continue  # a relation without edges contributes only zeros
@@ -252,10 +242,8 @@ def hetero_layer(features: dict[str, Tensor],
         accum[dst_t] = ad.add(accum[dst_t], msg) if dst_t in accum else msg
     out: dict[str, Tensor] = {}
     for t, feats in features.items():
-        pre = accum.get(t)
-        if pre is None:
-            pre = ad.zeros((feats.data.shape[0], out_dim))
-        out[t] = ad.elu(pre)
+        own = ad.matmul(feats, _t(self_w[t]))
+        out[t] = ad.elu(ad.add(accum[t], own) if t in accum else own)
     return out
 
 
@@ -281,9 +269,6 @@ def _build_batch(graphs: list[ProgramGraph], vocab: dict[str, int]) -> _Batch:
             local[node.id] = (t, len(token_rows[t]))
             token_rows[t].append(vocab.get(node.token, 0))
             graph_ids[t].append(gi)
-        for node in g.nodes:
-            t, li = local[node.id]
-            rel_edges[(t, "self", t)].append((li, li))
         for e in g.edges:
             st, si = local[e.src]
             dt, di = local[e.dst]
@@ -307,8 +292,8 @@ def logits_batch(model: GnnModel, graphs: list[ProgramGraph]) -> Tensor:
     batch = _build_batch(graphs, model.vocab)
     feats = {t: ad.gather_rows(model.embedding, batch.token_rows[t])
              for t in NODE_TYPES}
-    for layer in model.layers:
-        feats = hetero_layer(feats, batch.rel_edges, layer, cfg.leaky_slope)
+    for layer, own in zip(model.layers, model.self_w):
+        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope)
     pooled_parts = []
     seg_parts = []
     for t in NODE_TYPES:

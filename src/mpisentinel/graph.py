@@ -48,6 +48,17 @@ class ProgramGraph:
     edges: list[GraphEdge] = field(default_factory=list)
 
 
+# The typed edges a graph may hold: (source node type, edge type, destination
+# node type).  The GNN has one attention relation per entry, in this order.
+RELATIONS: tuple[tuple[str, str, str], ...] = (
+    ("control", "control", "control"),
+    ("control", "call", "control"),
+    ("variable", "data", "control"),
+    ("constant", "data", "control"),
+    ("control", "data", "variable"),
+)
+
+
 @dataclass(frozen=True)
 class Violation:
     rule: str
@@ -137,15 +148,6 @@ def build_graph(module: IrModule) -> ProgramGraph:
     return g
 
 
-_EDGE_RULES = {
-    EdgeType.CONTROL: {(NodeType.CONTROL, NodeType.CONTROL)},
-    EdgeType.CALL: {(NodeType.CONTROL, NodeType.CONTROL)},
-    EdgeType.DATA: {(NodeType.VARIABLE, NodeType.CONTROL),
-                    (NodeType.CONSTANT, NodeType.CONTROL),
-                    (NodeType.CONTROL, NodeType.VARIABLE)},
-}
-
-
 def validate_graph(g: ProgramGraph) -> list[Violation]:
     """Check the typed-edge rules, id contiguity and position consistency."""
     out: list[Violation] = []
@@ -160,12 +162,11 @@ def validate_graph(g: ProgramGraph) -> list[Violation]:
             out.append(Violation("edge-endpoint",
                                  f"edge {e.src}->{e.dst} references a missing node"))
             continue
-        pair = (by_id[e.src].node_type, by_id[e.dst].node_type)
-        if pair not in _EDGE_RULES[e.edge_type]:
+        src_t, dst_t = by_id[e.src].node_type.value, by_id[e.dst].node_type.value
+        if (src_t, e.edge_type.value, dst_t) not in RELATIONS:
             out.append(Violation(
                 "typed-edge",
-                f"{e.edge_type.value} edge {e.src}->{e.dst} connects "
-                f"{pair[0].value}->{pair[1].value}"))
+                f"{e.edge_type.value} edge {e.src}->{e.dst} connects {src_t}->{dst_t}"))
     if out:
         return out
     # variable nodes: at most one defining data edge

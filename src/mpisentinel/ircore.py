@@ -176,11 +176,11 @@ def _strip_comment(line: str) -> str:
 
 
 def _bracket_depth(text: str) -> int:
-    """Open minus closed (, [ and < outside strings; braces are not counted."""
+    """Open minus closed brackets of every kind outside strings."""
     if '"' in text:
         text = _STRING_RE.sub("", text)
-    return (text.count("(") + text.count("[") + text.count("<")
-            - text.count(")") - text.count("]") - text.count(">"))
+    return (text.count("(") + text.count("[") + text.count("<") + text.count("{")
+            - text.count(")") - text.count("]") - text.count(">") - text.count("}"))
 
 
 def _tokenize(text: str) -> list[str]:
@@ -321,10 +321,13 @@ def _value_operand(tok: str) -> Operand:
 
 
 def _typed_value(fragment: list[str]) -> Operand | None:
-    """Read `<type> <attrs>* <value>` or bare `<value>` from a fragment."""
+    """Read `<type> <attrs>* <value>` or bare `<value>` from a fragment; a
+    `metadata <type> <value>` argument gives its inner value."""
     toks = [t for t in fragment if t not in PARAM_ATTR_WORDS]
     if not toks:
         return None
+    if toks[0] == "metadata" and consume_type(toks, 1):
+        toks = toks[1:]
     got = consume_type(toks, 0)
     rest = toks[got[1]:] if got else toks
     if not rest:
@@ -735,9 +738,15 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[st
     return name, params
 
 
+def _line_depth(text: str, define: bool) -> int:
+    """Bracket depth of one physical line; the brace that ends a line of a
+    define opens the body and does not count."""
+    return _bracket_depth(text[:-1] if define and text.endswith("{") else text)
+
+
 def _logical_lines(raw_lines: list[str]):
-    """Join physical lines while brackets other than the body brace are open,
-    and the clause lines under an invoke, callbr or landingpad."""
+    """Join physical lines while brackets other than a define's body brace
+    are open, and the clause lines under an invoke, callbr or landingpad."""
     i = 0
     n = len(raw_lines)
     while i < n:
@@ -746,14 +755,14 @@ def _logical_lines(raw_lines: list[str]):
         i += 1
         if not line:
             continue
-        probe = line[:-1] if line.endswith("{") else line
-        depth = _bracket_depth(probe)
+        define = line.startswith("define")
+        depth = _line_depth(line, define)
         clauses = _CLAUSE_HEAD_RE.match(line)
         while i < n and (depth > 0 or clauses and _CLAUSE_RE.match(raw_lines[i])):
             nxt = _strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
-            depth += _bracket_depth(nxt)
+            depth += _line_depth(nxt, define)
         yield lineno, line
 
 

@@ -4,8 +4,9 @@ The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
 CART, the per-individual GA fitness, the np.add.at autodiff engine, the
-GATv2 relation that scores every edge, the embedding's per-instruction
-walk) that the library must still match bit for bit.
+GATv2 relation that scores every edge, the GNN's self loops as attention
+relations, the embedding's per-instruction walk) that the library must
+still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Two
@@ -26,7 +27,10 @@ import numpy as np
 
 from mpisentinel import autodiff, embed, ircore
 from mpisentinel.autodiff import ShapeMismatch, Tensor
-from mpisentinel.gnn import RelationParams, _t
+from mpisentinel import gnn
+from mpisentinel.gnn import (
+    NODE_TYPES, RELATIONS, GnnConfig, InvalidGnnConfig, RelationParams, _t,
+)
 from mpisentinel.graph import EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph
 from mpisentinel.ircore import (
     BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, MalformedIr,
@@ -379,6 +383,89 @@ def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationPar
 
 
 # ---------------------------------------------------------------------------
+# The GNN as it was while a node's own term was a `self` relation per node
+# type, with a w_att and an a that no score ever used.  The references for
+# gnn.init_model's initial values and gnn.hetero_layer's self term.
+
+SELF_LOOP_RELATIONS = RELATIONS + tuple((t, "self", t) for t in NODE_TYPES)
+
+
+def reference_init_model(cfg: GnnConfig, vocab: dict[str, int],
+                         label_space: list[str]) -> list[tuple[str, np.ndarray]]:
+    """init_model with self loops as relations; returns (name, initial value)
+    of every parameter in that model's checkpoint order."""
+    cfg.validate()
+    if cfg.num_classes != len(label_space):
+        raise InvalidGnnConfig("num_classes must match the label space")
+    rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
+    emb = Tensor(ad.xavier_uniform(rng, len(vocab) + 1, cfg.node_embed_dim,
+                                   (len(vocab) + 1, cfg.node_embed_dim)),
+                 requires_grad=True, name="embedding")
+    layers = []
+    in_dim = cfg.node_embed_dim
+    for li, out_dim in enumerate(cfg.layer_sizes):
+        layer = {}
+        for rel in SELF_LOOP_RELATIONS:
+            tag = f"layer{li}.{'-'.join(rel)}"
+            layer[rel] = RelationParams(
+                w_att=Tensor(ad.xavier_uniform(rng, 2 * in_dim, out_dim,
+                                               (out_dim, 2 * in_dim)),
+                             requires_grad=True, name=f"{tag}.w_att"),
+                a=Tensor(ad.xavier_uniform(rng, out_dim, 1, (out_dim, 1)),
+                         requires_grad=True, name=f"{tag}.a"),
+                w_val=Tensor(ad.xavier_uniform(rng, in_dim, out_dim,
+                                               (out_dim, in_dim)),
+                             requires_grad=True, name=f"{tag}.w_val"),
+            )
+        layers.append(layer)
+        in_dim = out_dim
+    fc1_w = Tensor(ad.xavier_uniform(rng, in_dim, cfg.fc_hidden,
+                                     (in_dim, cfg.fc_hidden)),
+                   requires_grad=True, name="fc1.w")
+    fc1_b = Tensor(np.zeros(cfg.fc_hidden), requires_grad=True, name="fc1.b")
+    fc2_w = Tensor(ad.xavier_uniform(rng, cfg.fc_hidden, cfg.num_classes,
+                                     (cfg.fc_hidden, cfg.num_classes)),
+                   requires_grad=True, name="fc2.w")
+    fc2_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True, name="fc2.b")
+    params = [emb]
+    for layer in layers:
+        for rel in SELF_LOOP_RELATIONS:
+            params.extend(layer[rel].tensors())
+    params.extend([fc1_w, fc1_b, fc2_w, fc2_b])
+    return [(t.name, t.data) for t in params]
+
+
+def hetero_layer_self_relations(features, rel_edges, layer_params, self_w,
+                                slope: float = 0.2):
+    """hetero_layer with each node type's own term sent as a `self` relation
+    after the typed ones: (i, i) edges through gatv2_relation_full, whose
+    attention is always 1, with a zero w_att and a; a type without any
+    message gets zeros."""
+    messages = [(rel, params, rel_edges.get(rel, ()), gnn.gatv2_relation)
+                for rel, params in layer_params.items()]
+    for t, feats in features.items():
+        n, width = feats.data.shape
+        out_dim = self_w[t].data.shape[0]
+        unused = RelationParams(Tensor(np.zeros((out_dim, 2 * width))),
+                                Tensor(np.zeros((out_dim, 1))), self_w[t])
+        loops = [(i, i) for i in range(n)]
+        messages.append(((t, "self", t), unused, loops, gatv2_relation_full))
+    accum = {}
+    for (src_t, _, dst_t), params, edges, relation in messages:
+        if len(edges) == 0:
+            continue
+        msg = relation(features[src_t], features[dst_t], edges, params, slope)
+        accum[dst_t] = ad.add(accum[dst_t], msg) if dst_t in accum else msg
+    out = {}
+    for t, feats in features.items():
+        pre = accum.get(t)
+        if pre is None:
+            pre = ad.zeros((feats.data.shape[0], self_w[t].data.shape[0]))
+        out[t] = ad.elu(pre)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # CART as trained before presorting: every node re-sorts every column and
 # scores one feature at a time.  The bit-exact reference for the library's
 # presorted, feature-batched trainer (same trees, thresholds and counts).
@@ -570,9 +657,9 @@ def reference_bracket_depth(text: str) -> int:
         if ch == '"':
             in_string = not in_string
         elif not in_string:
-            if ch in "([<":
+            if ch in "([<{":
                 depth += 1
-            elif ch in ")]>":
+            elif ch in ")]>}":
                 depth -= 1
     return depth
 
@@ -692,14 +779,16 @@ def _reference_logical_lines(raw_lines: list[str]):
         i += 1
         if not line:
             continue
-        probe = line[:-1] if line.endswith("{") else line
+        define = line.startswith("define")
+        probe = line[:-1] if define and line.endswith("{") else line
         depth = reference_bracket_depth(probe)
         clauses = _reference_opens_clauses(line)
         while i < n and (depth > 0 or clauses and _reference_is_clause(raw_lines[i])):
             nxt = reference_strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
-            depth += reference_bracket_depth(nxt)
+            depth += reference_bracket_depth(nxt[:-1] if define and nxt.endswith("{")
+                                             else nxt)
         yield lineno, line
 
 

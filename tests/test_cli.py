@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import FIXTURES, phi_call_loop
 from mpisentinel import cli
 from mpisentinel import embed as em
@@ -306,6 +307,25 @@ class TestAblate:
         report = json.loads(report_path.read_text())
         assert sorted(report["accuracy"]) == ["MessageRace", "ResourceLeak"]
 
+    def test_sample_that_fails_to_load_exit_1(self, manifest_path, tmp_path, capsys):
+        doc = json.loads(manifest_path.read_text())
+        sample = next(s for s in doc["samples"] if s["id"].startswith("mbi:correct_0."))
+        cut = tmp_path / "correct_0.ll"
+        text = Path(sample["ir"]).read_text()
+        cut.write_text(text[:text.rindex("}")])  # cut before its closing brace
+        sample["ir"] = str(cut)
+        broken = tmp_path / "m.json"
+        broken.write_text(json.dumps(doc))
+        report_path = tmp_path / "ab.json"
+        code, _, _ = run_cli(
+            "ablate", "--manifest", str(broken), "--exclude", "MessageRace",
+            "--folds", "5", "--report", str(report_path), capsys=capsys)
+        assert code == 1
+        failures = json.loads(report_path.read_text())["failures"]
+        assert failures["runtime_errors"] == [sample["id"]]
+        reason = failures["runtime_error_reasons"][sample["id"]]
+        assert "unterminated function body" in reason
+
     def test_absent_label_exit_2(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
             "ablate", "--manifest", str(manifest_path),
@@ -583,6 +603,28 @@ class TestPredict:
         err = json.loads(stderr.splitlines()[-1])
         assert err["error"] == "ModelIncompatible"
         assert "heads" in err["message"]
+
+    def test_gnn_checkpoint_with_self_loop_relations_exit_2(self, tmp_path, capsys):
+        """A checkpoint written while self loops were attention relations
+        holds their w_att and a, which the model no longer has."""
+        model_path = tmp_path / "gnn.json"
+        train_gnn_model_file(model_path)
+        doc = json.loads(model_path.read_text())
+        cfg_doc = dict(doc["config"], layer_sizes=tuple(doc["config"]["layer_sizes"]))
+        vocab = {tok: i + 1 for i, tok in enumerate(doc["tokens"])}
+        old = oracles.reference_init_model(gnn.GnnConfig(**cfg_doc), vocab,
+                                           doc["label_space"])
+        doc["params"] = [{"name": name, "shape": list(v.shape),
+                          "values": v.ravel().tolist()} for name, v in old]
+        model_path.write_text(json.dumps(doc))
+        ir = FIXTURES / "corpus_mbi" / "callordering_0.ll"
+        code, stdout, stderr = run_cli("predict", "--model", str(model_path),
+                                       "--ir", str(ir), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "ModelIncompatible"
+        assert "layer0.control-self-control.w_att" in err["message"]
 
     def test_unknown_model_kind_exit_2(self, tmp_path, capsys):
         weird = tmp_path / "weird.json"

@@ -503,6 +503,23 @@ class TestRuntimeErrorPropagation:
         report = ev.ablation(manifest, {"MessageRace"},
                              desk_options(label_mode="binary", folds=4))
         assert report["sample_counts"] == {"MessageRace": total - 1}
+        (sid,) = report["failures"]["runtime_errors"]
+        assert "messagerace_0" in sid
+        assert list(report["failures"]["runtime_error_reasons"]) == [sid]
+
+    @pytest.mark.parametrize("stem", ["correct_0", "none"])
+    def test_ablation_names_samples_that_fail_to_load(self, tmp_path, stem):
+        """A training-side sample that fails is named too; a report without
+        failures has no failures section."""
+        manifest = broken_mbi_manifest(tmp_path, "malformed", stem)
+        report = ev.ablation(manifest, {"MessageRace"},
+                             desk_options(label_mode="binary", folds=4))
+        if stem == "none":
+            assert "failures" not in report
+            return
+        (sid,) = report["failures"]["runtime_errors"]
+        assert stem in sid
+        assert re.search(r"^line \d+: ", report["failures"]["runtime_error_reasons"][sid])
 
 
 class TestOnePreparationLoop:

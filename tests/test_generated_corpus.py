@@ -1,6 +1,7 @@
-"""The front end on a benchmark-shaped corpus: modules written by the
-benchmark's own generator (imported read-only from perfbench/) parse and
-embed exactly as the memo-free references in tests/oracles.py do."""
+"""Benchmark-shaped corpora, written by the benchmark's own generator
+(imported read-only from perfbench/): modules parse and embed exactly as
+the memo-free references in tests/oracles.py do, and the GNN trains on
+their program graphs exactly as it did with self loops as relations."""
 
 import dataclasses
 import sys
@@ -11,11 +12,13 @@ import pytest
 
 import oracles
 from mpisentinel import embed as em
+from mpisentinel import gnn
+from mpisentinel.graph import build_graph
 from mpisentinel.ircore import parse_ir
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from gen_corpus import generate  # noqa: E402
+from gen_corpus import CORRECT, generate  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -43,3 +46,41 @@ def test_embeddings_equal_the_per_instruction_walk(large_modules):
         want = oracles.reference_embed(module, vocab)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes(), name
+
+
+def gnn_samples(tmp_path, modules=None):
+    """(program graph, binary label) per module of the seed-7 gnn-train
+    corpus, or of a corpus of that shape with `modules` modules."""
+    spec = WORKLOADS["gnn-train"].corpus
+    if modules is not None:
+        spec = dataclasses.replace(spec, modules=modules)
+    truth = generate(tmp_path, spec, 7)
+    return [(build_graph(parse_ir((tmp_path / c).with_suffix(".ll").read_text(), c)),
+             "ok" if label == CORRECT else "bad") for c, label in sorted(truth.items())]
+
+
+def test_gnn_trains_as_with_self_loop_relations(tmp_path, monkeypatch):
+    samples = gnn_samples(tmp_path, modules=10)
+
+    def trained():
+        cfg = gnn.GnnConfig(layer_sizes=(12, 8, 6), node_embed_dim=8, fc_hidden=4,
+                            lr=1e-2, epochs=2, batch_size=4, rng_seed=3)
+        model = gnn.init_model(cfg, gnn.build_vocab([g for g, _ in samples]),
+                               ["bad", "ok"])
+        return gnn.train(model, samples)
+
+    model, log = trained()
+    monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_self_relations)
+    ref, ref_log = trained()
+    assert log == ref_log
+    for (name, t), (_, r) in zip(model.parameter_items(), ref.parameter_items()):
+        assert t.data.tobytes() == r.data.tobytes(), name
+
+
+def test_model_size_at_paper_widths(tmp_path):
+    """One value matrix per node type and layer for the self term: 59
+    tensors where self-loop relations made 77."""
+    vocab = gnn.build_vocab([g for g, _ in gnn_samples(tmp_path)])
+    params = gnn.init_model(gnn.GnnConfig(), vocab, ["bad", "ok"]).parameters()
+    assert len(vocab) == 42
+    assert (len(params), sum(p.data.size for p in params)) == (59, 336_210)

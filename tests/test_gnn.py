@@ -13,7 +13,9 @@ import oracles
 from conftest import FIXTURES, tape_nodes
 from mpisentinel import autodiff as ad
 from mpisentinel import gnn
-from mpisentinel.graph import build_graph
+from mpisentinel.graph import (
+    EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph, build_graph,
+)
 from mpisentinel.ircore import parse_ir
 
 BARRIER_MODULE = """
@@ -144,7 +146,7 @@ class TestGatv2Relation:
         and a get no gradient."""
         d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         n_src, n_dst = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        shared = data.draw(st.booleans())  # a self relation: one feature tensor
+        shared = data.draw(st.booleans())  # one feature tensor at both ends
         if shared:
             n_dst = n_src
         values = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -183,8 +185,14 @@ class TestGatv2Relation:
         assert not r_att.any() and not r_a.any()
 
 
+def self_weights(rng, out_dim, in_dim):
+    return {t: ad.Tensor(rng.normal(size=(out_dim, in_dim)), requires_grad=True)
+            for t in gnn.NODE_TYPES}
+
+
 class TestHeteroLayer:
     def test_self_relations_only(self):
+        """Without relation edges each node gets only its type's self term."""
         rng = np.random.default_rng(3)
         feats = {"control": ad.Tensor(rng.normal(size=(3, 2))),
                  "variable": ad.Tensor(rng.normal(size=(2, 2))),
@@ -194,14 +202,14 @@ class TestHeteroLayer:
             params[rel] = relation_params(rng.normal(size=(2, 4)),
                                           rng.normal(size=(2, 1)),
                                           rng.normal(size=(2, 2)))
-        rel_edges = {("control", "self", "control"): [(i, i) for i in range(3)],
-                     ("variable", "self", "variable"): [(i, i) for i in range(2)]}
-        out = gnn.hetero_layer(feats, rel_edges, params)
-        p = params[("control", "self", "control")]
-        for i in range(3):
-            pre = p.w_val.data @ feats["control"].data[i]
-            want = np.where(pre > 0, pre, np.expm1(pre))
-            assert np.allclose(out["control"].data[i], want, atol=1e-12)
+        own = self_weights(rng, 2, 2)
+        out = gnn.hetero_layer(feats, {}, params, own)
+        for t in ("control", "variable"):
+            for i in range(feats[t].data.shape[0]):
+                pre = own[t].data @ feats[t].data[i]
+                want = np.where(pre > 0, pre, np.expm1(pre))
+                assert np.allclose(out[t].data[i], want, atol=1e-12)
+        assert out["constant"].data.shape == (0, 2)
 
     def test_two_relations_sum_before_activation(self):
         rng = np.random.default_rng(4)
@@ -212,25 +220,26 @@ class TestHeteroLayer:
                                        rng.normal(size=(2, 1)),
                                        rng.normal(size=(2, 2)))
                   for rel in gnn.RELATIONS}
+        own = self_weights(rng, 2, 2)
         rel_edges = {("variable", "data", "control"): [(0, 1)],
                      ("constant", "data", "control"): [(0, 1)]}
-        out = gnn.hetero_layer(feats, rel_edges, params)
+        out = gnn.hetero_layer(feats, rel_edges, params, own)
         v1 = gnn.gatv2_relation(feats["variable"], feats["control"], [(0, 1)],
                                 params[("variable", "data", "control")]).data
         v2 = gnn.gatv2_relation(feats["constant"], feats["control"], [(0, 1)],
                                 params[("constant", "data", "control")]).data
-        pre = (v1 + v2)[1]
+        pre = (v1 + v2)[1] + own["control"].data @ feats["control"].data[1]
         want = np.where(pre > 0, pre, np.expm1(pre))
         assert np.allclose(out["control"].data[1], want, atol=1e-12)
 
     def test_missing_relation_params(self):
-        feats = {"control": ad.Tensor(np.zeros((1, 2)))}
-        with pytest.raises(gnn.MissingRelationParams):
-            gnn.hetero_layer(feats, {("control", "bogus", "control"): [(0, 0)]},
-                             {rel: relation_params(np.zeros((2, 4)),
-                                                   np.zeros((2, 1)),
-                                                   np.zeros((2, 2)))
-                              for rel in gnn.RELATIONS})
+        """An edge whose typed triple is no relation is refused when the
+        batch is built, before any layer runs."""
+        g = ProgramGraph([GraphNode(0, NodeType.CONSTANT, "Constant"),
+                          GraphNode(1, NodeType.VARIABLE, "intTy")],
+                         [GraphEdge(0, 1, EdgeType.DATA)])
+        with pytest.raises(gnn.MissingRelationParams, match="constant->variable"):
+            gnn._build_batch([g], {})
 
 
 def independent_forward(model, graph):
@@ -242,11 +251,8 @@ def independent_forward(model, graph):
         ids[t] = {n.id: i for i, n in enumerate(rows)}
         feats[t] = np.vstack([model.embedding.data[model.vocab.get(n.token, 0)]
                               for n in rows]) if rows else np.zeros((0, 0))
-    for layer in model.layers:
+    for layer, own in zip(model.layers, model.self_w):
         rel_edges = {rel: [] for rel in gnn.RELATIONS}
-        for t in gnn.NODE_TYPES:
-            for i in range(len(ids[t])):
-                rel_edges[(t, "self", t)].append((i, i))
         for e in graph.edges:
             src_t = graph.nodes[e.src].node_type.value
             dst_t = graph.nodes[e.dst].node_type.value
@@ -254,7 +260,7 @@ def independent_forward(model, graph):
                 (ids[src_t][e.src], ids[dst_t][e.dst]))
         out = {}
         for t in gnn.NODE_TYPES:
-            width = layer[next(iter(gnn.RELATIONS))].w_val.data.shape[0]
+            width = own[t].data.shape[0]
             out[t] = np.zeros((len(ids[t]), width))
         for rel, edges in rel_edges.items():
             if not edges:
@@ -263,6 +269,9 @@ def independent_forward(model, graph):
             out[rel[2]] += oracles.gat_relation_forward(
                 feats[rel[0]], feats[rel[2]], edges, p.w_att.data, p.a.data,
                 p.w_val.data, slope=model.config.leaky_slope)
+        for t in gnn.NODE_TYPES:
+            if len(ids[t]):
+                out[t] += feats[t] @ own[t].data.T
         feats = {t: np.where(v > 0, v, np.expm1(v)) for t, v in out.items()}
     stacked = np.vstack([feats[t] for t in gnn.NODE_TYPES if feats[t].size])
     pooled = stacked.max(axis=0)
@@ -312,6 +321,27 @@ class TestForward:
         for e in g2.edges:
             e.src, e.dst = remap[e.src], remap[e.dst]
         assert np.max(np.abs(gnn.forward(model, g2) - base)) < 1e-9
+
+
+class TestInit:
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(rng_seed=0), tiny_config(rng_seed=5, num_classes=3),
+        tiny_config(rng_seed=2, layer_sizes=(16, 12, 8), node_embed_dim=8,
+                    fc_hidden=4)])
+    def test_initial_values_match_self_relation_initializer(self, cfg,
+                                                            barrier_graph):
+        """Each kept parameter starts where it did while self loops were
+        relations; what is gone is exactly their w_att and a."""
+        vocab = gnn.build_vocab([barrier_graph])
+        labels = [str(k) for k in range(cfg.num_classes)]
+        got = gnn.init_model(cfg, vocab, labels).parameter_items()
+        ref = dict(oracles.reference_init_model(cfg, vocab, labels))
+        for name, t in got:
+            assert t.data.tobytes() == ref[name].tobytes(), name
+        dropped = set(ref) - {name for name, _ in got}
+        assert dropped == {f"layer{li}.{t}-self-{t}.{w}" for li in range(3)
+                           for t in gnn.NODE_TYPES for w in ("w_att", "a")}
+        assert [n for n, _ in got] == [n for n in ref if n not in dropped]
 
 
 class TestGradcheck:
@@ -448,7 +478,8 @@ class TestTrainingEngine:
                   if len(e) and np.bincount(e[:, 1]).max() >= 2]
         unscored = [rel for rel, e in rel_edges.items()
                     if len(e) and rel not in scored]
-        assert scored and {(t, "self", t) for t in gnn.NODE_TYPES} <= set(unscored)
+        assert set(rel_edges) == set(gnn.RELATIONS)  # no self-loop edges
+        assert scored and ("control", "data", "variable") in unscored
         leaky_relu = ad.leaky_relu
         calls = []
 
@@ -482,6 +513,21 @@ class TestTrainingEngine:
         _, ref_grads = leaf_grads()
         for (name, _), g, r in zip(model.parameter_items(), grads, ref_grads):
             assert g.tobytes() == r.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_self_relation_run(self, seed, fixture_samples, monkeypatch):
+        """Training with the self term moves every parameter as training with
+        self-loop relations did: same loss log, same trained bytes, same
+        logits."""
+        model, log = train_fixture_model(fixture_samples, seed)
+        monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_self_relations)
+        ref, ref_log = train_fixture_model(fixture_samples, seed)
+        assert log == ref_log
+        for (name, t), (_, r) in zip(model.parameter_items(),
+                                     ref.parameter_items()):
+            assert t.data.tobytes() == r.data.tobytes(), name
+        for g, _ in fixture_samples:
+            assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
 
     def test_step_tape_freed_before_next_forward(self, fixture_samples,
                                                  monkeypatch):
@@ -583,6 +629,23 @@ class TestCheckpoint:
             doc["params"].append({"name": name, "shape": [1], "values": [0.0]})
         path.write_text(json.dumps(doc))
         with pytest.raises(gnn.CheckpointParamsMismatch, match=name):
+            gnn.load_checkpoint(path)
+
+    def test_self_loop_relation_layout_refused(self, barrier_graph, tmp_path):
+        """A checkpoint that still holds the self loops' w_att and a does not
+        load; the error names the first of them."""
+        cfg = tiny_config()
+        vocab = gnn.build_vocab([barrier_graph])
+        path = tmp_path / "model.json"
+        gnn.save_checkpoint(path, gnn.init_model(cfg, vocab, ["a", "b"]))
+        doc = json.loads(path.read_text())
+        doc["params"] = [{"name": name, "shape": list(v.shape),
+                          "values": v.ravel().tolist()}
+                         for name, v in oracles.reference_init_model(cfg, vocab,
+                                                                     ["a", "b"])]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(gnn.CheckpointParamsMismatch,
+                           match="layer0.control-self-control.w_att"):
             gnn.load_checkpoint(path)
 
     def test_config_validation(self):

@@ -427,6 +427,45 @@ entry:
         with pytest.raises(MalformedIr, match="without a body brace"):
             parse_ir(f"define {ret} @f(i32 %x)")
 
+    def test_global_initializer_over_lines(self):
+        """A struct initializer split over lines is one logical line; one left
+        open is refused at its first line."""
+        text = ("%struct.P = type { i32, i32 }\n"
+                "@s = global %struct.P {\n"
+                "  i32 0,\n"
+                "  i32 1 }, align 4\n"
+                "define i32 @f() {\nentry:\n  ret i32 0\n}\n")
+        module = parse_ir(text)
+        assert [f.name for f in module.defined_functions()] == ["f"]
+        assert module == oracles.reference_parse_ir(text)
+        assert list(ircore._logical_lines(text.splitlines()))[1] == (
+            2, "@s = global %struct.P { i32 0, i32 1 }, align 4")
+        with pytest.raises(MalformedIr, match="^line 2: unnamed or unbalanced global"):
+            parse_ir(text.replace("  i32 1 }, align 4\n", "  i32 1, align 4\n"))
+
+    def test_metadata_argument_is_a_use_of_its_value(self, fixtures_dir):
+        """`metadata ptr %argc.addr` passes %argc.addr; `metadata !16` and
+        `metadata !DIExpression()` pass no operand."""
+        from mpisentinel.graph import EdgeType, NodeType, build_graph
+        module = parse_ir((fixtures_dir / "clang_style.ll").read_text(), "clang_style")
+        main = module.defined_functions()[0]
+        declare = main.blocks[0].instructions[9]
+        assert declare.call_target == "llvm.dbg.declare"
+        assert [(op.kind, op.token) for op in declare.operands] == [
+            (OperandKind.FUNCTION, "@llvm.dbg.declare"),
+            (OperandKind.LOCAL, "%argc.addr")]
+        assert (0, 9) in def_use_map(main)["%argc.addr"]
+        g = build_graph(module)
+        control = [n.id for n in g.nodes if n.node_type is NodeType.CONTROL]
+        alloca, call = control[1], control[9]  # %argc.addr = alloca, the declare
+        (argc_addr,) = [e.dst for e in g.edges
+                        if e.src == alloca and e.edge_type is EdgeType.DATA]
+        into_call = [e.src for e in g.edges
+                     if e.dst == call and e.edge_type is EdgeType.DATA]
+        assert into_call[1] == argc_addr
+        assert [g.nodes[i].node_type for i in into_call] == [
+            NodeType.CONSTANT, NodeType.VARIABLE]
+
     def test_unnamed_entry_block_and_numeric_labels(self):
         text = """
 define i32 @f(i32 %x) {

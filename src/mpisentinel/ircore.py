@@ -739,14 +739,18 @@ def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[st
 
 
 def _line_depth(text: str, define: bool) -> int:
-    """Bracket depth of one physical line; the brace that ends a line of a
-    define opens the body and does not count."""
-    return _bracket_depth(text[:-1] if define and text.endswith("{") else text)
+    """Bracket depth of one physical line.  Braces on the lines of a define
+    do not count: its body brace opens a body, which may begin on the same
+    line, not a bracket."""
+    if define:
+        text = text.replace("{", "").replace("}", "")
+    return _bracket_depth(text)
 
 
 def _logical_lines(raw_lines: list[str]):
-    """Join physical lines while brackets other than a define's body brace
-    are open, and the clause lines under an invoke, callbr or landingpad."""
+    """Join physical lines while brackets are open, braces on a define's
+    lines aside, and the clause lines under an invoke, callbr or
+    landingpad."""
     i = 0
     n = len(raw_lines)
     while i < n:

@@ -9,10 +9,11 @@ relations, the embedding's per-instruction walk) that the library must
 still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
-test; the reference trees are nested tuples, as cart_train's are.  Two
+test; the reference trees are nested tuples, as cart_train's are.  Three
 references are narrower: the embedding walk's reuses embed's row sums and
-flow solve, and the memo-free parse_ir reuses the library's function-body
-and module-line handling, isolating the line memo.  The IR helpers at the end
+flow solve, the memo-free parse_ir reuses the library's function-body
+and module-line handling, isolating the line memo, and the self-loop
+hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
 the references for the parser's scanners and for ``build_graph``.
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpisentinel import autodiff, embed, ircore
+from mpisentinel import autodiff, embed, gnn, ircore
 from mpisentinel.autodiff import ShapeMismatch, Tensor
-from mpisentinel import gnn
 from mpisentinel.gnn import (
     NODE_TYPES, RELATIONS, GnnConfig, InvalidGnnConfig, RelationParams, _t,
 )
@@ -650,16 +650,17 @@ def reference_strip_comment(line: str) -> str:
     return "".join(out).rstrip()
 
 
-def reference_bracket_depth(text: str) -> int:
+def reference_bracket_depth(text: str, braces: bool = True) -> int:
+    openers, closers = ("([<{", ")]>}") if braces else ("([<", ")]>")
     depth = 0
     in_string = False
     for ch in text:
         if ch == '"':
             in_string = not in_string
         elif not in_string:
-            if ch in "([<{":
+            if ch in openers:
                 depth += 1
-            elif ch in ")]>}":
+            elif ch in closers:
                 depth -= 1
     return depth
 
@@ -779,16 +780,14 @@ def _reference_logical_lines(raw_lines: list[str]):
         i += 1
         if not line:
             continue
-        define = line.startswith("define")
-        probe = line[:-1] if define and line.endswith("{") else line
-        depth = reference_bracket_depth(probe)
+        braces = not line.startswith("define")  # a define's braces are its body's
+        depth = reference_bracket_depth(line, braces)
         clauses = _reference_opens_clauses(line)
         while i < n and (depth > 0 or clauses and _reference_is_clause(raw_lines[i])):
             nxt = reference_strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
-            depth += reference_bracket_depth(nxt[:-1] if define and nxt.endswith("{")
-                                             else nxt)
+            depth += reference_bracket_depth(nxt, braces)
         yield lineno, line
 
 

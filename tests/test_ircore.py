@@ -443,6 +443,14 @@ entry:
         with pytest.raises(MalformedIr, match="^line 2: unnamed or unbalanced global"):
             parse_ir(text.replace("  i32 1 }, align 4\n", "  i32 1, align 4\n"))
 
+    def test_define_opening_its_body_inline(self):
+        """Braces on a define's line open and close its body, not a bracket:
+        the lines after an inline first instruction stay their own lines."""
+        text = "define i32 @f() { %x = add i32 1, 2\n  ret i32 %x\n}\n"
+        module = parse_ir(text)
+        assert [i.opcode for i in module.instructions()] == ["add", "ret"]
+        assert module == oracles.reference_parse_ir(text)
+
     def test_metadata_argument_is_a_use_of_its_value(self, fixtures_dir):
         """`metadata ptr %argc.addr` passes %argc.addr; `metadata !16` and
         `metadata !DIExpression()` pass no operand."""

@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Tensors record their parents and a backward closure on a tape; backward()
-walks the tape in reverse topological order accumulating gradients and
-releases each interior tensor's gradient once it has been passed on, so only
-leaves keep theirs.  Closures hold parents, never their own output, so a
-tape is freed as soon as its root is dropped.  Only the operations the graph
-network needs are provided.
+walks the tape in reverse topological order accumulating gradients.  Once
+an interior tensor (one with parents) has passed its gradient on, backward()
+drops its gradient, closure and parents, so the arrays the closure saved
+are freed as the walk proceeds and only leaves keep their gradients.
+Closures hold parents, never their own output, so a tape that is never
+walked is freed as soon as its root is dropped.  Only the operations the
+graph network needs are provided.
 """
 
 from __future__ import annotations
@@ -64,11 +66,16 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             if node._parents:
-                node.grad = None  # interior: every consumer has been processed
+                # interior: every consumer has been processed, so its
+                # gradient and what its closure saved can go now
+                node.grad = None
+                node._backward = None
+                node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"

@@ -221,8 +221,8 @@ def cmd_ablate(args, file_cfg, jobs: int) -> int:
     except (eval_mod.LabelAbsent,) as exc:
         return _error("LabelAbsent", f"label has no samples: {exc}", 2)
     except (eval_mod.InvalidScenario, eval_mod.TooFewSamples,
-            tabular.InvalidConfig, corpus_mod.SchemaViolation,
-            json.JSONDecodeError, OSError) as exc:
+            tabular.InvalidConfig, gnn_mod.InvalidGnnConfig,
+            corpus_mod.SchemaViolation, json.JSONDecodeError, OSError) as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},

@@ -11,6 +11,7 @@ Adam.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,6 +77,10 @@ class GnnConfig:
             raise InvalidGnnConfig("all dimensions must be >= 1")
         if self.batch_size < 1 or self.epochs < 0:
             raise InvalidGnnConfig("batch_size must be >= 1 and epochs >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidGnnConfig(f"lr must be finite and > 0, not {self.lr!r}")
+        if not math.isfinite(self.leaky_slope):
+            raise InvalidGnnConfig(f"leaky_slope must be finite, not {self.leaky_slope!r}")
 
 
 @dataclass
@@ -178,40 +183,99 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     Destinations without incoming edges output zeros.  `edges` is an (E, 2)
     int64 array of (source row, destination row) or a list of such pairs.
 
+    The relation is one autodiff node.  Its tape keeps the value transforms,
+    the attention, the exponentiated scores and each edge's denominator;
+    backward rebuilds the gathered features, their concatenation and the
+    raw scores from the layer's features.  Forward and backward evaluate the
+    same expressions, on the same operands, as the chain of primitive
+    operations the relation replaces (`gatv2_relation_chain` in the tests'
+    oracles), so its output and every gradient are the same bits.
+
     Where no destination has two incoming edges, the scores are not
     computed: each edge's attention is exactly 1 (score minus its own max
     is +0.0, exp gives 1, over a denominator of 1), so the output is the
-    scattered value transforms, bit for bit.  The gradient the full path
-    gives a score there is g/1 - g*1/1 = +0.0, so w_att and a keep their
-    zero gradients, and every other gradient differs at most in the sign
-    of an exact zero.  Only a non-finite score, which would make the full
-    path's attention NaN, gives a different result.
+    scattered value transforms, bit for bit, and the tape keeps nothing.
+    The gradient the full path gives a score there is g/1 - g*1/1 = +0.0,
+    so w_att and a keep their zero gradients, and every other gradient
+    differs at most in the sign of an exact zero.  Only a non-finite score,
+    which would make the full path's attention NaN, gives a different
+    result.
     """
+    w_att, a, w_val = params.w_att, params.a, params.w_val
+    n_src, d_src = h_src.data.shape
     n_dst = h_dst.data.shape[0]
-    out_dim = params.w_val.data.shape[0]
-    if params.w_att.data.shape[1] != h_src.data.shape[1] + h_dst.data.shape[1]:
+    if w_att.data.shape[1] != d_src + h_dst.data.shape[1]:
         raise ShapeMismatch(
-            f"w_att expects width {params.w_att.data.shape[1]}, got "
-            f"{h_src.data.shape[1]} + {h_dst.data.shape[1]}")
+            f"w_att expects width {w_att.data.shape[1]}, got "
+            f"{d_src} + {h_dst.data.shape[1]}")
     if len(edges) == 0:
-        return ad.zeros((n_dst, out_dim))
+        return ad.zeros((n_dst, w_val.data.shape[0]))
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    hs = ad.gather_rows(h_src, src_idx)
-    values = ad.matmul(hs, _t(params.w_val))              # (E, out)
-    if np.bincount(dst_idx, minlength=n_dst).max() <= 1:
-        return ad.segment_sum(values, dst_idx, n_dst)     # attention is 1
-    hd = ad.gather_rows(h_dst, dst_idx)
-    pair = ad.concat([hs, hd], axis=1)
-    scores = ad.matmul(ad.leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
-                       params.a)                         # (E, 1)
+    parents = (h_src, h_dst, w_att, a, w_val)
+
+    def values_backward(g_values):
+        """matmul(hs, w_valᵀ): accumulates w_val, returns hs's gradient."""
+        if w_val.requires_grad:
+            w_val.accumulate((h_src.data[src_idx].T @ g_values).T)
+        return g_values @ w_val.data
+
+    def scatter_to_src(g_hs):
+        if h_src.requires_grad:
+            h_src.accumulate(ad._scatter_rows(src_idx, g_hs, n_src))
+
+    values = h_src.data[src_idx] @ w_val.data.T           # (E, out)
+    if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
+        def backward_unscored(g):
+            scatter_to_src(values_backward(g[dst_idx]))
+        return Tensor(ad._scatter_rows(dst_idx, values, n_dst), parents=parents,
+                      backward=backward_unscored)
+
+    def raw_scores():
+        """The concatenated end features and their scores before leaky_relu."""
+        pair = np.concatenate([h_src.data[src_idx], h_dst.data[dst_idx]], axis=1)
+        return pair, pair @ w_att.data.T
+
+    scores = _leaky_relu(raw_scores()[1], slope) @ a.data  # (E, 1)
     # softmax per destination; the shift is a constant so gradients are exact
     shift = np.full(n_dst, -np.inf)
-    np.maximum.at(shift, dst_idx, scores.data.ravel())
-    shifted = ad.add(scores, Tensor(-shift[dst_idx][:, None]))
-    expd = ad.exp(shifted)
-    denom = ad.segment_sum(expd, dst_idx, n_dst)          # (n_dst, 1)
-    alpha = ad.div(expd, ad.gather_rows(denom, dst_idx))  # (E, 1)
-    return ad.segment_sum(ad.mul(values, alpha), dst_idx, n_dst)
+    np.maximum.at(shift, dst_idx, scores.ravel())
+    expd = np.exp(scores + -shift[dst_idx][:, None])
+    denom = ad._scatter_rows(dst_idx, expd, n_dst)[dst_idx]  # (E, 1)
+    alpha = expd / denom                                     # (E, 1)
+
+    # The chain stored each intermediate gradient plus 0.0, which turns -0.0
+    # into +0.0.  Skipping that changes no value: a zero's sign reaches no
+    # division or comparison, and Tensor.accumulate applies it to what
+    # reaches a parent.
+    def backward_scored(g):
+        g_mv = g[dst_idx]                              # of values * alpha
+        g_alpha = ad._unbroadcast(g_mv * values, alpha.shape)
+        g_hs = values_backward(g_mv * alpha)
+        del g_mv
+        g_expd = g_alpha / denom                       # of expd / denom
+        g_denom = -g_alpha * expd / (denom * denom)
+        g_expd += ad._scatter_rows(dst_idx, g_denom, n_dst)[dst_idx]
+        g_scores = g_expd * expd                       # of exp, then the shift
+        pair, pre = raw_scores()
+        if a.requires_grad:
+            a.accumulate(_leaky_relu(pre, slope).T @ g_scores)
+        g_pre = (g_scores @ a.data.T) * np.where(pre > 0, 1.0, slope)
+        del pre
+        if w_att.requires_grad:
+            w_att.accumulate((pair.T @ g_pre).T)
+        del pair
+        g_pair = g_pre @ w_att.data
+        g_hs += g_pair[:, :d_src]
+        scatter_to_src(g_hs)
+        if h_dst.requires_grad:
+            h_dst.accumulate(ad._scatter_rows(dst_idx, g_pair[:, d_src:], n_dst))
+
+    return Tensor(ad._scatter_rows(dst_idx, values * alpha, n_dst), parents=parents,
+                  backward=backward_scored)
+
+
+def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(x > 0, x, slope * x)
 
 
 def _t(p: Tensor) -> Tensor:
@@ -225,6 +289,20 @@ def _t(p: Tensor) -> Tensor:
     return out
 
 
+def _sum(parts: list[Tensor]) -> Tensor:
+    """parts[0] + parts[1] + ..., added left to right, as one node that keeps
+    no partial sum; each part's gradient is the sum's."""
+    total = parts[0].data + parts[1].data
+    for p in parts[2:]:
+        total += p.data
+
+    def backward(g):
+        for p in parts:
+            if p.requires_grad:
+                p.accumulate(g)
+    return Tensor(total, parents=tuple(parts), backward=backward)
+
+
 def hetero_layer(features: dict[str, Tensor],
                  rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
@@ -232,18 +310,18 @@ def hetero_layer(features: dict[str, Tensor],
     """One heterogeneous round: per node type, the messages of the relations
     into it and then its own term `h W_selfᵀ`, summed in that order, then
     ELU."""
-    accum: dict[str, Tensor] = {}
+    messages: dict[str, list[Tensor]] = {t: [] for t in features}
     for rel, params in layer_params.items():
         src_t, _, dst_t = rel
         edges = rel_edges.get(rel, ())
         if len(edges) == 0:
             continue  # a relation without edges contributes only zeros
-        msg = gatv2_relation(features[src_t], features[dst_t], edges, params, slope)
-        accum[dst_t] = ad.add(accum[dst_t], msg) if dst_t in accum else msg
+        messages[dst_t].append(
+            gatv2_relation(features[src_t], features[dst_t], edges, params, slope))
     out: dict[str, Tensor] = {}
     for t, feats in features.items():
-        own = ad.matmul(feats, _t(self_w[t]))
-        out[t] = ad.elu(ad.add(accum[t], own) if t in accum else own)
+        parts = messages[t] + [ad.matmul(feats, _t(self_w[t]))]
+        out[t] = ad.elu(_sum(parts) if len(parts) > 1 else parts[0])
     return out
 
 

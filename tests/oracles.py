@@ -4,8 +4,9 @@ The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
 CART, the per-individual GA fitness, the np.add.at autodiff engine, the
-GATv2 relation that scores every edge, the GNN's self loops as attention
-relations, the embedding's per-instruction walk) that the library must
+GATv2 relation that scores every edge, the GATv2 layer as a chain of
+primitive operations, the GNN's self loops as attention relations, the
+embedding's per-instruction walk) that the library must
 still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
@@ -380,6 +381,45 @@ def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationPar
     alpha = ad.div(expd, ad.gather_rows(denom, dst_idx))  # (E, 1)
     values = ad.matmul(hs, _t(params.w_val))              # (E, out)
     return ad.segment_sum(ad.mul(values, alpha), dst_idx, n_dst)
+
+
+# ---------------------------------------------------------------------------
+# The GATv2 layer as it was before each relation and each node type's sum of
+# messages became one autodiff node: a chain of primitive operations, with
+# the unscored path for relations without a destination of in-degree two,
+# whose tape keeps every intermediate array.  The reference for the fused
+# layer's gradients and tape size; tests monkeypatch hetero_layer_chain into
+# mpisentinel.gnn.
+
+def gatv2_relation_chain(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
+                         slope: float = 0.2) -> Tensor:
+    if len(edges):
+        src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        n_dst = h_dst.data.shape[0]
+        if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
+            values = ad.matmul(ad.gather_rows(h_src, src_idx), _t(params.w_val))
+            return ad.segment_sum(values, dst_idx, n_dst)
+    return gatv2_relation_full(h_src, h_dst, edges, params, slope)
+
+
+def hetero_layer_chain(features, rel_edges, layer_params, self_w,
+                       slope: float = 0.2):
+    """Per node type, the relation messages and then the self term, summed
+    by a chain of adds, then ELU."""
+    accum = {}
+    for rel, params in layer_params.items():
+        src_t, _, dst_t = rel
+        edges = rel_edges.get(rel, ())
+        if len(edges) == 0:
+            continue
+        msg = gatv2_relation_chain(features[src_t], features[dst_t], edges, params,
+                                   slope)
+        accum[dst_t] = ad.add(accum[dst_t], msg) if dst_t in accum else msg
+    out = {}
+    for t, feats in features.items():
+        own = ad.matmul(feats, _t(self_w[t]))
+        out[t] = ad.elu(ad.add(accum[t], own) if t in accum else own)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,12 @@ class TestPrimitives:
         hidden = ad.elu(ad.matmul(h, w))
         pooled = ad.segment_sum(ad.gather_rows(hidden, [0, 2, 2, 4]), [1, 0, 1, 1], 2)
         loss = tsum(ad.mul(pooled, pooled))
+        interior = [t for t in tape_nodes(loss) if t._parents]
+        assert len(interior) == 6
         loss.backward()
-        for node in tape_nodes(loss):
-            if node._parents:
-                assert node.grad is None, node
+        for node in interior:
+            assert node.grad is None, node
+            assert node._backward is None and node._parents == (), node
         assert h.grad.shape == h.data.shape and w.grad.shape == w.data.shape
 
     def test_first_accumulate_turns_negative_zero_positive(self):

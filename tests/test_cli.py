@@ -205,8 +205,13 @@ class TestEvaluate:
         (["--ga", "on", "--ga-generations", "-1"], "InvalidConfig"),
         (["--backend", "gnn", "--gnn-batch-size", "0"], "InvalidGnnConfig"),
         (["--backend", "gnn", "--gnn-epochs", "-1"], "InvalidGnnConfig"),
+        (["--backend", "gnn", "--gnn-lr", "nan"], "InvalidGnnConfig"),
+        (["--backend", "gnn", "--gnn-lr", "inf"], "InvalidGnnConfig"),
+        (["--backend", "gnn", "--gnn-lr", "0"], "InvalidGnnConfig"),
+        (["--backend", "gnn", "--gnn-lr", "-0.01"], "InvalidGnnConfig"),
     ], ids=["ga-population-0", "ga-generations-neg", "gnn-batch-size-0",
-            "gnn-epochs-neg"])
+            "gnn-epochs-neg", "gnn-lr-nan", "gnn-lr-inf", "gnn-lr-0",
+            "gnn-lr-neg"])
     def test_bad_ga_gnn_settings_exit_2(self, manifest_path, tmp_path, capsys,
                                         settings, kind):
         code, _, stderr = run_cli(
@@ -344,6 +349,28 @@ class TestAblate:
             "--report", str(tmp_path / "x.json"), capsys=capsys)
         assert code == 2
         assert json.loads(stderr.splitlines()[-1])["error"] == "InvalidConfig"
+
+    def test_bad_gnn_setting_exit_2(self, manifest_path, tmp_path, capsys,
+                                    monkeypatch):
+        """ablate has no GNN flags; its options reach the GNN backend only
+        through the scenario options, so the test sets them there."""
+        scenario_options = cli._scenario_options
+
+        def gnn_with_nan_lr(args):
+            options = scenario_options(args)
+            options.backend = "gnn"
+            options.gnn.lr = float("nan")
+            return options
+        monkeypatch.setattr(cli, "_scenario_options", gnn_with_nan_lr)
+        code, _, stderr = run_cli(
+            "ablate", "--manifest", str(manifest_path),
+            "--exclude", "MessageRace", "--folds", "5",
+            "--report", str(tmp_path / "x.json"), capsys=capsys)
+        assert code == 2
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "InvalidGnnConfig"
+        assert "lr" in err["message"]
+        assert not (tmp_path / "x.json").exists()
 
     def test_exclude_correct_exit_2(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -603,6 +630,26 @@ class TestPredict:
         err = json.loads(stderr.splitlines()[-1])
         assert err["error"] == "ModelIncompatible"
         assert "heads" in err["message"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", 0.0), ("lr", -1e-3), ("lr", float("inf")),
+        ("leaky_slope", float("nan")),
+    ])
+    def test_gnn_checkpoint_with_bad_config_exit_2(self, tmp_path, capsys,
+                                                   field, value):
+        model_path = tmp_path / "gnn.json"
+        train_gnn_model_file(model_path)
+        doc = json.loads(model_path.read_text())
+        doc["config"][field] = value
+        model_path.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+        ir = FIXTURES / "corpus_mbi" / "callordering_0.ll"
+        code, stdout, stderr = run_cli("predict", "--model", str(model_path),
+                                       "--ir", str(ir), capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "ModelIncompatible"
+        assert f"InvalidGnnConfig: {field}" in err["message"]
 
     def test_gnn_checkpoint_with_self_loop_relations_exit_2(self, tmp_path, capsys):
         """A checkpoint written while self loops were attention relations

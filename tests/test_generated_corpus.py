@@ -1,16 +1,22 @@
 """Benchmark-shaped corpora, written by the benchmark's own generator
 (imported read-only from perfbench/): modules parse and embed exactly as
 the memo-free references in tests/oracles.py do, and the GNN trains on
-their program graphs exactly as it did with self loops as relations."""
+their program graphs exactly as it did with self loops as relations and
+keeps a smaller tape than the chain of primitive operations."""
 
 import dataclasses
+import gc
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import tape_nodes
+from mpisentinel import autodiff as ad
 from mpisentinel import embed as em
 from mpisentinel import gnn
 from mpisentinel.graph import build_graph
@@ -84,3 +90,46 @@ def test_model_size_at_paper_widths(tmp_path):
     params = gnn.init_model(gnn.GnnConfig(), vocab, ["bad", "ok"]).parameters()
     assert len(vocab) == 42
     assert (len(params), sum(p.data.size for p in params)) == (59, 336_210)
+
+
+def test_tape_keeps_what_backward_reads(tmp_path, monkeypatch):
+    """One 8-graph batch at the paper's widths: the fused layer's tape holds
+    at most half the bytes of the chain of primitive operations, gives the
+    same gradients, and backward() frees every interior tensor even while
+    the loss is still referenced."""
+    samples = gnn_samples(tmp_path, modules=8)
+    graphs = [g for g, _ in samples]
+    model = gnn.init_model(gnn.GnnConfig(), gnn.build_vocab(graphs), ["bad", "ok"])
+    targets = [int(lab == "ok") for _, lab in samples]
+
+    def forward_traced():
+        """The loss and the bytes its tape holds after the forward pass."""
+        for p in model.parameters():
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = ad.cross_entropy_logits(gnn.logits_batch(model, graphs), targets)
+            return loss, tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    loss, fused_bytes = forward_traced()
+    interior = [weakref.ref(t) for t in tape_nodes(loss)
+                if t._parents and t is not loss]
+    was_enabled = gc.isenabled()
+    gc.disable()  # the tape must go by reference counting alone
+    try:
+        loss.backward()
+        assert [r for r in interior if r() is not None] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+    grads = [p.grad.copy() for p in model.parameters()]
+    del loss
+    monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_chain)
+    loss, chain_bytes = forward_traced()
+    loss.backward()
+    assert fused_bytes <= chain_bytes / 2, (fused_bytes, chain_bytes)
+    for (name, p), g in zip(model.parameter_items(), grads):
+        assert p.grad.tobytes() == g.tobytes(), name

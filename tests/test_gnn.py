@@ -184,6 +184,49 @@ class TestGatv2Relation:
         assert not g_att.any() and not g_a.any()
         assert not r_att.any() and not r_a.any()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_attention_chain(self, data):
+        """The relation as one autodiff node against the chain of primitive
+        operations that scores every edge: the output and every gradient are
+        the same bytes, with or without edges, with destinations of in-degree
+        0, 1 and more, with one feature tensor at both ends, and with
+        features that take no gradient."""
+        d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        n_src, n_dst = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        shared = data.draw(st.booleans())
+        if shared:
+            n_dst = n_src
+        src_grad, dst_grad = data.draw(st.booleans()), data.draw(st.booleans())
+        values = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-10, 10, allow_nan=False))
+
+        def matrix(shape):
+            return data.draw(arrays(np.float64, shape, elements=values))
+
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n_src - 1),
+                                             st.integers(0, n_dst - 1)), max_size=8))
+        h_src, h_dst = matrix((n_src, d_in)), matrix((n_dst, d_in))
+        w_att, a = matrix((d_out, 2 * d_in)), matrix((d_out, 1))
+        w_val, weights = matrix((d_out, d_in)), matrix((n_dst, d_out))
+
+        def run(relation):
+            src = ad.Tensor(h_src.copy(), requires_grad=src_grad)
+            dst = src if shared else ad.Tensor(h_dst.copy(), requires_grad=dst_grad)
+            params = relation_params(w_att, a, w_val)
+            leaves = [src, dst, *params.tensors()]
+            for t in leaves:
+                if t.requires_grad:
+                    t.zero_grad()
+            out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params)
+            weighted = ad.matmul(ad.mul(out, ad.Tensor(weights)),
+                                 ad.Tensor(np.ones((d_out, 1))))
+            ad.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
+            return out.data.tobytes(), [t.grad if t.grad is None else t.grad.tobytes()
+                                        for t in leaves]
+
+        assert run(gnn.gatv2_relation) == run(oracles.gatv2_relation_full)
+
 
 def self_weights(rng, out_dim, in_dim):
     return {t: ad.Tensor(rng.normal(size=(out_dim, in_dim)), requires_grad=True)
@@ -231,6 +274,55 @@ class TestHeteroLayer:
         pre = (v1 + v2)[1] + own["control"].data @ feats["control"].data[1]
         want = np.where(pre > 0, pre, np.expm1(pre))
         assert np.allclose(out["control"].data[1], want, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_chain_of_primitives(self, data):
+        """The layer with one node per relation and per sum against the chain
+        of primitive operations: the outputs and every gradient are the same
+        bytes.  A feature tensor feeds several relations and its own term,
+        so the order in which its gradient is summed shows; the values are
+        normal draws, whose sums round differently in another order."""
+        d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        sizes = {t: data.draw(st.integers(0, 4)) for t in gnn.NODE_TYPES}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def matrix(shape):
+            return rng.normal(size=shape)
+
+        feats = {t: matrix((n, d_in)) for t, n in sizes.items()}
+        rel_edges = {}
+        for rel in gnn.RELATIONS:
+            n_src, n_dst = sizes[rel[0]], sizes[rel[2]]
+            if n_src and n_dst:
+                rel_edges[rel] = np.array(data.draw(st.lists(
+                    st.tuples(st.integers(0, n_src - 1), st.integers(0, n_dst - 1)),
+                    max_size=8)), np.int64).reshape(-1, 2)
+        params = {rel: (matrix((d_out, 2 * d_in)), matrix((d_out, 1)),
+                        matrix((d_out, d_in))) for rel in gnn.RELATIONS}
+        own = {t: matrix((d_out, d_in)) for t in gnn.NODE_TYPES}
+        weights = {t: matrix((n, d_out)) for t, n in sizes.items()}
+
+        def run(layer):
+            inputs = {t: ad.Tensor(f.copy(), requires_grad=True) for t, f in feats.items()}
+            layer_params = {rel: relation_params(*p) for rel, p in params.items()}
+            self_w = {t: ad.Tensor(w.copy(), requires_grad=True) for t, w in own.items()}
+            leaves = [*inputs.values(), *self_w.values(),
+                      *(t for p in layer_params.values() for t in p.tensors())]
+            for t in leaves:
+                t.zero_grad()
+            out = layer(inputs, rel_edges, layer_params, self_w)
+            loss = ad.Tensor(np.zeros((1, 1)))
+            for t in gnn.NODE_TYPES:
+                weighted = ad.matmul(ad.mul(out[t], ad.Tensor(weights[t])),
+                                     ad.Tensor(np.ones((d_out, 1))))
+                loss = ad.add(loss, ad.segment_sum(weighted,
+                                                   np.zeros(sizes[t], np.int64), 1))
+            outputs = [out[t].data.tobytes() for t in gnn.NODE_TYPES]
+            loss.backward()
+            return outputs, [t.grad.tobytes() for t in leaves]
+
+        assert run(gnn.hetero_layer) == run(oracles.hetero_layer_chain)
 
     def test_missing_relation_params(self):
         """An edge whose typed triple is no relation is refused when the
@@ -480,14 +572,14 @@ class TestTrainingEngine:
                     if len(e) and rel not in scored]
         assert set(rel_edges) == set(gnn.RELATIONS)  # no self-loop edges
         assert scored and ("control", "data", "variable") in unscored
-        leaky_relu = ad.leaky_relu
+        leaky_relu = gnn._leaky_relu
         calls = []
 
-        def counted(a, slope=0.2):
-            calls.append(a.data.shape[0])  # one row per scored edge
-            return leaky_relu(a, slope)
+        def counted(x, slope):
+            calls.append(x.shape[0])  # one row per scored edge
+            return leaky_relu(x, slope)
 
-        monkeypatch.setattr(ad, "leaky_relu", counted)
+        monkeypatch.setattr(gnn, "_leaky_relu", counted)
         gnn.logits_batch(model, graphs)
         per_layer = [len(rel_edges[rel]) for rel in scored]
         assert calls == per_layer * len(model.layers)
@@ -502,13 +594,17 @@ class TestTrainingEngine:
             for p in model.parameters():
                 p.zero_grad()
             loss = ad.cross_entropy_logits(gnn.logits_batch(model, graphs), targets)
-            loss.backward()
-            return loss, [p.grad.copy() for p in model.parameters()]
+            interior = [weakref.ref(t) for t in tape_nodes(loss) if t._parents]
+            loss.backward()  # cuts the tape: collect it before
+            return interior, [p.grad.copy() for p in model.parameters()]
 
-        loss, grads = leaf_grads()
-        interior = [t for t in tape_nodes(loss) if t._parents]
-        assert len(interior) > 100
-        assert all(t.grad is None for t in interior)
+        interior, grads = leaf_grads()
+        # each layer adds a node per relation with edges and, per node type,
+        # the self matrix's transpose, its matmul and the ELU
+        rel_edges = gnn._build_batch(graphs, model.vocab).rel_edges
+        per_layer = sum(len(e) > 0 for e in rel_edges.values()) + 3 * len(gnn.NODE_TYPES)
+        assert len(interior) > len(model.layers) * per_layer
+        assert all(r() is None or r().grad is None for r in interior)
         oracles.use_reference_autodiff(monkeypatch)
         _, ref_grads = leaf_grads()
         for (name, _), g, r in zip(model.parameter_items(), grads, ref_grads):
@@ -651,6 +747,16 @@ class TestCheckpoint:
     def test_config_validation(self):
         with pytest.raises(gnn.InvalidGnnConfig):
             gnn.GnnConfig(layer_sizes=(8, 4)).validate()
+
+    @pytest.mark.parametrize("bad", [
+        dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=float("-inf")),
+        dict(lr=0.0), dict(lr=-1e-3), dict(leaky_slope=float("nan")),
+        dict(leaky_slope=float("inf")),
+    ], ids=["lr-nan", "lr-inf", "lr-neg-inf", "lr-0", "lr-neg", "slope-nan",
+            "slope-inf"])
+    def test_learning_rate_and_slope_must_be_finite(self, bad):
+        with pytest.raises(gnn.InvalidGnnConfig):
+            gnn.GnnConfig(**bad).validate()
 
     def test_cross_entropy_examples(self):
         def loss(logits, true_class):

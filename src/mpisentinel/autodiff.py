@@ -103,30 +103,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-    out._backward = backward
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-    out._backward = backward
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
@@ -180,17 +156,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return out
 
 
-def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
-    seg = np.asarray(seg, dtype=np.int64)
-    out = Tensor(_scatter_rows(seg, a.data, n_segments), parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g[seg])
-    out._backward = backward
-    return out
-
-
 def segment_max(a: Tensor, seg, n_segments: int) -> Tensor:
     """Per-segment elementwise max; gradient flows to the first row attaining
     the maximum in each (segment, column)."""
@@ -215,16 +180,6 @@ def segment_max(a: Tensor, seg, n_segments: int) -> Tensor:
     return out
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    out = Tensor(np.where(a.data > 0, a.data, slope * a.data), parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * np.where(a.data > 0, 1.0, slope))
-    out._backward = backward
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
 
@@ -241,17 +196,6 @@ def elu(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a.accumulate(g * np.where(a.data > 0, 1.0, np.exp(a.data)))
-    out._backward = backward
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    out = Tensor(data, parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * data)
     out._backward = backward
     return out
 

@@ -12,6 +12,7 @@ number of compile workers for ingest; folds always run one after another.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,6 +27,12 @@ from . import ircore, tabular
 
 ENV_COMPILER = "MPISENTINEL_COMPILER_CMD"
 ENV_JOBS = "MPISENTINEL_JOBS"
+
+# the errors evaluate and ablate report by type name with exit 2
+_USAGE_ERRORS = (OSError, json.JSONDecodeError, corpus_mod.SchemaViolation,
+                 eval_mod.InvalidScenario, eval_mod.SuiteMissing,
+                 eval_mod.TooFewSamples, eval_mod.LabelAbsent,
+                 tabular.InvalidConfig, gnn_mod.InvalidGnnConfig)
 
 
 def _error(kind: str, message: str, code: int) -> int:
@@ -75,43 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="run an evaluation scenario")
-    p.add_argument("--manifest", required=True)
+    _run_flags(p)
     p.add_argument("--scenario", choices=("intra", "mix", "cross"), required=True)
-    p.add_argument("--backend", choices=("ir2vec-dt", "gnn"), default="ir2vec-dt")
-    p.add_argument("--labels", choices=("binary", "error-type"), default="binary")
-    p.add_argument("--normalization", choices=("none", "vector", "index"),
-                   default="vector")
-    p.add_argument("--ga", choices=("on", "off"), default="off")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite", default=None, help="suite for intra scenarios")
-    p.add_argument("--train-suite", default=None)
-    p.add_argument("--validate-suite", default=None)
-    p.add_argument("--opt", default=None, help="restrict to one opt level")
-    p.add_argument("--specificity-formula", choices=("ratio", "paper-literal"),
-                   default="ratio")
-    p.add_argument("--ga-population", type=int, default=None)
-    p.add_argument("--ga-generations", type=int, default=None)
-    p.add_argument("--gnn-epochs", type=int, default=None)
-    p.add_argument("--gnn-lr", type=float, default=None)
-    p.add_argument("--gnn-batch-size", type=int, default=None)
-    p.add_argument("--report", required=True)
-    p.add_argument("--report-csv", default=None,
+    p.add_argument("--backend", choices=("ir2vec-dt", "gnn"))
+    p.add_argument("--labels", dest="label_mode", choices=("binary", "error-type"))
+    p.add_argument("--train-suite")
+    p.add_argument("--validate-suite")
+    p.add_argument("--opt", dest="opt_level", help="restrict to one opt level")
+    p.add_argument("--specificity-formula", choices=("ratio", "paper-literal"))
+    p.add_argument("--gnn-epochs", type=int)
+    p.add_argument("--gnn-lr", type=float)
+    p.add_argument("--gnn-batch-size", type=int)
+    p.add_argument("--report-csv",
                    help="also write a flat CSV of fold/aggregate metrics")
 
     p = sub.add_parser("ablate", help="excluded-label ablation study")
-    p.add_argument("--manifest", required=True)
+    _run_flags(p)
     p.add_argument("--exclude", action="append", required=True,
                    help="label to exclude (repeat for a pair)")
-    p.add_argument("--suite", default=None)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalization", choices=("none", "vector", "index"),
-                   default="vector")
-    p.add_argument("--ga", choices=("on", "off"), default="off")
-    p.add_argument("--ga-population", type=int, default=None)
-    p.add_argument("--ga-generations", type=int, default=None)
-    p.add_argument("--report", required=True)
 
     p = sub.add_parser("predict", help="classify one IR file with a saved model")
     p.add_argument("--model", required=True)
@@ -119,31 +107,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags evaluate and ablate share.  No option flag has an argparse
+    default: one that is not given leaves the default of ScenarioOptions,
+    GaConfig or GnnConfig in place (see _scenario_options)."""
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--suite", help="the suite of an intra scenario or an ablation")
+    p.add_argument("--folds", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--normalization", choices=("none", "vector", "index"))
+    p.add_argument("--ga", dest="ga_enabled", choices=("on", "off"))
+    p.add_argument("--ga-population", type=int)
+    p.add_argument("--ga-generations", type=int)
+    p.add_argument("--report", required=True)
+
+
 def _scenario_options(args) -> eval_mod.ScenarioOptions:
-    ga_cfg = tabular.GaConfig()
-    if getattr(args, "ga_population", None) is not None:
-        ga_cfg.population = args.ga_population
-    if getattr(args, "ga_generations", None) is not None:
-        ga_cfg.generations = args.ga_generations
-    gnn_cfg = gnn_mod.GnnConfig()
-    if getattr(args, "gnn_epochs", None) is not None:
-        gnn_cfg.epochs = args.gnn_epochs
-    if getattr(args, "gnn_lr", None) is not None:
-        gnn_cfg.lr = args.gnn_lr
-    if getattr(args, "gnn_batch_size", None) is not None:
-        gnn_cfg.batch_size = args.gnn_batch_size
-    return eval_mod.ScenarioOptions(
-        backend=getattr(args, "backend", "ir2vec-dt"),
-        label_mode=getattr(args, "labels", "binary"),
-        normalization=args.normalization,
-        opt_level=getattr(args, "opt", None),
-        ga_enabled=args.ga == "on",
-        folds=args.folds,
-        seed=args.seed,
-        ga=ga_cfg,
-        gnn=gnn_cfg,
-        specificity_formula=getattr(args, "specificity_formula", "ratio"),
-    )
+    """ScenarioOptions from the flags that were given.  A flag's dest is the
+    name of the field it sets, with a `ga_` or `gnn_` prefix for a field of
+    GaConfig or GnnConfig; every other field keeps its dataclass default."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    if "ga_enabled" in given:
+        given["ga_enabled"] = given["ga_enabled"] == "on"
+    options = eval_mod.ScenarioOptions()
+    for cfg, prefix in ((options, ""), (options.ga, "ga_"), (options.gnn, "gnn_")):
+        for f in dataclasses.fields(cfg):
+            if prefix + f.name in given:
+                setattr(cfg, f.name, given[prefix + f.name])
+    return options
 
 
 def cmd_ingest(args, file_cfg, jobs: int) -> int:
@@ -181,23 +172,14 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_evaluate(args, file_cfg, jobs: int) -> int:
-    options = _scenario_options(args)
     try:
         scenario = eval_mod.Scenario(
             kind=args.scenario, suite=args.suite,
             train_suite=args.train_suite, validate_suite=args.validate_suite,
-            options=options)
-    except eval_mod.InvalidScenario as exc:
-        return _error("InvalidScenario", str(exc), 2)
-    try:
-        manifest = corpus_mod.read_manifest(args.manifest)
-    except (OSError, corpus_mod.SchemaViolation, json.JSONDecodeError) as exc:
-        return _error(type(exc).__name__, str(exc), 2)
-    try:
-        report = eval_mod.run_scenario(manifest, scenario)
-    except (eval_mod.SuiteMissing, eval_mod.TooFewSamples,
-            eval_mod.InvalidScenario, tabular.InvalidConfig,
-            gnn_mod.InvalidGnnConfig) as exc:
+            options=_scenario_options(args))
+        report = eval_mod.run_scenario(corpus_mod.read_manifest(args.manifest),
+                                       scenario)
+    except _USAGE_ERRORS as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     if args.report_csv:
@@ -213,16 +195,11 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:
-    excluded = set(args.exclude)
-    options = _scenario_options(args)
     try:
-        manifest = corpus_mod.read_manifest(args.manifest)
-        report = eval_mod.ablation(manifest, excluded, options, suite=args.suite)
-    except (eval_mod.LabelAbsent,) as exc:
-        return _error("LabelAbsent", f"label has no samples: {exc}", 2)
-    except (eval_mod.InvalidScenario, eval_mod.TooFewSamples,
-            tabular.InvalidConfig, gnn_mod.InvalidGnnConfig,
-            corpus_mod.SchemaViolation, json.JSONDecodeError, OSError) as exc:
+        report = eval_mod.ablation(corpus_mod.read_manifest(args.manifest),
+                                   set(args.exclude), _scenario_options(args),
+                                   suite=args.suite)
+    except _USAGE_ERRORS as exc:
         return _error(type(exc).__name__, str(exc), 2)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},

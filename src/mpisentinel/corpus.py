@@ -90,10 +90,6 @@ class Manifest:
     samples: list[CorpusSample] = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def evaluable(self) -> list[CorpusSample]:
-        return [s for s in self.samples
-                if not s.quarantined and s.compile_status == "ok"]
-
 
 def _normalize_descriptor(desc: str) -> str:
     return re.sub(r"[\s_\-]+", "", desc).lower()

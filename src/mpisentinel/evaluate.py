@@ -184,6 +184,19 @@ class ScenarioOptions:
     gnn: gnn_mod.GnnConfig = field(default_factory=gnn_mod.GnnConfig)
     specificity_formula: str = "ratio"
 
+    def validate(self):
+        """Raise the typed error of the first bad field, whichever backend
+        and GA setting the run uses; run_scenario and ablation call this
+        before they read any IR."""
+        if self.backend not in _BACKENDS:
+            raise InvalidScenario(f"unknown backend {self.backend!r}")
+        if self.folds < 2:
+            raise InvalidScenario("k must be >= 2")
+        if self.seed < 0:
+            raise InvalidScenario(f"seed must be >= 0, not {self.seed}")
+        self.ga.validate(2 * self.embed_dim)  # an embedding has 2*dim features
+        self.gnn.validate()
+
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["gnn"]["layer_sizes"] = list(doc["gnn"]["layer_sizes"])
@@ -278,8 +291,6 @@ def _make_backend(options: ScenarioOptions, samples: list[CorpusSample]):
     one at a time from IR file to model input, so no two parsed modules are
     alive together; a sample failing at any step goes into `failed` with its
     message and counts as RE."""
-    if options.backend not in _BACKENDS:
-        raise InvalidScenario(f"unknown backend {options.backend!r}")
     backend = _BACKENDS[options.backend](options)
     for s in samples:
         try:
@@ -331,6 +342,19 @@ def _scope_samples(manifest: Manifest, scenario: Scenario) -> list[CorpusSample]
     return selected
 
 
+def _compiled(scope: list[CorpusSample]) -> tuple[list[CorpusSample], dict]:
+    """The samples in scope that compiled, and the `failures` entries naming
+    those that did not: `compile_error_reasons` (id -> compiler message) and
+    `timeouts` (sorted ids), each present only when non-empty.  Quarantined
+    samples are in neither."""
+    kept = [s for s in scope if not s.quarantined]
+    failures = {"compile_error_reasons": {s.id: s.compile_message for s in kept
+                                          if s.compile_status == "compile-error"},
+                "timeouts": sorted(s.id for s in kept if s.compile_status == "timeout")}
+    return ([s for s in kept if s.compile_status == "ok"],
+            {key: ids for key, ids in failures.items() if ids})
+
+
 def _label_for_mode(sample: CorpusSample, mode: str) -> str:
     return to_binary(sample.label) if mode == "binary" else sample.label
 
@@ -338,20 +362,16 @@ def _label_for_mode(sample: CorpusSample, mode: str) -> str:
 def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     """Full protocol run; returns the (JSON-serializable) scenario report."""
     opts = scenario.options
+    opts.validate()
     scope = _scope_samples(manifest, scenario)
-    evaluable = [s for s in scope if not s.quarantined and s.compile_status == "ok"]
-    compile_errors = {s.id: s.compile_message for s in scope
-                      if not s.quarantined and s.compile_status == "compile-error"}
-    timeouts = sorted(s.id for s in scope
-                      if not s.quarantined and s.compile_status == "timeout")
+    evaluable, compile_failures = _compiled(scope)
+    n_ce = len(compile_failures.get("compile_error_reasons", ()))
     by_id = {s.id: s for s in evaluable}
     labels_by_id = {s.id: _label_for_mode(s, opts.label_mode) for s in evaluable}
     if opts.label_mode == "binary":
         label_space = list(BINARY_SPACE)
     else:
         label_space = sorted({s.label for s in evaluable})
-
-    backend = _make_backend(opts, evaluable)
 
     fold_args = []
     if scenario.kind in ("intra", "mix"):
@@ -366,7 +386,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             raise SuiteMissing("cross scenario needs samples in both suites")
         fold_args.append((0, train_ids, val_ids, opts.seed))
 
-    aggregate = ConfusionCounts(ce=len(compile_errors), to=len(timeouts))
+    backend = _make_backend(opts, evaluable)
+    aggregate = ConfusionCounts(ce=n_ce, to=len(compile_failures.get("timeouts", ())))
     per_label_hits: dict[str, list[int]] = {}
     re_samples: list[str] = []
     fold_docs = []
@@ -426,14 +447,10 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
             "metrics": metrics_to_dict(metrics(aggregate, opts.specificity_formula)),
         },
         "per_label_accuracy": per_label,
-        "failures": {"compile_errors": len(compile_errors),
-                     "runtime_errors": sorted(re_samples)},
+        "failures": {"compile_errors": n_ce, "runtime_errors": sorted(re_samples),
+                     **compile_failures},
     }
-    if compile_errors:  # reports without compile errors keep their shape
-        report["failures"]["compile_error_reasons"] = compile_errors
-    if timeouts:  # reports without timeouts keep their shape
-        report["failures"]["timeouts"] = timeouts
-    if re_samples:  # likewise reports without runtime errors
+    if re_samples:  # reports without runtime errors keep their shape
         report["failures"]["runtime_error_reasons"] = {
             sid: backend.failed[sid] for sid in re_samples}
     return report
@@ -461,23 +478,24 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
              suite: str | None = None) -> dict:
     """Excluded-label protocol: binary training without the excluded labels;
     reported accuracy per label = excluded-label samples predicted Incorrect
-    over that label's total.  Samples that fail to load are named under
-    `failures`, whichever side of a fold they fall on."""
+    over that label's total.  Samples that did not compile or fail to load
+    are named under `failures`, with the keys run_scenario uses, whichever
+    side of a fold they fall on."""
+    options.validate()
     if not 1 <= len(excluded) <= 2:
         raise InvalidScenario("exclude one or two labels")
     if CORRECT in excluded:
         raise InvalidScenario("the correct label cannot be excluded")
-    samples = manifest.evaluable()
-    if suite:
-        samples = [s for s in samples if s.suite == suite]
+    samples, failures = _compiled(
+        [s for s in manifest.samples if not suite or s.suite == suite])
     present = {s.label for s in samples}
     for lab in excluded:
         if lab not in present:
-            raise LabelAbsent(lab)
+            raise LabelAbsent(f"label has no samples: {lab}")
     labels_by_id = {s.id: to_binary(s.label) for s in samples}
     orig_label = {s.id: s.label for s in samples}
-    backend = _make_backend(options, samples)
     plan = ablation_fold_plan(samples, excluded, options.folds, options.seed)
+    backend = _make_backend(options, samples)
 
     hits = {lab: [0, 0] for lab in excluded}
     fold_docs = []
@@ -504,9 +522,11 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         "sample_counts": {lab: h[1] for lab, h in hits.items()},
         "folds": fold_docs,
     }
-    if backend.failed:  # reports without runtime errors keep their shape
-        report["failures"] = {"runtime_errors": sorted(backend.failed),
-                              "runtime_error_reasons": dict(backend.failed)}
+    if backend.failed:
+        failures.update(runtime_errors=sorted(backend.failed),
+                        runtime_error_reasons=dict(backend.failed))
+    if failures:  # reports without failed samples keep their shape
+        report["failures"] = failures
     return report
 
 

@@ -249,7 +249,7 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     # reaches a parent.
     def backward_scored(g):
         g_mv = g[dst_idx]                              # of values * alpha
-        g_alpha = ad._unbroadcast(g_mv * values, alpha.shape)
+        g_alpha = (g_mv * values).sum(axis=1, keepdims=True)
         g_hs = values_backward(g_mv * alpha)
         del g_mv
         g_expd = g_alpha / denom                       # of expd / denom

@@ -273,7 +273,8 @@ def reference_embed(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndar
 # The autodiff engine as it was before its scatters used bincount and before
 # backward() released interior gradients: np.add.at scatters, zeros-then-add
 # accumulation, every gradient kept.  The bit-exact reference for GNN
-# training; tests monkeypatch these into mpisentinel.autodiff.
+# training; tests monkeypatch these into mpisentinel.autodiff, except
+# segment_sum_add_at, the scatter reference for segment_sum below.
 
 def scatter_add_at(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     out = np.zeros((n_rows,) + values.shape[1:])
@@ -335,9 +336,70 @@ def use_reference_autodiff(monkeypatch):
     """Run mpisentinel.autodiff with the reference scatters, accumulation and
     backward for the rest of the test."""
     monkeypatch.setattr(autodiff, "gather_rows", gather_rows_add_at)
-    monkeypatch.setattr(autodiff, "segment_sum", segment_sum_add_at)
     monkeypatch.setattr(autodiff.Tensor, "accumulate", accumulate_zeros_then_add)
     monkeypatch.setattr(autodiff.Tensor, "backward", backward_keeping_grads)
+
+
+# ---------------------------------------------------------------------------
+# Autodiff primitives that only the chain references below and the
+# primitive gradchecks use: mpisentinel.gnn computes a relation as one
+# autodiff node, so mpisentinel.autodiff no longer carries them.
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data * b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(autodiff._unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(autodiff._unbroadcast(g * a.data, b.data.shape))
+    out._backward = backward
+    return out
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data / b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(autodiff._unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(autodiff._unbroadcast(-g * a.data / (b.data * b.data),
+                                               b.data.shape))
+    out._backward = backward
+    return out
+
+
+def exp(a: Tensor) -> Tensor:
+    data = np.exp(a.data)
+    out = Tensor(data, parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * data)
+    out._backward = backward
+    return out
+
+
+def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    out = Tensor(np.where(a.data > 0, a.data, slope * a.data), parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * np.where(a.data > 0, 1.0, slope))
+    out._backward = backward
+    return out
+
+
+def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
+    seg = np.asarray(seg, dtype=np.int64)
+    out = Tensor(autodiff._scatter_rows(seg, a.data, n_segments), parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g[seg])
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +432,17 @@ def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationPar
     hs = ad.gather_rows(h_src, src_idx)
     hd = ad.gather_rows(h_dst, dst_idx)
     pair = ad.concat([hs, hd], axis=1)
-    scores = ad.matmul(ad.leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
+    scores = ad.matmul(leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
                        params.a)                         # (E, 1)
     # softmax per destination; the shift is a constant so gradients are exact
     shift = np.full(n_dst, -np.inf)
     np.maximum.at(shift, dst_idx, scores.data.ravel())
     shifted = ad.add(scores, Tensor(-shift[dst_idx][:, None]))
-    expd = ad.exp(shifted)
-    denom = ad.segment_sum(expd, dst_idx, n_dst)          # (n_dst, 1)
-    alpha = ad.div(expd, ad.gather_rows(denom, dst_idx))  # (E, 1)
+    expd = exp(shifted)
+    denom = segment_sum(expd, dst_idx, n_dst)             # (n_dst, 1)
+    alpha = div(expd, ad.gather_rows(denom, dst_idx))     # (E, 1)
     values = ad.matmul(hs, _t(params.w_val))              # (E, out)
-    return ad.segment_sum(ad.mul(values, alpha), dst_idx, n_dst)
+    return segment_sum(mul(values, alpha), dst_idx, n_dst)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +460,7 @@ def gatv2_relation_chain(h_src: Tensor, h_dst: Tensor, edges, params: RelationPa
         n_dst = h_dst.data.shape[0]
         if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
             values = ad.matmul(ad.gather_rows(h_src, src_idx), _t(params.w_val))
-            return ad.segment_sum(values, dst_idx, n_dst)
+            return segment_sum(values, dst_idx, n_dst)
     return gatv2_relation_full(h_src, h_dst, edges, params, slope)
 
 

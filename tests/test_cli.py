@@ -10,7 +10,7 @@ from conftest import FIXTURES, phi_call_loop
 from mpisentinel import cli
 from mpisentinel import embed as em
 from mpisentinel import evaluate as ev
-from mpisentinel import gnn
+from mpisentinel import gnn, ircore
 from mpisentinel import tabular
 from mpisentinel.graph import build_graph
 from mpisentinel.ircore import parse_ir
@@ -209,17 +209,27 @@ class TestEvaluate:
         (["--backend", "gnn", "--gnn-lr", "inf"], "InvalidGnnConfig"),
         (["--backend", "gnn", "--gnn-lr", "0"], "InvalidGnnConfig"),
         (["--backend", "gnn", "--gnn-lr", "-0.01"], "InvalidGnnConfig"),
+        (["--seed", "-1"], "InvalidScenario"),
+        (["--backend", "ir2vec-dt", "--gnn-lr", "nan"], "InvalidGnnConfig"),
+        (["--ga", "off", "--ga-population", "0"], "InvalidConfig"),
     ], ids=["ga-population-0", "ga-generations-neg", "gnn-batch-size-0",
             "gnn-epochs-neg", "gnn-lr-nan", "gnn-lr-inf", "gnn-lr-0",
-            "gnn-lr-neg"])
+            "gnn-lr-neg", "seed-neg", "dt-gnn-lr-nan", "ga-off-population-0"])
     def test_bad_ga_gnn_settings_exit_2(self, manifest_path, tmp_path, capsys,
-                                        settings, kind):
+                                        monkeypatch, settings, kind):
+        """Checked whichever backend and GA setting the run uses, before any
+        IR file is parsed."""
+        parsed = []
+        monkeypatch.setattr(ircore, "parse_ir",
+                            lambda text, name="": parsed.append(name))
         code, _, stderr = run_cli(
             "evaluate", "--manifest", str(manifest_path),
             "--scenario", "intra", "--suite", "MBI", "--folds", "5", *settings,
             "--report", str(tmp_path / "r.json"), capsys=capsys)
         assert code == 2
         assert json.loads(stderr.splitlines()[-1])["error"] == kind
+        assert parsed == []
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("backend", ["ir2vec-dt", "gnn"])
     def test_fold_without_loadable_samples_exit_2(self, tmp_path, capsys,
@@ -349,6 +359,38 @@ class TestAblate:
             "--report", str(tmp_path / "x.json"), capsys=capsys)
         assert code == 2
         assert json.loads(stderr.splitlines()[-1])["error"] == "InvalidConfig"
+
+    def test_negative_seed_exit_2(self, manifest_path, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            "ablate", "--manifest", str(manifest_path),
+            "--exclude", "MessageRace", "--folds", "5", "--seed", "-1",
+            "--report", str(tmp_path / "x.json"), capsys=capsys)
+        assert code == 2
+        err = json.loads(stderr.splitlines()[-1])
+        assert err["error"] == "InvalidScenario"
+        assert "seed" in err["message"]
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("status,key", [
+        ("compile-error", "compile_error_reasons"), ("timeout", "timeouts")])
+    def test_sample_that_did_not_compile_named_and_exit_1(
+            self, manifest_path, tmp_path, capsys, status, key):
+        doc = json.loads(manifest_path.read_text())
+        races = [s for s in doc["samples"] if s["label"] == "MessageRace"]
+        races[0].update(status=status, message="race.c:1: error")
+        races[0].pop("ir")
+        edited = tmp_path / "m.json"
+        edited.write_text(json.dumps(doc))
+        report_path = tmp_path / "ab.json"
+        code, _, _ = run_cli(
+            "ablate", "--manifest", str(edited), "--exclude", "MessageRace",
+            "--folds", "5", "--report", str(report_path), capsys=capsys)
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        named = ({races[0]["id"]: "race.c:1: error"} if status == "compile-error"
+                 else [races[0]["id"]])
+        assert report["failures"] == {key: named}
+        assert report["sample_counts"] == {"MessageRace": len(races) - 1}
 
     def test_bad_gnn_setting_exit_2(self, manifest_path, tmp_path, capsys,
                                     monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpisentinel import corpus as cm
 from mpisentinel import embed as em
 from mpisentinel import evaluate as ev
+from mpisentinel import gnn as gnn_mod
 from mpisentinel import tabular
 from mpisentinel.ircore import parse_ir
 from conftest import FIXTURES as FIXTURES_DIR, phi_call_loop
@@ -376,7 +377,7 @@ class TestAblation:
     def test_embedding_identity_of_shared_shapes(self, shape_manifest):
         vocab = em.SeedVocab(0, 256)
         by_label = {}
-        for s in shape_manifest.evaluable():
+        for s in ev._compiled(shape_manifest.samples)[0]:
             module = parse_ir(open(s.ir_path).read(), s.id)
             by_label.setdefault(s.label, []).append(em.embed(module, vocab).values)
         assert np.array_equal(by_label["MessageRace"][0],
@@ -458,7 +459,6 @@ def broken_mbi_manifest(tmp_path, failure: str, stem: str) -> cm.Manifest:
 
 
 def tiny_gnn_options(**kw):
-    from mpisentinel import gnn as gnn_mod
     return desk_options(backend="gnn", gnn=gnn_mod.GnnConfig(
         layer_sizes=(8, 6, 4), node_embed_dim=4, fc_hidden=4, epochs=1,
         batch_size=16), **kw)
@@ -499,7 +499,8 @@ class TestRuntimeErrorPropagation:
     @pytest.mark.parametrize("failure", ["malformed", "deleted"])
     def test_ablation_leaves_out_broken_excluded_sample(self, tmp_path, failure):
         manifest = broken_mbi_manifest(tmp_path, failure, "messagerace_0")
-        total = sum(s.label == "MessageRace" for s in manifest.evaluable())
+        total = sum(s.label == "MessageRace"
+                    for s in ev._compiled(manifest.samples)[0])
         report = ev.ablation(manifest, {"MessageRace"},
                              desk_options(label_mode="binary", folds=4))
         assert report["sample_counts"] == {"MessageRace": total - 1}
@@ -558,21 +559,34 @@ class TestOnePreparationLoop:
         assert {sid: k for sid, k in alive_at.items() if k} == {}
         assert list(backend_obj.inputs) == list(alive_at)
 
-    def test_unknown_backend_rejected_before_reading(self, monkeypatch,
-                                                     fixture_manifest):
+    @pytest.mark.parametrize("entry", ["run_scenario", "ablation"])
+    @pytest.mark.parametrize("field,value,error", [
+        ("backend", "svm", ev.InvalidScenario),
+        ("folds", 1, ev.InvalidScenario),
+        ("seed", -1, ev.InvalidScenario),
+        ("ga", tabular.GaConfig(population=0), tabular.InvalidConfig),
+        ("gnn", gnn_mod.GnnConfig(lr=float("nan")), gnn_mod.InvalidGnnConfig),
+    ], ids=["unknown-backend", "folds-1", "seed-neg", "bad-ga", "bad-gnn"])
+    def test_bad_option_rejected_before_reading(self, monkeypatch, fixture_manifest,
+                                                entry, field, value, error):
+        """Every field is checked whichever backend and GA setting the run
+        uses (GA off and the dt backend here), before any IR is parsed."""
         from mpisentinel import ircore
         parsed = []
         monkeypatch.setattr(ircore, "parse_ir",
                             lambda text, name="": parsed.append(name))
-        with pytest.raises(ev.InvalidScenario):
-            ev._make_backend(ev.ScenarioOptions(backend="svm"),
-                             fixture_manifest.samples)
+        options = ev.ScenarioOptions(**{field: value})
+        with pytest.raises(error):
+            if entry == "run_scenario":
+                ev.run_scenario(fixture_manifest,
+                                ev.Scenario(kind="intra", suite="MBI", options=options))
+            else:
+                ev.ablation(fixture_manifest, {"MessageRace"}, options)
         assert parsed == []
 
 
 class TestGnnScenario:
     def test_cross_suite_gnn_handles_unseen_tokens(self, fixture_manifest):
-        from mpisentinel import gnn as gnn_mod
         opts = ev.ScenarioOptions(
             backend="gnn", label_mode="binary", normalization="vector",
             seed=0,

@@ -171,9 +171,9 @@ class TestGatv2Relation:
             for t in leaves:
                 t.zero_grad()
             out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params)
-            weighted = ad.matmul(ad.mul(out, ad.Tensor(weights)),
+            weighted = ad.matmul(oracles.mul(out, ad.Tensor(weights)),
                                  ad.Tensor(np.ones((d_out, 1))))
-            ad.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
+            oracles.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
             return out.data, [t.grad for t in leaves]
 
         out, (g_src, g_dst, g_att, g_a, g_val) = run(gnn.gatv2_relation)
@@ -219,9 +219,9 @@ class TestGatv2Relation:
                 if t.requires_grad:
                     t.zero_grad()
             out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params)
-            weighted = ad.matmul(ad.mul(out, ad.Tensor(weights)),
+            weighted = ad.matmul(oracles.mul(out, ad.Tensor(weights)),
                                  ad.Tensor(np.ones((d_out, 1))))
-            ad.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
+            oracles.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
             return out.data.tobytes(), [t.grad if t.grad is None else t.grad.tobytes()
                                         for t in leaves]
 
@@ -314,10 +314,10 @@ class TestHeteroLayer:
             out = layer(inputs, rel_edges, layer_params, self_w)
             loss = ad.Tensor(np.zeros((1, 1)))
             for t in gnn.NODE_TYPES:
-                weighted = ad.matmul(ad.mul(out[t], ad.Tensor(weights[t])),
+                weighted = ad.matmul(oracles.mul(out[t], ad.Tensor(weights[t])),
                                      ad.Tensor(np.ones((d_out, 1))))
-                loss = ad.add(loss, ad.segment_sum(weighted,
-                                                   np.zeros(sizes[t], np.int64), 1))
+                loss = ad.add(loss, oracles.segment_sum(
+                    weighted, np.zeros(sizes[t], np.int64), 1))
             outputs = [out[t].data.tobytes() for t in gnn.NODE_TYPES]
             loss.backward()
             return outputs, [t.grad.tobytes() for t in leaves]

@@ -4,15 +4,21 @@ Subcommands: ingest (corpus -> manifest), evaluate (scenario -> report),
 ablate (excluded-label study), predict (single IR file against a saved
 model).  Errors are emitted as JSON lines on stderr; exit codes: 0 success,
 1 completed with per-sample failures recorded, 2 usage/config error,
-3 internal error.  Settings resolve flags > environment > config file >
-defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the
-number of compile workers for ingest; folds always run one after another.
+3 internal error.  One table, _USAGE_ERRORS, decides exit 2: main reports
+any error of a type in it by its type name, whichever command raised it,
+and any other exception as InternalError.  Before they read any input,
+ingest checks --timeout (finite, above 0) and --out, and evaluate and
+ablate check --report and --report-csv, so a bad output path costs no
+run.  Settings resolve flags > environment > config file > defaults
+(MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the number of
+compile workers for ingest; folds always run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -28,16 +34,41 @@ from . import ircore, tabular
 ENV_COMPILER = "MPISENTINEL_COMPILER_CMD"
 ENV_JOBS = "MPISENTINEL_JOBS"
 
-# the errors evaluate and ablate report by type name with exit 2
-_USAGE_ERRORS = (OSError, json.JSONDecodeError, corpus_mod.SchemaViolation,
-                 eval_mod.InvalidScenario, eval_mod.SuiteMissing,
-                 eval_mod.TooFewSamples, eval_mod.LabelAbsent,
-                 tabular.InvalidConfig, gnn_mod.InvalidGnnConfig)
+# the input errors main reports by type name with exit 2, whichever command
+# raised them (an OSError that reaches main is a manifest, source or output path)
+_USAGE_ERRORS = (OSError, json.JSONDecodeError, UnicodeDecodeError,
+                 corpus_mod.CompilerNotFound, corpus_mod.SchemaViolation,
+                 ircore.MalformedIr, ircore.UndefinedLocal,
+                 embed_mod.FlowDiverges, eval_mod.InvalidScenario,
+                 eval_mod.SuiteMissing, eval_mod.TooFewSamples,
+                 eval_mod.LabelAbsent, tabular.InvalidConfig,
+                 gnn_mod.InvalidGnnConfig, gnn_mod.EmptyGraph)
+# the errors predict reports as ModelIncompatible when a model file loads
+_MODEL_ERRORS = (KeyError, TypeError, ValueError, tabular.WidthMismatch,
+                 gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch,
+                 gnn_mod.CheckpointParamsMismatch)
 
 
 def _error(kind: str, message: str, code: int) -> int:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     return code
+
+
+def _check_output(path) -> None:
+    """Raise the OSError that writing a file at `path` would raise: its
+    directory must exist and be writable, and `path` must not be a
+    directory.  Creates nothing, so a typo fails before the run, not after."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _setting(flag_value, env_name, file_cfg, file_key, default):
@@ -141,17 +172,16 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
     directory = Path(args.dir)
     if not directory.is_dir() or not os.access(directory, os.R_OK):
         return _error("UnreadableDirectory", f"cannot read {directory}", 2)
+    if not 0 < args.timeout < float("inf"):  # also false for NaN
+        return _error("ConfigError", f"invalid timeout value {args.timeout!r}", 2)
+    _check_output(args.out)
     compiler_cmd = _setting(args.compiler_cmd, ENV_COMPILER, file_cfg,
                             "compiler_cmd", "none")
-    try:
-        if args.suite == "mbi":
-            samples = corpus_mod.ingest_mbi(directory, opt_level=args.opt)
-        else:
-            samples = corpus_mod.ingest_corrbench(directory, opt_level=args.opt)
-        corpus_mod.attach_ir(samples, compiler_cmd, timeout=args.timeout,
-                             jobs=jobs)
-    except corpus_mod.CompilerNotFound as exc:
-        return _error(type(exc).__name__, str(exc), 2)
+    if args.suite == "mbi":
+        samples = corpus_mod.ingest_mbi(directory, opt_level=args.opt)
+    else:
+        samples = corpus_mod.ingest_corrbench(directory, opt_level=args.opt)
+    corpus_mod.attach_ir(samples, compiler_cmd, timeout=args.timeout, jobs=jobs)
     manifest = corpus_mod.Manifest(samples, provenance={
         "suite": args.suite, "directory": str(directory),
         "compiler_cmd": compiler_cmd, "opt": args.opt, "seed": 0,
@@ -172,15 +202,15 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_evaluate(args, file_cfg, jobs: int) -> int:
-    try:
-        scenario = eval_mod.Scenario(
-            kind=args.scenario, suite=args.suite,
-            train_suite=args.train_suite, validate_suite=args.validate_suite,
-            options=_scenario_options(args))
-        report = eval_mod.run_scenario(corpus_mod.read_manifest(args.manifest),
-                                       scenario)
-    except _USAGE_ERRORS as exc:
-        return _error(type(exc).__name__, str(exc), 2)
+    for path in (args.report, args.report_csv):
+        if path:
+            _check_output(path)
+    scenario = eval_mod.Scenario(
+        kind=args.scenario, suite=args.suite,
+        train_suite=args.train_suite, validate_suite=args.validate_suite,
+        options=_scenario_options(args))
+    report = eval_mod.run_scenario(corpus_mod.read_manifest(args.manifest),
+                                   scenario)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     if args.report_csv:
         Path(args.report_csv).write_text(eval_mod.report_to_csv(report))
@@ -195,12 +225,10 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:
-    try:
-        report = eval_mod.ablation(corpus_mod.read_manifest(args.manifest),
-                                   set(args.exclude), _scenario_options(args),
-                                   suite=args.suite)
-    except _USAGE_ERRORS as exc:
-        return _error(type(exc).__name__, str(exc), 2)
+    _check_output(args.report)
+    report = eval_mod.ablation(corpus_mod.read_manifest(args.manifest),
+                               set(args.exclude), _scenario_options(args),
+                               suite=args.suite)
     Path(args.report).write_text(eval_mod.report_to_json(report))
     print(json.dumps({"report": args.report, "accuracy": report["accuracy"]},
                      sort_keys=True))
@@ -219,9 +247,7 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
         return _error("ModelIncompatible", f"unknown model kind {kind!r}", 2)
     try:
         model = loaders[kind](args.model)
-    except (KeyError, TypeError, ValueError, tabular.WidthMismatch,
-            gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch,
-            gnn_mod.CheckpointParamsMismatch) as exc:
+    except _MODEL_ERRORS as exc:
         return _error("ModelIncompatible", f"{type(exc).__name__}: {exc}", 2)
     try:
         module = ircore.parse_ir(Path(args.ir).read_text(encoding="utf-8"),
@@ -230,23 +256,14 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
         return _error("IrLoadError", str(exc), 2)
     except UnicodeDecodeError as exc:
         return _error("IrLoadError", f"{args.ir} is not UTF-8 text: {exc}", 2)
-    except ircore.MalformedIr as exc:
-        return _error("MalformedIr", str(exc), 2)
     if kind == "ir2vec-dt":
-        try:
-            raw = model.embed(module)
-        except embed_mod.FlowDiverges as exc:
-            return _error("FlowDiverges", str(exc), 2)
-        leaf = model.leaf(raw)
+        leaf = model.leaf(model.embed(module))
         print(json.dumps({"label": model.tree.label(leaf),
                           "leaf_class_counts": model.tree.class_counts(leaf)},
                          sort_keys=True))
         return 0
-    try:
-        g = graph_mod.build_graph(module)
-        label, probs = gnn_mod.predict_with_probabilities(model, g)
-    except gnn_mod.EmptyGraph as exc:
-        return _error("EmptyGraph", str(exc), 2)
+    label, probs = gnn_mod.predict_with_probabilities(
+        model, graph_mod.build_graph(module))
     print(json.dumps({"label": label, "probabilities": probs}, sort_keys=True))
     return 0
 
@@ -270,6 +287,8 @@ def main(argv=None) -> int:
                "ablate": cmd_ablate, "predict": cmd_predict}[args.command]
     try:
         return handler(args, file_cfg, jobs)
+    except _USAGE_ERRORS as exc:
+        return _error(type(exc).__name__, str(exc), 2)
     except Exception as exc:  # internal error contract
         return _error("InternalError", f"{type(exc).__name__}: {exc}", 3)
 

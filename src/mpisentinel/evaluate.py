@@ -486,12 +486,14 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         raise InvalidScenario("exclude one or two labels")
     if CORRECT in excluded:
         raise InvalidScenario("the correct label cannot be excluded")
-    samples, failures = _compiled(
-        [s for s in manifest.samples if not suite or s.suite == suite])
-    present = {s.label for s in samples}
+    scope = [s for s in manifest.samples if not suite or s.suite == suite]
+    # a label whose samples all failed to compile is present: it is reported
+    # with no accuracy, and its samples are named under failures
+    present = {s.label for s in scope if not s.quarantined}
     for lab in excluded:
         if lab not in present:
             raise LabelAbsent(f"label has no samples: {lab}")
+    samples, failures = _compiled(scope)
     labels_by_id = {s.id: to_binary(s.label) for s in samples}
     orig_label = {s.id: s.label for s in samples}
     plan = ablation_fold_plan(samples, excluded, options.folds, options.seed)

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES, phi_call_loop
+import mpisentinel
 from mpisentinel import cli
 from mpisentinel import embed as em
 from mpisentinel import evaluate as ev
@@ -391,6 +395,34 @@ class TestAblate:
                  else [races[0]["id"]])
         assert report["failures"] == {key: named}
         assert report["sample_counts"] == {"MessageRace": len(races) - 1}
+
+    @pytest.mark.parametrize("status,key", [
+        ("compile-error", "compile_error_reasons"), ("timeout", "timeouts")])
+    def test_label_whose_samples_all_failed_to_compile_reported(
+            self, manifest_path, tmp_path, capsys, status, key):
+        """The label is in scope, so it is reported without an accuracy and
+        its samples are named, instead of being called absent."""
+        doc = json.loads(manifest_path.read_text())
+        races = [s for s in doc["samples"] if s["label"] == "MessageRace"]
+        for race in races:
+            race.update(status=status, message="race.c:1: error")
+            race.pop("ir")
+        edited = tmp_path / "m.json"
+        edited.write_text(json.dumps(doc))
+        report_path = tmp_path / "ab.json"
+        code, stdout, _ = run_cli(
+            "ablate", "--manifest", str(edited), "--exclude", "MessageRace",
+            "--folds", "5", "--report", str(report_path), capsys=capsys)
+        assert code == 1
+        assert json.loads(stdout)["accuracy"] == {"MessageRace": None}
+        report = json.loads(report_path.read_text())
+        assert report["accuracy"] == {"MessageRace": None}
+        assert report["sample_counts"] == {"MessageRace": 0}
+        ids = sorted(race["id"] for race in races)
+        named = ({sid: "race.c:1: error" for sid in ids}
+                 if status == "compile-error" else ids)
+        assert len(ids) == 7
+        assert report["failures"] == {key: named}
 
     def test_bad_gnn_setting_exit_2(self, manifest_path, tmp_path, capsys,
                                     monkeypatch):
@@ -811,3 +843,111 @@ class TestInternalsAndCsv:
             "--report", str(tmp_path / "r.json"), capsys=capsys)
         assert code == 1
         assert json.loads(stdout.splitlines()[-1])["runtime_errors"] == 1
+
+
+UNDEFINED_LOCAL_IR = ("define i32 @f() {\nentry:\n"
+                      "  %x = add i32 %nope, 1\n  ret i32 %x\n}\n")
+EVALUATE = ("evaluate", "--scenario", "intra", "--suite", "MBI", "--folds", "5")
+ABLATE = ("ablate", "--exclude", "MessageRace", "--folds", "5")
+WRITE_CC = """\
+import pathlib, sys
+pathlib.Path(sys.argv[2]).write_text("define void @f() { ret void }\\n")
+"""
+
+# case -> (argv with {manifest}, {tmp}, {model}, {ir} and {cc} placeholders,
+#          error kind, whether the error comes before any input is read)
+INPUT_ERRORS = {
+    "predict-gnn-undefined-local": (
+        ("predict", "--model", "{model}", "--ir", "{ir}"), "UndefinedLocal", False),
+    "evaluate-manifest-not-utf8": (
+        EVALUATE + ("--manifest", "{tmp}/latin1.json", "--report", "{tmp}/r.json"),
+        "UnicodeDecodeError", False),
+    "ablate-manifest-not-utf8": (
+        ABLATE + ("--manifest", "{tmp}/latin1.json", "--report", "{tmp}/r.json"),
+        "UnicodeDecodeError", False),
+    "evaluate-report-missing-dir": (
+        EVALUATE + ("--manifest", "{manifest}", "--report", "{tmp}/no/r.json"),
+        "FileNotFoundError", True),
+    "ablate-report-missing-dir": (
+        ABLATE + ("--manifest", "{manifest}", "--report", "{tmp}/no/r.json"),
+        "FileNotFoundError", True),
+    "evaluate-csv-missing-dir": (
+        EVALUATE + ("--manifest", "{manifest}", "--report", "{tmp}/r.json",
+                    "--report-csv", "{tmp}/no/r.csv"),
+        "FileNotFoundError", True),
+    "ingest-out-missing-dir": (
+        ("ingest", "--suite", "mbi", "--dir", str(FIXTURES / "corpus_mbi"),
+         "--compiler-cmd", "none", "--out", "{tmp}/no/m.json"),
+        "FileNotFoundError", True),
+    "evaluate-report-is-directory": (
+        EVALUATE + ("--manifest", "{manifest}", "--report", "{tmp}/out"),
+        "IsADirectoryError", True),
+    **{f"ingest-timeout-{value}": (
+        ("ingest", "--suite", "mbi", "--dir", "{tmp}/corpus", "--compiler-cmd",
+         "{cc}", "--timeout", value, "--out", "{tmp}/m.json"), "ConfigError", True)
+       for value in ("nan", "inf", "0", "-1")},
+}
+
+
+class TestInputErrorTable:
+    """Every input error is reported from cli._USAGE_ERRORS by its type name
+    with exit 2, whichever command raised it."""
+
+    @pytest.mark.parametrize("case", list(INPUT_ERRORS))
+    def test_exit_2_and_no_output(self, manifest_path, tmp_path, capsys,
+                                  monkeypatch, case):
+        argv, kind, early = INPUT_ERRORS[case]
+        (tmp_path / "latin1.json").write_bytes(b'{"manifest_version": 1, "\xe9"')
+        (tmp_path / "out").mkdir()
+        cc = tmp_path / "cc.py"
+        cc.write_text(WRITE_CC)
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "a.c").write_text("// Error: OK\nint main(void){}\n")
+        ir = tmp_path / "undefined.ll"
+        ir.write_text(UNDEFINED_LOCAL_IR)
+        model = tmp_path / "gnn.json"
+        if case.startswith("predict"):
+            train_gnn_model_file(model)
+        before = sorted(tmp_path.rglob("*"))
+        read = []
+        if early:
+            for name in ("read_manifest", "ingest_mbi"):
+                monkeypatch.setattr(cli.corpus_mod, name,
+                                    lambda *a, **k: read.append(a))
+        code, stdout, stderr = run_cli(*(arg.format(
+            manifest=manifest_path, tmp=tmp_path, model=model, ir=ir,
+            cc=f"{sys.executable} {cc} {{source}} {{output}}") for arg in argv),
+            capsys=capsys)
+        assert code == 2
+        assert stdout == ""
+        assert json.loads(stderr.splitlines()[-1])["error"] == kind
+        assert sorted(tmp_path.rglob("*")) == before
+        assert read == []
+
+
+# exception classes main reports as InternalError (exit 3): each signals a bug
+# in the caller, not in the user's input
+INTERNAL_ERRORS = {
+    "autodiff.ClassOutOfRange": "cross_entropy gets a class index outside the logits",
+    "embed.ScalerMismatch": "a fitted scaler is applied to rows of another width",
+    "evaluate.LengthMismatch": "metrics get label lists of different lengths",
+    "gnn.EmptyDataset": "gnn.train is called without samples",
+    "tabular.EmptyDataset": "a tree is grown from no rows",
+    "gnn.MissingRelationParams": "a model lacks the weights of a relation it scores",
+}
+
+
+def test_every_exception_class_has_an_exit_code():
+    """A new error class reaches main as exit 3 only if it is listed here as
+    internal; an input error belongs in cli._USAGE_ERRORS."""
+    decided = set(cli._USAGE_ERRORS) | set(cli._MODEL_ERRORS)
+    found, undecided = [], []
+    for info in pkgutil.iter_modules(mpisentinel.__path__):
+        module = importlib.import_module(f"mpisentinel.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.append(f"{info.name}.{name}")
+                if cls not in decided and found[-1] not in INTERNAL_ERRORS:
+                    undecided.append(found[-1])
+    assert undecided == []
+    assert set(INTERNAL_ERRORS) <= set(found)

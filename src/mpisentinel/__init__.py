@@ -3,30 +3,41 @@
 Two classification backends (decision tree over IR2vec-style embeddings,
 heterogeneous GATv2 network over program graphs) plus corpus ingestion and
 a benchmark evaluation harness.
+
+Each exported name is looked up in its module on first access, so
+`import mpisentinel` loads no submodule and a command pays only for the
+modules it runs (`ingest` needs neither NumPy nor the models).
 """
 
-from .corpus import (CorpusSample, Manifest, read_manifest, to_binary,
-                     write_manifest)
-from .embed import EmbeddingVector, SeedVocab, normalize
-from .evaluate import (ConfusionCounts, MetricsReport, Scenario,
-                       ScenarioOptions, ablation, confusion, make_folds,
-                       metrics, run_scenario)
-from .gnn import GnnConfig, GnnModel, predict_gnn
-from .graph import ProgramGraph, build_graph, graph_stats, validate_graph
-from .ircore import IrModule, MalformedIr, parse_ir, token_triple
-from .tabular import (DecisionTree, GaConfig, LabeledVectors, ga_select,
-                      predict_tree, train_tree)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorpusSample", "Manifest", "read_manifest", "write_manifest",
-    "EmbeddingVector", "SeedVocab", "normalize",
-    "ConfusionCounts", "MetricsReport", "Scenario", "ScenarioOptions",
-    "ablation", "confusion", "make_folds", "metrics", "run_scenario",
-    "to_binary", "GnnConfig", "GnnModel", "predict_gnn",
-    "ProgramGraph", "build_graph", "graph_stats", "validate_graph",
-    "IrModule", "MalformedIr", "parse_ir", "token_triple",
-    "DecisionTree", "GaConfig", "LabeledVectors", "ga_select",
-    "predict_tree", "train_tree", "__version__",
-]
+# exported name -> the submodule that defines it
+_SOURCE = {
+    "CorpusSample": "corpus", "Manifest": "corpus", "read_manifest": "corpus",
+    "to_binary": "corpus", "write_manifest": "corpus",
+    "EmbeddingVector": "embed", "SeedVocab": "embed", "normalize": "embed",
+    "ConfusionCounts": "evaluate", "MetricsReport": "evaluate",
+    "Scenario": "evaluate", "ScenarioOptions": "evaluate",
+    "ablation": "evaluate", "confusion": "evaluate", "make_folds": "evaluate",
+    "metrics": "evaluate", "run_scenario": "evaluate",
+    "GnnConfig": "gnn", "GnnModel": "gnn", "predict_gnn": "gnn",
+    "ProgramGraph": "graph", "build_graph": "graph", "graph_stats": "graph",
+    "validate_graph": "graph",
+    "IrModule": "ircore", "MalformedIr": "ircore", "parse_ir": "ircore",
+    "token_triple": "ircore",
+    "DecisionTree": "tabular", "GaConfig": "tabular",
+    "LabeledVectors": "tabular", "ga_select": "tabular",
+    "predict_tree": "tabular", "train_tree": "tabular",
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    """An exported name, read from its submodule on every access (PEP 562),
+    so a patched or wrapped module attribute is what callers get."""
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)

@@ -4,14 +4,19 @@ Subcommands: ingest (corpus -> manifest), evaluate (scenario -> report),
 ablate (excluded-label study), predict (single IR file against a saved
 model).  Errors are emitted as JSON lines on stderr; exit codes: 0 success,
 1 completed with per-sample failures recorded, 2 usage/config error,
-3 internal error.  One table, _USAGE_ERRORS, decides exit 2: main reports
-any error of a type in it by its type name, whichever command raised it,
-and any other exception as InternalError.  Before they read any input,
-ingest checks --timeout (finite, above 0) and --out, and evaluate and
-ablate check --report and --report-csv, so a bad output path costs no
-run.  Settings resolve flags > environment > config file > defaults
-(MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the number of
-compile workers for ingest; folds always run one after another.
+3 internal error.  One table, the usage errors of _error_tables, decides
+exit 2: main reports any error of a type in it by its type name, whichever
+command raised it, and any other exception as InternalError.  Before they
+read any input, ingest checks --timeout (finite, above 0) and --out, and
+evaluate and ablate check --report and --report-csv, so a bad output path
+costs no run.  Settings resolve flags > environment > config file >
+defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the
+number of compile workers for ingest; folds always run one after another.
+
+Each command imports only the modules it runs: ingest needs corpus alone
+and so starts without NumPy; evaluate and ablate import evaluate; predict
+imports ircore and either tabular or gnn and graph.  The error tables name
+types from every module, so they are built only once a command has raised.
 """
 
 from __future__ import annotations
@@ -19,34 +24,37 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import embed as embed_mod
-from . import evaluate as eval_mod
-from . import gnn as gnn_mod
-from . import graph as graph_mod
-from . import ircore, tabular
 
 ENV_COMPILER = "MPISENTINEL_COMPILER_CMD"
 ENV_JOBS = "MPISENTINEL_JOBS"
 
-# the input errors main reports by type name with exit 2, whichever command
-# raised them (an OSError that reaches main is a manifest, source or output path)
-_USAGE_ERRORS = (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                 corpus_mod.CompilerNotFound, corpus_mod.SchemaViolation,
-                 ircore.MalformedIr, ircore.UndefinedLocal,
-                 embed_mod.FlowDiverges, eval_mod.InvalidScenario,
-                 eval_mod.SuiteMissing, eval_mod.TooFewSamples,
-                 eval_mod.LabelAbsent, tabular.InvalidConfig,
-                 gnn_mod.InvalidGnnConfig, gnn_mod.EmptyGraph)
-# the errors predict reports as ModelIncompatible when a model file loads
-_MODEL_ERRORS = (KeyError, TypeError, ValueError, tabular.WidthMismatch,
-                 gnn_mod.InvalidGnnConfig, gnn_mod.ShapeMismatch,
-                 gnn_mod.CheckpointParamsMismatch)
+
+@functools.cache
+def _error_tables() -> tuple[tuple[type, ...], tuple[type, ...]]:
+    """(usage errors, model errors).  Usage errors are the input errors main
+    reports by type name with exit 2, whichever command raised them (an
+    OSError that reaches main is a manifest, source or output path); model
+    errors are the errors predict reports as ModelIncompatible when a model
+    file loads.  Built on the first error only, because naming the types
+    imports their modules, NumPy among them."""
+    from . import embed, evaluate, gnn, ircore, tabular
+    usage = (OSError, json.JSONDecodeError, UnicodeDecodeError,
+             corpus_mod.CompilerNotFound, corpus_mod.SchemaViolation,
+             ircore.MalformedIr, ircore.UndefinedLocal, embed.FlowDiverges,
+             evaluate.InvalidScenario, evaluate.SuiteMissing,
+             evaluate.TooFewSamples, evaluate.LabelAbsent,
+             tabular.InvalidConfig, gnn.InvalidGnnConfig, gnn.EmptyGraph)
+    model = (KeyError, TypeError, ValueError, tabular.WidthMismatch,
+             gnn.InvalidGnnConfig, gnn.ShapeMismatch,
+             gnn.CheckpointParamsMismatch)
+    return usage, model
 
 
 def _error(kind: str, message: str, code: int) -> int:
@@ -153,10 +161,11 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", required=True)
 
 
-def _scenario_options(args) -> eval_mod.ScenarioOptions:
+def _scenario_options(args):
     """ScenarioOptions from the flags that were given.  A flag's dest is the
     name of the field it sets, with a `ga_` or `gnn_` prefix for a field of
     GaConfig or GnnConfig; every other field keeps its dataclass default."""
+    from . import evaluate as eval_mod
     given = {k: v for k, v in vars(args).items() if v is not None}
     if "ga_enabled" in given:
         given["ga_enabled"] = given["ga_enabled"] == "on"
@@ -202,6 +211,7 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_evaluate(args, file_cfg, jobs: int) -> int:
+    from . import evaluate as eval_mod
     for path in (args.report, args.report_csv):
         if path:
             _check_output(path)
@@ -225,6 +235,7 @@ def cmd_evaluate(args, file_cfg, jobs: int) -> int:
 
 
 def cmd_ablate(args, file_cfg, jobs: int) -> int:
+    from . import evaluate as eval_mod
     _check_output(args.report)
     report = eval_mod.ablation(corpus_mod.read_manifest(args.manifest),
                                set(args.exclude), _scenario_options(args),
@@ -242,13 +253,23 @@ def cmd_predict(args, file_cfg, jobs: int) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _error("ModelLoadError", str(exc), 2)
     kind = head.get("kind") if isinstance(head, dict) else None
-    loaders = {"ir2vec-dt": tabular.DtModel.load, "gnn": gnn_mod.load_checkpoint}
-    if kind not in loaders:
+    if kind == "ir2vec-dt":
+        from . import tabular
+        load = tabular.DtModel.load
+    elif kind == "gnn":
+        from . import gnn as gnn_mod
+        from . import graph as graph_mod
+        load = gnn_mod.load_checkpoint
+    else:
         return _error("ModelIncompatible", f"unknown model kind {kind!r}", 2)
     try:
-        model = loaders[kind](args.model)
-    except _MODEL_ERRORS as exc:
+        model = load(args.model)
+    except Exception as exc:
+        _, model_errors = _error_tables()
+        if not isinstance(exc, model_errors):
+            raise
         return _error("ModelIncompatible", f"{type(exc).__name__}: {exc}", 2)
+    from . import ircore
     try:
         module = ircore.parse_ir(Path(args.ir).read_text(encoding="utf-8"),
                                  Path(args.ir).name)
@@ -287,9 +308,10 @@ def main(argv=None) -> int:
                "ablate": cmd_ablate, "predict": cmd_predict}[args.command]
     try:
         return handler(args, file_cfg, jobs)
-    except _USAGE_ERRORS as exc:
-        return _error(type(exc).__name__, str(exc), 2)
     except Exception as exc:  # internal error contract
+        usage_errors, _ = _error_tables()
+        if isinstance(exc, usage_errors):
+            return _error(type(exc).__name__, str(exc), 2)
         return _error("InternalError", f"{type(exc).__name__}: {exc}", 3)
 
 

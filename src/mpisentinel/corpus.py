@@ -119,12 +119,15 @@ def _leading_comment_block(text: str) -> str:
 
 
 def _scan_sources(directory: Path) -> list[Path]:
-    """Every regular file except IR products (*.ll) and hidden files."""
+    """Every regular file except hidden files and what compile_to_ir writes
+    next to a source: IR (*.ll) and debiased copies (*.debiased.c), which a
+    repeat ingest would otherwise take for new samples."""
     out = []
     for path in sorted(directory.rglob("*")):
         if not path.is_file():
             continue
-        if path.suffix == ".ll" or path.name.startswith("."):
+        if (path.suffix == ".ll" or path.name.endswith(".debiased.c")
+                or path.name.startswith(".")):
             continue
         out.append(path)
     return out

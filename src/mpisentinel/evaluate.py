@@ -480,7 +480,8 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
     reported accuracy per label = excluded-label samples predicted Incorrect
     over that label's total.  Samples that did not compile or fail to load
     are named under `failures`, with the keys run_scenario uses, whichever
-    side of a fold they fall on."""
+    side of a fold they fall on.  A fold holding no loadable excluded-label
+    sample fits no model, so it never raises TooFewSamples."""
     options.validate()
     if not 1 <= len(excluded) <= 2:
         raise InvalidScenario("exclude one or two labels")
@@ -506,10 +507,13 @@ def ablation(manifest: Manifest, excluded: set[str], options: ScenarioOptions,
         if leaked:
             raise AssertionError(
                 f"excluded-label samples leaked into training fold {fi}: {leaked}")
-        _, predicted = _fit_and_predict(
-            backend, fi, train_ids,
-            [sid for sid in val_ids if orig_label[sid] in excluded],
-            labels_by_id, BINARY_SPACE, options.seed + fi)
+        targets = [sid for sid in val_ids
+                   if orig_label[sid] in excluded and sid in backend.inputs]
+        predicted = {}
+        if targets:  # a fold with nothing to predict fits no model
+            _, predicted = _fit_and_predict(backend, fi, train_ids, targets,
+                                            labels_by_id, BINARY_SPACE,
+                                            options.seed + fi)
         for sid, pred in predicted.items():
             hits[orig_label[sid]][1] += 1
             hits[orig_label[sid]][0] += int(pred == INCORRECT)

@@ -1,7 +1,9 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -484,6 +486,50 @@ def train_gnn_model_file(path):
     gnn.save_checkpoint(path, model)
 
 
+def modules_after_main(argv: list[str]) -> set[str]:
+    """The names in sys.modules after cli.main(argv) returns 0 in a fresh
+    interpreter; argv None only imports mpisentinel.cli.  A subprocess,
+    because this test process has loaded every module already."""
+    probe = "import mpisentinel.cli\n"
+    if argv is not None:
+        probe += f"assert mpisentinel.cli.main({argv!r}) == 0\n"
+    probe += "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    src = str(Path(mpisentinel.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestLeanStartup:
+    """Each command imports only the modules it runs."""
+
+    def test_import_loads_no_numpy(self):
+        loaded = modules_after_main(None)
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("mpisentinel")} == {
+            "mpisentinel", "mpisentinel.cli", "mpisentinel.corpus"}
+
+    def test_ingest_loads_no_numpy(self, tmp_path):
+        loaded = modules_after_main([
+            "ingest", "--suite", "mbi", "--dir", str(FIXTURES / "corpus_mbi"),
+            "--compiler-cmd", "none", "--out", str(tmp_path / "m.json")])
+        assert "numpy" not in loaded
+        assert "mpisentinel.evaluate" not in loaded
+
+    @pytest.mark.parametrize("train,unused", [
+        (train_dt_model_file, "mpisentinel.gnn"),
+        (train_gnn_model_file, "mpisentinel.tabular")], ids=["dt", "gnn"])
+    def test_predict_loads_one_backend(self, tmp_path, train, unused):
+        model = tmp_path / "model.json"
+        train(model)
+        loaded = modules_after_main([
+            "predict", "--model", str(model),
+            "--ir", str(FIXTURES / "corpus_mbi" / "messagerace_3.ll")])
+        assert unused not in loaded
+
+
 class TestPredict:
     def test_dt_model_predicts_fixture_label(self, tmp_path, capsys):
         model_path = tmp_path / "dt.json"
@@ -890,7 +936,7 @@ INPUT_ERRORS = {
 
 
 class TestInputErrorTable:
-    """Every input error is reported from cli._USAGE_ERRORS by its type name
+    """Every input error is reported from cli._error_tables by its type name
     with exit 2, whichever command raised it."""
 
     @pytest.mark.parametrize("case", list(INPUT_ERRORS))
@@ -939,8 +985,8 @@ INTERNAL_ERRORS = {
 
 def test_every_exception_class_has_an_exit_code():
     """A new error class reaches main as exit 3 only if it is listed here as
-    internal; an input error belongs in cli._USAGE_ERRORS."""
-    decided = set(cli._USAGE_ERRORS) | set(cli._MODEL_ERRORS)
+    internal; an input error belongs in the usage table of cli._error_tables."""
+    decided = set().union(*cli._error_tables())
     found, undecided = [], []
     for info in pkgutil.iter_modules(mpisentinel.__path__):
         module = importlib.import_module(f"mpisentinel.{info.name}")

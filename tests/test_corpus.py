@@ -174,6 +174,25 @@ class TestCompile:
             ids.add(samples[0].id)
         assert len(ids) == 2
 
+    def test_repeat_corrbench_ingest_writes_the_same_manifest(self, tmp_path,
+                                                              fixtures_dir):
+        """compile_to_ir leaves <stem>.debiased.c next to each CorrBench
+        source; a second ingest must not take those copies for samples."""
+        from mpisentinel import cli
+        corpus = shutil.copytree(fixtures_dir / "corpus_corrbench",
+                                 tmp_path / "corrbench")
+        cc = write(tmp_path / "fake_cc.py", FAKE_CC)
+        template = f"{sys.executable} {cc} {{source}} {{output}} {{opt}}"
+        manifests = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.json"
+            assert cli.main(["--jobs", "2", "ingest", "--suite", "corrbench",
+                             "--dir", str(corpus), "--compiler-cmd", template,
+                             "--out", str(out)]) == 0
+            manifests.append(out.read_bytes())
+        assert manifests[0] == manifests[1]
+        assert len(json.loads(manifests[0])["samples"]) == 30
+
     def test_compiler_not_found(self, tmp_path):
         src = write(tmp_path / "a.c", "int main(void){}\n")
         with pytest.raises(cm.CompilerNotFound):

@@ -418,6 +418,25 @@ class TestAblation:
             ev.ablation(shape_manifest, {"Correct"},
                         desk_options(label_mode="binary", folds=4))
 
+    def test_fold_without_excluded_sample_fits_no_model(self, monkeypatch,
+                                                        fixture_manifest):
+        """The 7 MessageRace samples of the MBI fixture fall in 7 of 10
+        folds; the other 3 have nothing to predict and fit nothing."""
+        fits = []
+        real_fit = ev._DtBackend.fit
+
+        def counted(self, *args, **kwargs):
+            fits.append(args[3])
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ev._DtBackend, "fit", counted)
+        report = ev.ablation(fixture_manifest, {"MessageRace"},
+                             desk_options(label_mode="binary", folds=10),
+                             suite="MBI")
+        assert len(fits) == 7
+        assert report["sample_counts"] == {"MessageRace": 7}
+        assert len(report["folds"]) == 10
+
     def test_fold_plan_never_leaks(self):
         samples = synthetic_samples({"Correct": 20, "MessageRace": 9,
                                      "CallOrdering": 11})

@@ -10,7 +10,8 @@ tree and ``.git`` are left as they are.  For every workload that
 BENCHMARK.json declares, pair i of PAIRS runs ``perfbench/run.py
 --workload W --seed <first-seed + i> --seconds S`` once in each checkout,
 one run at a time, with S the declared ``run_seconds``; the parent runs
-first in even pairs and second in odd ones.  The output file holds the
+first in even pairs and second in odd ones, and each pair's declared
+end-to-end metrics are printed as it ends.  The output file holds the
 environment, every run's end-to-end metrics, each side's median and
 quartiles, the change's wins per pair (ties count for neither side), the
 median delta, the change's median in the newest committed
@@ -172,8 +173,9 @@ def main(argv=None) -> int:
                 pair = {side: run_once(dirs[side], workload, seed, seconds)
                         for side in sides}
                 pairs.append(pair)
-                print(workload, seed, {s: pair[s]["metrics"]["evaluate_s"]
-                                       for s in sides}, flush=True)
+                print(workload, seed, {name: {s: pair[s]["metrics"][name]
+                                              for s in sides}
+                                       for name in declared}, flush=True)
             doc["env"] = pairs[0]["parent"]["env"]
             doc["workloads"][workload] = {
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in revs},

@@ -83,23 +83,27 @@ class EmbeddingVector:
             raise ValueError("embedding contains non-finite values")
 
 
-def _function_parts(fn: IrFunction, vocab: SeedVocab, weights, memo: dict):
-    """One walk over a function's instructions.  Returns the symbolic rows,
-    the flow-aware base rows (the symbolic row without the operands that a
-    local definition resolves) and the (user index, def index) links, which
-    come out in user order and, within one user, in operand order.  A row
-    depends only on its key, (opcode, type string, non-label operand kinds)
-    for a symbolic row and the same with only the unresolved kinds for a
-    base row; `memo` holds the rows of one embed call by key."""
-    w_op, w_ty, w_arg = weights
+_LABEL = OperandKind.LABEL
+_LOCAL = OperandKind.LOCAL
+
+
+def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[int, int]]]:
+    """One walk over a function's instructions.  Returns the row indices of
+    its symbolic rows followed by those of its flow-aware base rows (the
+    symbolic row without the operands that a local definition resolves),
+    and the (user index, def index) links, which come out in user order
+    and, within one user, in operand order.  A row depends only on its
+    key, (opcode, type string, non-label operand kind values) for a
+    symbolic row and the same with only the unresolved kinds for a base
+    row; `keys` numbers the keys of one embed call in first-seen order,
+    which is the order of its row table."""
     defs: dict[str, int] = {}
     instrs = []
     for block in fn.blocks:
         for instr in block.instructions:
-            idx = len(instrs)
-            instrs.append(instr)
             if instr.result_id is not None:
-                defs[instr.result_id] = idx
+                defs[instr.result_id] = len(instrs)
+            instrs.append(instr)
     rows = []
     base = []
     links: list[tuple[int, int]] = []
@@ -107,26 +111,30 @@ def _function_parts(fn: IrFunction, vocab: SeedVocab, weights, memo: dict):
         kinds = []
         free = []
         for op in instr.operands:
-            if op.kind is OperandKind.LABEL:
+            kind = op.kind
+            if kind is _LABEL:
                 continue
-            kinds.append(op.kind)
-            if op.kind is OperandKind.LOCAL and op.token in defs:
+            kinds.append(kind._value_)
+            if kind is _LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                free.append(op.kind)
-        for out, key in ((rows, (instr.opcode, instr.type_str, tuple(kinds))),
-                         (base, (instr.opcode, instr.type_str, tuple(free)))):
-            row = memo.get(key)
-            if row is None:
-                opcode, type_str, arg_kinds = key
-                row = w_op * vocab.vector(opcode) \
-                    + w_ty * vocab.vector(canonical_type(type_str))
-                for kind in arg_kinds:
-                    row = row + w_arg * vocab.vector(kind.value)
-                memo[key] = row
-            out.append(row)
-    shape = (len(instrs), vocab.dim)
-    return np.array(rows).reshape(shape), np.array(base).reshape(shape), links
+                free.append(kind._value_)
+        rows.append(keys.setdefault((instr.opcode, instr.type_str, tuple(kinds)), len(keys)))
+        base.append(keys.setdefault((instr.opcode, instr.type_str, tuple(free)), len(keys)))
+    return rows + base, links
+
+
+def _row_table(keys, vocab: SeedVocab, weights) -> np.ndarray:
+    """One row per key, in the keys' order: the weighted sum of the opcode,
+    type class and operand kind vectors, added in that order."""
+    w_op, w_ty, w_arg = weights
+    table = np.empty((len(keys), vocab.dim))
+    for k, (opcode, type_str, kinds) in enumerate(keys):
+        row = w_op * vocab.vector(opcode) + w_ty * vocab.vector(canonical_type(type_str))
+        for kind in kinds:
+            row = row + w_arg * vocab.vector(kind)
+        table[k] = row
+    return table
 
 
 def _flow_sum(base: np.ndarray, links: list[tuple[int, int]],
@@ -138,24 +146,30 @@ def _flow_sum(base: np.ndarray, links: list[tuple[int, int]],
     system is singular to working precision."""
     if not links:
         # summation order matches the symbolic half so the two agree bitwise
-        return _seq_sum(base, base.shape[1])
-    users, defs = np.array(links).T
-    m = np.eye(base.shape[0])
-    np.add.at(m, (defs, users), -w_arg)
+        return _seq_sum(base)
+    n = base.shape[0]
+    m = np.eye(n)
+    np.add.at(m.ravel(), [d * n + u for u, d in links], -w_arg)
     try:
-        y = np.linalg.solve(m, np.ones(base.shape[0]))
+        y = np.linalg.solve(m, np.ones(n))
     except np.linalg.LinAlgError:
         raise FlowDiverges("I - w_arg * A^T is singular") from None
     # an M-matrix has a nonnegative inverse, whose infinity norm is max(y)
-    cond = np.abs(m).sum(1).max() * y.max()
-    if not (np.all(y > 0) and cond * np.finfo(float).eps < 1):
+    lo, hi = y.min(), y.max()
+    if not (lo > 0 and np.abs(m).sum(1).max() * hi * np.finfo(float).eps < 1):
         raise FlowDiverges(f"I - w_arg * A^T is not a nonsingular M-matrix "
-                           f"(adjoint weights in [{y.min():.3e}, {y.max():.3e}])")
+                           f"(adjoint weights in [{lo:.3e}, {hi:.3e}])")
     return y @ base
 
 
-def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
-    total = np.zeros(dim)
+def _seq_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows, added one row at a time to zeros.  NumPy reduces
+    the first axis of a C-ordered array of two or more columns row by row
+    (tests/oracles.py checks the bits against an explicit loop), but a
+    single column it adds pairwise."""
+    if rows.shape[1] > 1:
+        return rows.sum(axis=0, initial=0.0)
+    total = np.zeros(1)
     for row in rows:
         total += row
     return total
@@ -163,17 +177,21 @@ def _seq_sum(rows: np.ndarray, dim: int) -> np.ndarray:
 
 def embed(module: IrModule, vocab: SeedVocab, weights=DEFAULT_WEIGHTS) -> EmbeddingVector:
     """Concatenated symbolic (first half) and flow-aware (second half) vector,
-    from one walk over each function.  The weights are nonnegative.  Raises
-    FlowDiverges for the first function whose flow-aware rows have no
-    finite solution."""
+    from one walk over each function and one row table per call.  The
+    weights are nonnegative.  Raises FlowDiverges for the first function
+    whose flow-aware rows have no finite solution."""
+    keys: dict = {}
+    functions = module.defined_functions()
+    parts = [_function_parts(fn, keys) for fn in functions]
+    table = _row_table(keys, vocab, weights)
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
-    memo: dict = {}
-    for fn in module.defined_functions():
-        rows, base, links = _function_parts(fn, vocab, weights, memo)
-        sym += _seq_sum(rows, vocab.dim)
+    for fn, (ids, links) in zip(functions, parts):
+        rows = table[ids]
+        n = len(ids) // 2
+        sym += _seq_sum(rows[:n])
         try:
-            flow += _flow_sum(base, links, weights[2])
+            flow += _flow_sum(rows[n:], links, weights[2])
         except FlowDiverges as exc:
             raise FlowDiverges(f"{module.name}: flow-aware embedding of "
                                f"@{fn.name} diverges: {exc}") from None

@@ -5,13 +5,19 @@ objects carrying exactly what the downstream representations need: opcodes,
 result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
-while lexing.  One parse_ir call parses each distinct instruction line once;
-its memo dies with the call.
+while lexing.  Per-line work is memoized for the whole process in two
+bounded LRU caches keyed by a line's text: a physical line's facts (text
+without comment, bracket depth, whether it opens invoke/landingpad
+clauses) and an instruction line's template.  A template is never handed
+out: each occurrence gets its own IrInstruction, sharing only the
+immutable operand tuple.  A line that raises is never cached, so each
+occurrence raises at its own line.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -39,6 +45,9 @@ class OperandKind(enum.Enum):
     CONSTANT = "Constant"
     LABEL = "Label"
     FUNCTION = "FunctionRef"
+
+
+_LABEL = OperandKind.LABEL  # a module global reads faster than the member
 
 
 @dataclass(frozen=True)
@@ -347,15 +356,18 @@ def _typed_value(fragment: list[str]) -> Operand | None:
     return _value_operand(val)
 
 
-class _FunctionParser:
-    """Parses one function body, one logical line at a time.  `parsed` maps
-    an instruction line to the IrInstruction of its first occurrence; parse_ir
-    shares one such dict among the functions of a module."""
+# Entries per line cache.  On the benchmark corpora a line-facts entry
+# holds about 0.22 KB and an instruction template about 0.76 KB, so the two
+# caches hold about 4 MB when full.
+LINE_CACHE_SIZE = 1 << 12
 
-    def __init__(self, fn: IrFunction, lineno: int, parsed: dict[str, IrInstruction]):
+
+class _FunctionParser:
+    """Parses one function body, one logical line at a time."""
+
+    def __init__(self, fn: IrFunction, lineno: int):
         self.fn = fn
         self.lineno = lineno
-        self.parsed = parsed
         self.current: IrBlock | None = None
         self.seen_labels: set[str] = set()
 
@@ -375,7 +387,7 @@ class _FunctionParser:
 
     def feed(self, line: str, lineno: int):
         self.lineno = lineno
-        m = _LABEL_LINE_RE.match(line)
+        m = ":" in line and _LABEL_LINE_RE.match(line)
         if m:
             label = m.group(1) or m.group(2)
             self._open_block(label)
@@ -387,18 +399,12 @@ class _FunctionParser:
             self._open_block("entry")
         if self.current.instructions and self.current.instructions[-1].is_terminator():
             raise MalformedIr(lineno, "instruction after block terminator")
-        first = self.parsed.get(line)
-        if first is None:
-            # a line that raises is never stored, so each occurrence raises
-            # at its own line; nothing in parse_ir mutates an instruction
-            # once built, so the first occurrence can serve as the template
-            instr = self.parsed[line] = parse_instruction(line, lineno)
-        else:
-            # a repeat gets its own IrInstruction sharing only the immutable
-            # operand tuple
-            instr = IrInstruction(first.opcode, first.type_str, first.operands,
-                                  first.result_id, first.call_target)
-        self.current.instructions.append(instr)
+        try:
+            t = _instruction_template(line)
+        except MalformedIr as exc:
+            raise MalformedIr(lineno, exc.message) from exc.__cause__
+        self.current.instructions.append(
+            IrInstruction(t.opcode, t.type_str, t.operands, t.result_id, t.call_target))
 
     def finish(self):
         self._close_block()
@@ -411,7 +417,7 @@ class _FunctionParser:
         for block in self.fn.blocks:
             for instr in block.instructions:
                 for op in instr.operands:
-                    if op.kind is OperandKind.LABEL and op.token not in labels:
+                    if op.kind is _LABEL and op.token not in labels:
                         raise MalformedIr(
                             self.lineno,
                             f"branch target %{op.token} does not name a block "
@@ -447,6 +453,12 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
         # value-producing instruction with an ignored result defines nothing
         instr.type_str = "void"
     return instr
+
+
+@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+def _instruction_template(line: str) -> IrInstruction:
+    """parse_instruction at line 0, memoized; callers copy the result."""
+    return parse_instruction(line)
 
 
 def _skip_flags(tokens: list[str]) -> list[str]:
@@ -666,21 +678,51 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
 
 
 def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
-    """Unknown opcode: harvest a type and any obvious value operands."""
+    """Any other opcode: harvest a type and any obvious value operands, but
+    not the numbers of an operand's type.  extractvalue and extractelement
+    get the member type that their indices select."""
     got = consume_type(rest, 0, allow_named=True)
     if got is not None:
         type_str, j = got
     else:
         type_str, j = ("opaque" if result_id is not None else "void"), 0
+    parts = _split_top_level(rest[j:])
+    if got is not None and opcode in ("extractvalue", "extractelement"):
+        member = rest[:j]
+        for index in parts[1:] if opcode == "extractvalue" else [["0"]]:
+            member = _member_type(member, int(index[-1])) if member else None
+        if member:
+            type_str = " ".join(member)
     operands = []
-    for t in rest[j:]:
-        if t.startswith("%") or t.startswith("@"):
-            operands.append(_value_operand(t))
-        elif _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
-            operands.append(_value_operand(t))
+    for part in parts:
+        typed = consume_type(part, 0)
+        if typed and typed[1] < len(part):  # a typed value: skip its type
+            part = part[typed[1]:]
+        for t in part:
+            if t.startswith("%") or t.startswith("@"):
+                operands.append(_value_operand(t))
+            elif _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
+                operands.append(_value_operand(t))
     if result_id is not None and type_str == "void":
         type_str = "opaque"
     return IrInstruction(opcode, type_str, tuple(operands))
+
+
+def _member_type(tokens: list[str], index: int) -> list[str] | None:
+    """Tokens of the member that `index` selects in an array, vector or
+    literal struct type; None for a named struct, whose members are not
+    known here, or for an index past a struct's end."""
+    if tokens[0] not in ("[", "{", "<"):
+        return None
+    inner = tokens[1:-1]
+    if tokens[0] == "<" and inner[:1] == ["{"]:  # packed struct <{ ... }>
+        tokens, inner = inner, inner[1:-1]
+    if tokens[0] == "{":
+        members = _split_top_level(inner)
+        return members[index] if 0 <= index < len(members) else None
+    if inner[:1] == ["vscale"]:
+        inner = inner[2:]
+    return inner[2:]  # [N x T] or <N x T>
 
 
 def _parse_signature(tokens: list[str], lineno: int) -> tuple[str, list[tuple[str, str]]]:
@@ -747,6 +789,15 @@ def _line_depth(text: str, define: bool) -> int:
     return _bracket_depth(text)
 
 
+@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
+def _line_facts(raw: str) -> tuple[str, int, bool]:
+    """A physical line's text without comment and outer blanks, its bracket
+    depth as the first line of a logical line, and whether it opens invoke,
+    callbr or landingpad clauses."""
+    line = _strip_comment(raw).strip()
+    return line, _line_depth(line, line.startswith("define")), bool(_CLAUSE_HEAD_RE.match(line))
+
+
 def _logical_lines(raw_lines: list[str]):
     """Join physical lines while brackets are open, braces on a define's
     lines aside, and the clause lines under an invoke, callbr or
@@ -754,19 +805,19 @@ def _logical_lines(raw_lines: list[str]):
     i = 0
     n = len(raw_lines)
     while i < n:
-        line = _strip_comment(raw_lines[i]).strip()
+        line, depth, clauses = _line_facts(raw_lines[i])
         lineno = i + 1
         i += 1
         if not line:
             continue
         define = line.startswith("define")
-        depth = _line_depth(line, define)
-        clauses = _CLAUSE_HEAD_RE.match(line)
         while i < n and (depth > 0 or clauses and _CLAUSE_RE.match(raw_lines[i])):
-            nxt = _strip_comment(raw_lines[i]).strip()
+            nxt, nxt_depth, _ = _line_facts(raw_lines[i])
             i += 1
             line = line + " " + nxt
-            depth += _line_depth(nxt, define)
+            # a continuation counts braces as the line it continues does
+            depth += nxt_depth if nxt.startswith("define") == define \
+                else _line_depth(nxt, define)
         yield lineno, line
 
 
@@ -782,7 +833,6 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     """
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()  # function names, defined or declared
-    parsed: dict[str, IrInstruction] = {}  # instruction line -> first parse
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
         if fn_parser is not None:
@@ -795,7 +845,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = _module_line(module, seen, parsed, line, lineno)
+            fn_parser = _module_line(module, seen, line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:
@@ -803,8 +853,8 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     return module
 
 
-def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstruction],
-                 line: str, lineno: int) -> _FunctionParser | None:
+def _module_line(module: IrModule, seen: set[str], line: str,
+                 lineno: int) -> _FunctionParser | None:
     """Add one line outside any function body to the module; returns the
     parser of a function body the line opens and leaves open."""
     if line == "}":
@@ -815,7 +865,7 @@ def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstructi
         if cut is None:
             raise MalformedIr(lineno, "define without a body brace")
         fn_parser = _FunctionParser(
-            _add_function(module, seen, sig[:cut], lineno, False), lineno, parsed)
+            _add_function(module, seen, sig[:cut], lineno, False), lineno)
         inline = sig[cut + 1:].strip()
         if inline:
             closed = inline.endswith("}")

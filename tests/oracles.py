@@ -11,9 +11,8 @@ still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Three
-references are narrower: the embedding walk's reuses embed's row sums and
-flow solve, the memo-free parse_ir reuses the library's function-body
-and module-line handling, isolating the line memo, and the self-loop
+references are narrower: the embedding walk's reuses embed's flow solve, the cache-free parse_ir reuses the library's function-body
+and module-line handling, isolating the line caches, and the self-loop
 hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
@@ -258,14 +257,23 @@ def reference_function_parts(fn: IrFunction, vocab, weights):
     return rows, base, links
 
 
+def row_by_row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows' sum, added one row at a time in order."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
 def reference_embed(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
-    """embed's vector with every function's rows from reference_function_parts."""
+    """embed's vector with every function's rows from reference_function_parts,
+    summed row by row (a function without links sums its base rows so)."""
     sym = np.zeros(vocab.dim)
     flow = np.zeros(vocab.dim)
     for fn in module.defined_functions():
         rows, base, links = reference_function_parts(fn, vocab, weights)
-        sym += embed._seq_sum(rows, vocab.dim)
-        flow += embed._flow_sum(base, links, weights[2])
+        sym += row_by_row_sum(rows)
+        flow += embed._flow_sum(base, links, weights[2]) if links else row_by_row_sum(base)
     return np.concatenate([sym, flow])
 
 
@@ -866,13 +874,6 @@ def _reference_is_clause(raw: str) -> bool:
     return words[0] in ("cleanup", "catch", "filter")
 
 
-class _Forgetful(dict):
-    """A line memo that never stores, so every instruction line is parsed."""
-
-    def __setitem__(self, line, instr):
-        pass
-
-
 def _reference_logical_lines(raw_lines: list[str]):
     i = 0
     n = len(raw_lines)
@@ -894,11 +895,20 @@ def _reference_logical_lines(raw_lines: list[str]):
 
 
 def reference_parse_ir(text: str, name: str = "") -> IrModule:
-    """parse_ir without its line memo: every instruction line is parsed
-    afresh by parse_instruction, and logical lines are joined with the
-    per-character scanners above and a word-based clause rule.  The
-    reference for parse_ir's memoized parse (same module, same MalformedIr
-    line and message)."""
+    """parse_ir without its line caches: every instruction line is parsed
+    afresh by parse_instruction (the template cache's `__wrapped__`), and
+    logical lines are joined with the per-character scanners above and a
+    word-based clause rule.  The reference for parse_ir's memoized parse
+    (same module, same MalformedIr line and message)."""
+    cached = ircore._instruction_template
+    ircore._instruction_template = cached.__wrapped__
+    try:
+        return _reference_parse_ir(text, name)
+    finally:
+        ircore._instruction_template = cached
+
+
+def _reference_parse_ir(text: str, name: str) -> IrModule:
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()
     fn_parser = None
@@ -913,7 +923,7 @@ def reference_parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = ircore._module_line(module, seen, _Forgetful(), line, lineno)
+            fn_parser = ircore._module_line(module, seen, line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:

@@ -190,17 +190,26 @@ class TestEmbed:
             assert np.max(np.abs(first - want)) < 1e-9, path
 
 
+def _parts(fn, vocab, weights):
+    """A function's symbolic rows, base rows and links through one row table,
+    as embed builds them, and the table's keys."""
+    keys: dict = {}
+    ids, links = em._function_parts(fn, keys)
+    rows = em._row_table(keys, vocab, weights)[ids]
+    n = len(ids) // 2
+    return rows[:n], rows[n:], links, keys
+
+
 class TestRowMemo:
-    """Rows are memoized by key within one embed call; the parts and the
-    vector stay byte-identical to the per-instruction walk."""
+    """Each embed call has one row table with one row per key; the parts and
+    the vector stay byte-identical to the per-instruction walk."""
 
     @pytest.mark.parametrize("weights", [em.DEFAULT_WEIGHTS, (0.3, 0.7, 0.05)])
     def test_function_parts_match_reference_on_fixtures(self, vocab, all_fixture_modules,
                                                         weights):
         for path, module in all_fixture_modules:
-            memo: dict = {}  # one per module, as in embed
             for fn in module.defined_functions():
-                rows, base, links = em._function_parts(fn, vocab, weights, memo)
+                rows, base, links, _ = _parts(fn, vocab, weights)
                 want = oracles.reference_function_parts(fn, vocab, weights)
                 assert rows.shape == want[0].shape, (path, fn.name)
                 assert rows.tobytes() == want[0].tobytes(), (path, fn.name)
@@ -218,15 +227,23 @@ entry:
 }
 """)
         fn = module.functions[0]
-        memo: dict = {}
-        rows, base, links = em._function_parts(fn, vocab, em.DEFAULT_WEIGHTS, memo)
+        rows, base, links, keys = _parts(fn, vocab, em.DEFAULT_WEIGHTS)
         # %a, %b and %c have one symbolic key; %b's base row drops its local
         assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
         assert base[1].tobytes() != base[0].tobytes()
         assert links == [(1, 0), (3, 2)]
-        assert len(memo) == 4  # add: both kinds, constant only; ret: local, none
+        # add: both kinds, constant only; ret: local, none; keyed on kind values
+        assert list(keys) == [("add", "i32", ("LocalValue", "Constant")),
+                              ("add", "i32", ("Constant",)),
+                              ("ret", "void", ("LocalValue",)), ("ret", "void", ())]
         want = oracles.reference_function_parts(fn, vocab, em.DEFAULT_WEIGHTS)
         assert base.tobytes() == want[1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 9)),
+                  elements=st.floats(-1e6, 1e6)))
+    def test_row_sum_adds_row_by_row(self, rows):
+        assert em._seq_sum(rows).tobytes() == oracles.row_by_row_sum(rows).tobytes()
 
 
 class TestNormalize:

@@ -1,6 +1,7 @@
 """Benchmark-shaped corpora, written by the benchmark's own generator
 (imported read-only from perfbench/): modules parse and embed exactly as
-the memo-free references in tests/oracles.py do, and the GNN trains on
+the cache-free references in tests/oracles.py do, in whatever order one
+process meets them, and the GNN trains on
 their program graphs exactly as it did with self loops as relations and
 keeps a smaller tape than the chain of primitive operations."""
 
@@ -52,6 +53,32 @@ def test_embeddings_equal_the_per_instruction_walk(large_modules):
         want = oracles.reference_embed(module, vocab)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def three_shapes(tmp_path_factory):
+    """(workload/stem, IR text) of five seed-11 modules of each workload's
+    shape, workload by workload."""
+    modules = []
+    for name, workload in sorted(WORKLOADS.items()):
+        out = tmp_path_factory.mktemp(name)
+        generate(out, dataclasses.replace(workload.corpus, modules=5), 11)
+        modules += [(f"{name}/{p.stem}", p.read_text()) for p in sorted(out.glob("*.ll"))]
+    return modules
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order):
+    """The line caches outlive each parse_ir call and the module order
+    decides what they hold; no order shows in a module or its embedding."""
+    vocab = em.SeedVocab(11)
+    for name, text in three_shapes if order == "forward" else three_shapes[::-1]:
+        module = parse_ir(text, name)
+        want = oracles.reference_parse_ir(text, name)
+        assert module == want, name
+        assert oracles.render(module) == oracles.render(want), name
+        got = em.embed(module, vocab).values
+        assert got.tobytes() == oracles.reference_embed(want, vocab).tobytes(), name
 
 
 def gnn_samples(tmp_path, modules=None):

@@ -241,8 +241,8 @@ class TestScannersMatchReference:
 
 
 class TestLineMemo:
-    """parse_ir parses a repeated instruction line once per call; the result
-    equals the memo-free reference in tests/oracles.py."""
+    """parse_ir parses each distinct line once per process, in two bounded
+    caches; every module equals the cache-free reference in tests/oracles.py."""
 
     TWO_FUNCTIONS = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n"
@@ -258,8 +258,10 @@ class TestLineMemo:
         first.operands = ()
         assert (second.type_str, second.result_id) == ("i32", "%a")
         assert [op.token for op in second.operands] == ["%x", "1"]
-        again = parse_ir(self.TWO_FUNCTIONS)  # no memo outlives its call
+        # the cache outlives the call, but no module holds its template
+        again = parse_ir(self.TWO_FUNCTIONS)
         assert again.functions[0].blocks[0].instructions[0] == second
+        assert again.functions[0].blocks[0].instructions[0] is not second
 
     def test_repeated_line_after_terminator_raises_at_its_line(self):
         text = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
@@ -270,13 +272,34 @@ class TestLineMemo:
             5, "instruction after block terminator")
 
     def test_line_that_raises_is_never_stored(self):
-        parsed: dict = {}
-        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1, parsed)
+        cache = ircore._instruction_template
+        assert cache.cache_info().maxsize == ircore._line_facts.cache_info().maxsize \
+            == ircore.LINE_CACHE_SIZE < float("inf")
+        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1)
+        before = cache.cache_info()
         for lineno in (3, 8):
             with pytest.raises(MalformedIr) as info:
                 fn_parser.feed("store i32 0, ptr", lineno)
             assert info.value.line == lineno
-        assert parsed == {}
+        after = cache.cache_info()
+        # both feeds missed: the first raise stored nothing
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+    def test_line_that_raises_raises_at_its_line_in_a_later_module(self):
+        good = self.TWO_FUNCTIONS
+        bad = "define void @h() {\nentry:\n  store i32 0, ptr\n  ret void\n}\n"
+        for text, line in ((bad, 3), (good + bad, 13), ("\n\n" + bad, 5)):
+            parse_ir(good)
+            with pytest.raises(MalformedIr) as info:
+                parse_ir(text)
+            assert info.value.line == line
+            assert info.value.message.startswith("store instruction")
+
+    def test_reference_parse_uses_no_cache(self, add_loop_text):
+        infos = (ircore._instruction_template.cache_info, ircore._line_facts.cache_info)
+        before = [info() for info in infos]
+        oracles.reference_parse_ir(add_loop_text, "m")
+        assert [info() for info in infos] == before
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -289,6 +312,22 @@ class TestLineMemo:
             assert got[1] == want[1]
         else:
             assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_modules_in_shuffled_order_with_warm_caches_parse_like_reference(self, data):
+        texts = data.draw(st.lists(_shuffled_module(_fixture_lines()), min_size=2,
+                                   max_size=4))
+        for text in texts:  # warm both caches
+            _outcome(parse_ir, text, "m")
+        for text in data.draw(st.permutations(texts)):
+            got = _outcome(parse_ir, text, "m")
+            want = _outcome(oracles.reference_parse_ir, text, "m")
+            if got[0] == want[0] == "returned":
+                assert render(got[1]) == render(want[1])
+                assert got[1] == want[1]
+            else:
+                assert got == want
 
 
 @functools.cache
@@ -553,6 +592,28 @@ lpad:
         assert [i.opcode for i in module.functions[0].blocks[0].instructions] == [
             "call", "to", "ret"]
 
+    @pytest.mark.parametrize("line, type_str, tokens", [
+        ("%3 = extractvalue { ptr, i32 } %2, 0", "ptr", ["%2", "0"]),
+        ("%4 = extractvalue { ptr, i32 } %2, 1", "i32", ["%2", "1"]),
+        ("%x = extractvalue [2 x { i32, double }] %a, 1, 1", "double", ["%a", "1", "1"]),
+        ("%x = extractvalue [2 x { i32, double }] %a, 1", "{ i32 , double }", ["%a", "1"]),
+        ("%x = extractvalue <{ i8, i64 }> %a, 1", "i64", ["%a", "1"]),
+        # a named struct's members and an index past the end are unknown
+        ("%x = extractvalue %struct.P %a, 1", "%struct.P", ["%a", "1"]),
+        ("%x = extractvalue { i32 } %a, 3", "{ i32 }", ["%a", "3"]),
+        ("%e = extractelement <4 x float> %v, i32 2", "float", ["%v", "2"]),
+        ("%e = extractelement <vscale x 4 x i32> %v, i64 %i", "i32", ["%v", "%i"]),
+        ("%s = shufflevector <4 x i32> %a, <4 x i32> %b, <4 x i32> <i32 0, i32 5, i32 1, i32 6>",
+         "< 4 x i32 >", ["%a", "%b", "0", "5", "1", "6"]),
+        ("%v = insertvalue [2 x i32] undef, i32 7, 1", "[ 2 x i32 ]", ["undef", "7", "1"]),
+        ("%p = va_arg ptr %ap, i32", "ptr", ["%ap"]),
+    ])
+    def test_generic_path_types_and_operands(self, line, type_str, tokens):
+        """Generic opcodes take no number from an operand's type, and
+        extractvalue/extractelement give the type their indices select."""
+        instr = parse_instruction(line)
+        assert (instr.type_str, [op.token for op in instr.operands]) == (type_str, tokens)
+
     def test_clang_style_fixture(self, fixtures_dir):
         from mpisentinel.embed import SeedVocab, embed
         from mpisentinel.graph import build_graph, validate_graph
@@ -565,6 +626,8 @@ lpad:
         assert [b.label for b in main.blocks] == [
             "entry", "invoke.cont", "lpad", "return", "eh.resume"]
         assert main.blocks[2].instructions[0].opcode == "landingpad"
+        assert [(i.type_str, canonical_type(i.type_str)) for i in main.blocks[2].instructions
+                if i.opcode == "extractvalue"] == [("ptr", "ptrTy"), ("i32", "intTy")]
         assert main.blocks[-1].instructions[-1].opcode == "resume"
         assert legacy.params == [("%p", "i32 *"), ("%n", "i32")]
         assert swap.params == [("%a", "ptr"), ("%b", "ptr")]

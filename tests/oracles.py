@@ -11,8 +11,9 @@ still match bit for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Three
-references are narrower: the embedding walk's reuses embed's flow solve, the cache-free parse_ir reuses the library's function-body
-and module-line handling, isolating the line caches, and the self-loop
+references are narrower: the embedding walk's reuses embed's flow solve,
+the cache-free parse_ir reuses the library's function-body and
+module-line handling, isolating the line caches, and the self-loop
 hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are

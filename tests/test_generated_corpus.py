@@ -1,9 +1,9 @@
 """Benchmark-shaped corpora, written by the benchmark's own generator
 (imported read-only from perfbench/): modules parse and embed exactly as
 the cache-free references in tests/oracles.py do, in whatever order one
-process meets them, and the GNN trains on
-their program graphs exactly as it did with self loops as relations and
-keeps a smaller tape than the chain of primitive operations."""
+process meets them, and the GNN trains on their program graphs exactly
+as it did with self loops as relations and keeps a smaller tape than the
+chain of primitive operations."""
 
 import dataclasses
 import gc

@@ -83,10 +83,6 @@ class EmbeddingVector:
             raise ValueError("embedding contains non-finite values")
 
 
-_LABEL = OperandKind.LABEL
-_LOCAL = OperandKind.LOCAL
-
-
 def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[int, int]]]:
     """One walk over a function's instructions.  Returns the row indices of
     its symbolic rows followed by those of its flow-aware base rows (the
@@ -111,14 +107,14 @@ def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[i
         kinds = []
         free = []
         for op in instr.operands:
-            kind = op.kind
-            if kind is _LABEL:
+            if op.kind is OperandKind.LABEL:
                 continue
-            kinds.append(kind._value_)
-            if kind is _LOCAL and op.token in defs:
+            # the member's `_value_` is a plain attribute, `value` a property
+            kinds.append(op.kind._value_)
+            if op.kind is OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                free.append(kind._value_)
+                free.append(op.kind._value_)
         rows.append(keys.setdefault((instr.opcode, instr.type_str, tuple(kinds)), len(keys)))
         base.append(keys.setdefault((instr.opcode, instr.type_str, tuple(free)), len(keys)))
     return rows + base, links

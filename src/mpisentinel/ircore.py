@@ -5,19 +5,14 @@ objects carrying exactly what the downstream representations need: opcodes,
 result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
-while lexing.  Per-line work is memoized for the whole process in two
-bounded LRU caches keyed by a line's text: a physical line's facts (text
-without comment, bracket depth, whether it opens invoke/landingpad
-clauses) and an instruction line's template.  A template is never handed
-out: each occurrence gets its own IrInstruction, sharing only the
-immutable operand tuple.  A line that raises is never cached, so each
-occurrence raises at its own line.
+while lexing.  One parse_ir call parses each distinct instruction line at
+most once, and a bounded cache that outlives the call keeps the parse of a
+line met in two calls, so later modules skip it too.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -45,9 +40,6 @@ class OperandKind(enum.Enum):
     CONSTANT = "Constant"
     LABEL = "Label"
     FUNCTION = "FunctionRef"
-
-
-_LABEL = OperandKind.LABEL  # a module global reads faster than the member
 
 
 @dataclass(frozen=True)
@@ -356,18 +348,15 @@ def _typed_value(fragment: list[str]) -> Operand | None:
     return _value_operand(val)
 
 
-# Entries per line cache.  On the benchmark corpora a line-facts entry
-# holds about 0.22 KB and an instruction template about 0.76 KB, so the two
-# caches hold about 4 MB when full.
-LINE_CACHE_SIZE = 1 << 12
-
-
 class _FunctionParser:
-    """Parses one function body, one logical line at a time."""
+    """Parses one function body, one logical line at a time.  `parsed` maps
+    an instruction line to the IrInstruction of its first occurrence; parse_ir
+    shares one such dict among the functions of a module."""
 
-    def __init__(self, fn: IrFunction, lineno: int):
+    def __init__(self, fn: IrFunction, lineno: int, parsed: dict[str, IrInstruction]):
         self.fn = fn
         self.lineno = lineno
+        self.parsed = parsed
         self.current: IrBlock | None = None
         self.seen_labels: set[str] = set()
 
@@ -387,7 +376,7 @@ class _FunctionParser:
 
     def feed(self, line: str, lineno: int):
         self.lineno = lineno
-        m = ":" in line and _LABEL_LINE_RE.match(line)
+        m = _LABEL_LINE_RE.match(line)
         if m:
             label = m.group(1) or m.group(2)
             self._open_block(label)
@@ -399,12 +388,18 @@ class _FunctionParser:
             self._open_block("entry")
         if self.current.instructions and self.current.instructions[-1].is_terminator():
             raise MalformedIr(lineno, "instruction after block terminator")
-        try:
-            t = _instruction_template(line)
-        except MalformedIr as exc:
-            raise MalformedIr(lineno, exc.message) from exc.__cause__
-        self.current.instructions.append(
-            IrInstruction(t.opcode, t.type_str, t.operands, t.result_id, t.call_target))
+        first = self.parsed.get(line)
+        if first is None:
+            # a line that raises is never stored, so each occurrence raises
+            # at its own line; nothing in parse_ir mutates an instruction
+            # once built, so the first occurrence can serve as the template
+            instr = self.parsed[line] = _instruction(line, lineno)
+        else:
+            # a repeat gets its own IrInstruction sharing only the immutable
+            # operand tuple
+            instr = IrInstruction(first.opcode, first.type_str, first.operands,
+                                  first.result_id, first.call_target)
+        self.current.instructions.append(instr)
 
     def finish(self):
         self._close_block()
@@ -417,7 +412,7 @@ class _FunctionParser:
         for block in self.fn.blocks:
             for instr in block.instructions:
                 for op in instr.operands:
-                    if op.kind is _LABEL and op.token not in labels:
+                    if op.kind is OperandKind.LABEL and op.token not in labels:
                         raise MalformedIr(
                             self.lineno,
                             f"branch target %{op.token} does not name a block "
@@ -455,10 +450,43 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
     return instr
 
 
-@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
-def _instruction_template(line: str) -> IrInstruction:
-    """parse_instruction at line 0, memoized; callers copy the result."""
-    return parse_instruction(line)
+# The template cache maps an instruction line to the fields of its parse.
+# A line enters it when a second parse_ir call parses it, so input whose
+# lines never repeat across calls pays only for remembering the texts it
+# has parsed.  Only lines of at most LINE_CACHE_MAX_CHARS characters with
+# at most LINE_CACHE_MAX_OPERANDS operands are remembered, which bounds a
+# template at about 2 KB and a text at about 0.25 KB (CPython 3.11).  The
+# cache is emptied when it holds LINE_CACHE_SIZE templates and the texts
+# when there are twice as many, so together they never hold more than
+# about 5 MB.
+LINE_CACHE_SIZE = 1 << 11
+LINE_CACHE_MAX_CHARS = 160
+LINE_CACHE_MAX_OPERANDS = 8
+_TEMPLATES: dict[str, tuple] = {}
+_SEEN: dict[str, None] = {}  # texts parsed in one call, not yet cached
+
+
+def _instruction(line: str, lineno: int) -> IrInstruction:
+    """parse_instruction through the template cache, for a line's first
+    occurrence in a parse_ir call; every call returns a new IrInstruction."""
+    fields = _TEMPLATES.get(line)
+    if fields is not None:
+        return IrInstruction(*fields)
+    instr = parse_instruction(line, lineno)
+    if len(line) <= LINE_CACHE_MAX_CHARS and len(instr.operands) <= LINE_CACHE_MAX_OPERANDS:
+        if line in _SEEN:
+            _keep(_TEMPLATES, LINE_CACHE_SIZE, line, (
+                instr.opcode, instr.type_str, instr.operands, instr.result_id,
+                instr.call_target))
+        else:
+            _keep(_SEEN, 2 * LINE_CACHE_SIZE, line, None)
+    return instr
+
+
+def _keep(cache: dict, size: int, line: str, value) -> None:
+    if len(cache) >= size:
+        cache.clear()
+    cache[line] = value
 
 
 def _skip_flags(tokens: list[str]) -> list[str]:
@@ -679,8 +707,9 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
 
 def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
     """Any other opcode: harvest a type and any obvious value operands, but
-    not the numbers of an operand's type.  extractvalue and extractelement
-    get the member type that their indices select."""
+    not the numbers in the type that begins a comma-separated operand.
+    extractvalue and extractelement get the member type that their indices
+    select, and va_arg gets its last operand's type."""
     got = consume_type(rest, 0, allow_named=True)
     if got is not None:
         type_str, j = got
@@ -693,6 +722,10 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
             member = _member_type(member, int(index[-1])) if member else None
         if member:
             type_str = " ".join(member)
+    elif got is not None and opcode == "va_arg" and len(parts) == 2:
+        arg_type = consume_type(parts[1], 0, allow_named=True)
+        if arg_type:
+            type_str = arg_type[0]
     operands = []
     for part in parts:
         typed = consume_type(part, 0)
@@ -789,15 +822,6 @@ def _line_depth(text: str, define: bool) -> int:
     return _bracket_depth(text)
 
 
-@functools.lru_cache(maxsize=LINE_CACHE_SIZE)
-def _line_facts(raw: str) -> tuple[str, int, bool]:
-    """A physical line's text without comment and outer blanks, its bracket
-    depth as the first line of a logical line, and whether it opens invoke,
-    callbr or landingpad clauses."""
-    line = _strip_comment(raw).strip()
-    return line, _line_depth(line, line.startswith("define")), bool(_CLAUSE_HEAD_RE.match(line))
-
-
 def _logical_lines(raw_lines: list[str]):
     """Join physical lines while brackets are open, braces on a define's
     lines aside, and the clause lines under an invoke, callbr or
@@ -805,19 +829,19 @@ def _logical_lines(raw_lines: list[str]):
     i = 0
     n = len(raw_lines)
     while i < n:
-        line, depth, clauses = _line_facts(raw_lines[i])
+        line = _strip_comment(raw_lines[i]).strip()
         lineno = i + 1
         i += 1
         if not line:
             continue
         define = line.startswith("define")
+        depth = _line_depth(line, define)
+        clauses = _CLAUSE_HEAD_RE.match(line)
         while i < n and (depth > 0 or clauses and _CLAUSE_RE.match(raw_lines[i])):
-            nxt, nxt_depth, _ = _line_facts(raw_lines[i])
+            nxt = _strip_comment(raw_lines[i]).strip()
             i += 1
             line = line + " " + nxt
-            # a continuation counts braces as the line it continues does
-            depth += nxt_depth if nxt.startswith("define") == define \
-                else _line_depth(nxt, define)
+            depth += _line_depth(nxt, define)
         yield lineno, line
 
 
@@ -833,6 +857,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     """
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()  # function names, defined or declared
+    parsed: dict[str, IrInstruction] = {}  # instruction line -> first parse
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
         if fn_parser is not None:
@@ -845,7 +870,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = _module_line(module, seen, line, lineno)
+            fn_parser = _module_line(module, seen, parsed, line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:
@@ -853,8 +878,8 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     return module
 
 
-def _module_line(module: IrModule, seen: set[str], line: str,
-                 lineno: int) -> _FunctionParser | None:
+def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstruction],
+                 line: str, lineno: int) -> _FunctionParser | None:
     """Add one line outside any function body to the module; returns the
     parser of a function body the line opens and leaves open."""
     if line == "}":
@@ -865,7 +890,7 @@ def _module_line(module: IrModule, seen: set[str], line: str,
         if cut is None:
             raise MalformedIr(lineno, "define without a body brace")
         fn_parser = _FunctionParser(
-            _add_function(module, seen, sig[:cut], lineno, False), lineno)
+            _add_function(module, seen, sig[:cut], lineno, False), lineno, parsed)
         inline = sig[cut + 1:].strip()
         if inline:
             closed = inline.endswith("}")

@@ -13,7 +13,7 @@ autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Three
 references are narrower: the embedding walk's reuses embed's flow solve,
 the cache-free parse_ir reuses the library's function-body and
-module-line handling, isolating the line caches, and the self-loop
+module-line handling, isolating the line memo and the template cache, and the self-loop
 hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
@@ -875,6 +875,13 @@ def _reference_is_clause(raw: str) -> bool:
     return words[0] in ("cleanup", "catch", "filter")
 
 
+class _Forgetful(dict):
+    """A line memo that never stores, so every instruction line is parsed."""
+
+    def __setitem__(self, line, instr):
+        pass
+
+
 def _reference_logical_lines(raw_lines: list[str]):
     i = 0
     n = len(raw_lines)
@@ -896,17 +903,18 @@ def _reference_logical_lines(raw_lines: list[str]):
 
 
 def reference_parse_ir(text: str, name: str = "") -> IrModule:
-    """parse_ir without its line caches: every instruction line is parsed
-    afresh by parse_instruction (the template cache's `__wrapped__`), and
-    logical lines are joined with the per-character scanners above and a
-    word-based clause rule.  The reference for parse_ir's memoized parse
-    (same module, same MalformedIr line and message)."""
-    cached = ircore._instruction_template
-    ircore._instruction_template = cached.__wrapped__
+    """parse_ir without its line memo and template cache: every instruction
+    line is parsed afresh by parse_instruction, which stands in for the
+    cached ircore._instruction, and logical lines are joined with the
+    per-character scanners above and a word-based clause rule.  The
+    reference for parse_ir's memoized parse (same module, same MalformedIr
+    line and message)."""
+    cached = ircore._instruction
+    ircore._instruction = ircore.parse_instruction
     try:
         return _reference_parse_ir(text, name)
     finally:
-        ircore._instruction_template = cached
+        ircore._instruction = cached
 
 
 def _reference_parse_ir(text: str, name: str) -> IrModule:
@@ -924,7 +932,7 @@ def _reference_parse_ir(text: str, name: str) -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = ircore._module_line(module, seen, line, lineno)
+            fn_parser = ircore._module_line(module, seen, _Forgetful(), line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:

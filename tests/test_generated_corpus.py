@@ -69,8 +69,8 @@ def three_shapes(tmp_path_factory):
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order):
-    """The line caches outlive each parse_ir call and the module order
-    decides what they hold; no order shows in a module or its embedding."""
+    """The template cache outlives each parse_ir call and the module order
+    decides what it holds; no order shows in a module or its embedding."""
     vocab = em.SeedVocab(11)
     for name, text in three_shapes if order == "forward" else three_shapes[::-1]:
         module = parse_ir(text, name)

@@ -241,15 +241,18 @@ class TestScannersMatchReference:
 
 
 class TestLineMemo:
-    """parse_ir parses each distinct line once per process, in two bounded
-    caches; every module equals the cache-free reference in tests/oracles.py."""
+    """parse_ir parses a repeated instruction line once per call, and a
+    bounded template cache keeps the parse of a line that two calls met;
+    every module equals the cache-free reference in tests/oracles.py."""
 
     TWO_FUNCTIONS = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n"
                      "define i32 @g(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n")
 
-    def test_repeated_line_gives_distinct_instructions(self):
+    def test_repeated_line_gives_distinct_instructions(self, monkeypatch):
+        monkeypatch.setattr(ircore, "_TEMPLATES", {})
+        monkeypatch.setattr(ircore, "_SEEN", {})
         module = parse_ir(self.TWO_FUNCTIONS)
         first, second = (fn.blocks[0].instructions[0] for fn in module.functions)
         assert first is not second and first == second
@@ -258,10 +261,13 @@ class TestLineMemo:
         first.operands = ()
         assert (second.type_str, second.result_id) == ("i32", "%a")
         assert [op.token for op in second.operands] == ["%x", "1"]
-        # the cache outlives the call, but no module holds its template
-        again = parse_ir(self.TWO_FUNCTIONS)
-        assert again.functions[0].blocks[0].instructions[0] == second
-        assert again.functions[0].blocks[0].instructions[0] is not second
+        # the second call caches the line and later calls copy it; no
+        # module holds the template
+        for _ in range(3):
+            again = parse_ir(self.TWO_FUNCTIONS).functions[0].blocks[0].instructions[0]
+            assert again == second and again is not second
+            again.operands = ()
+        assert "%a = add i32 %x, 1" in ircore._TEMPLATES
 
     def test_repeated_line_after_terminator_raises_at_its_line(self):
         text = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
@@ -272,18 +278,54 @@ class TestLineMemo:
             5, "instruction after block terminator")
 
     def test_line_that_raises_is_never_stored(self):
-        cache = ircore._instruction_template
-        assert cache.cache_info().maxsize == ircore._line_facts.cache_info().maxsize \
-            == ircore.LINE_CACHE_SIZE < float("inf")
-        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1)
-        before = cache.cache_info()
-        for lineno in (3, 8):
+        parsed: dict = {}
+        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1, parsed)
+        for lineno in (3, 8, 9):
             with pytest.raises(MalformedIr) as info:
                 fn_parser.feed("store i32 0, ptr", lineno)
             assert info.value.line == lineno
-        after = cache.cache_info()
-        # both feeds missed: the first raise stored nothing
-        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert parsed == {}
+        assert "store i32 0, ptr" not in ircore._SEEN
+        assert "store i32 0, ptr" not in ircore._TEMPLATES
+
+    def test_line_is_cached_at_its_second_parse(self, monkeypatch):
+        """_instruction serves a line's first occurrence in each call."""
+        monkeypatch.setattr(ircore, "_TEMPLATES", {})
+        monkeypatch.setattr(ircore, "_SEEN", {})
+        line = "%a = add i32 %x, 1"
+        got = [ircore._instruction(line, 1) for _ in range(3)]
+        assert list(ircore._SEEN) == list(ircore._TEMPLATES) == [line]
+        want = parse_instruction(line)
+        assert all(instr == want for instr in got)
+        assert len({id(instr) for instr in got}) == 3
+        assert got[1].operands is got[2].operands  # the template's
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(ircore, "_TEMPLATES", {})
+        monkeypatch.setattr(ircore, "_SEEN", {})
+        monkeypatch.setattr(ircore, "LINE_CACHE_SIZE", 2)
+        lines = [f"%a = add i32 %x, {k}" for k in range(6)]
+        sizes = []
+        for line in lines:
+            for _ in range(2):
+                assert ircore._instruction(line, 1) == parse_instruction(line)
+            sizes.append((len(ircore._SEEN), len(ircore._TEMPLATES)))
+        # each is emptied when full: texts at 2 * LINE_CACHE_SIZE, templates at it
+        assert sizes == [(1, 1), (2, 2), (3, 1), (4, 2), (1, 1), (2, 2)]
+        assert list(ircore._TEMPLATES) == lines[4:]
+
+    def test_long_lines_and_many_operands_are_not_cached(self, monkeypatch):
+        monkeypatch.setattr(ircore, "_TEMPLATES", {})
+        monkeypatch.setattr(ircore, "_SEEN", {})
+        n = ircore.LINE_CACHE_MAX_OPERANDS
+        wide = "call void @f(" + ", ".join(["i32 1"] * n) + ")"  # n + 1 operands
+        narrow = "call void @f(" + ", ".join(["i32 1"] * (n - 1)) + ")"
+        at_cap = "ret" + " " * (ircore.LINE_CACHE_MAX_CHARS - 7) + "void"
+        for line in (wide, narrow, at_cap + " ", at_cap):
+            for _ in range(2):
+                assert ircore._instruction(line, 1) == parse_instruction(line)
+        assert list(ircore._SEEN) == list(ircore._TEMPLATES) == [narrow, at_cap]
+        assert len(ircore._TEMPLATES[narrow][2]) == n
 
     def test_line_that_raises_raises_at_its_line_in_a_later_module(self):
         good = self.TWO_FUNCTIONS
@@ -295,11 +337,16 @@ class TestLineMemo:
             assert info.value.line == line
             assert info.value.message.startswith("store instruction")
 
-    def test_reference_parse_uses_no_cache(self, add_loop_text):
-        infos = (ircore._instruction_template.cache_info, ircore._line_facts.cache_info)
-        before = [info() for info in infos]
-        oracles.reference_parse_ir(add_loop_text, "m")
-        assert [info() for info in infos] == before
+    def test_reference_parse_uses_no_cache(self, add_loop_text, monkeypatch):
+        monkeypatch.setattr(ircore, "_TEMPLATES", {})
+        monkeypatch.setattr(ircore, "_SEEN", {})
+        for _ in range(2):
+            oracles.reference_parse_ir(add_loop_text, "m")
+        assert ircore._SEEN == ircore._TEMPLATES == {}
+        assert ircore._instruction is not ircore.parse_instruction
+        for _ in range(2):
+            parse_ir(add_loop_text, "m")
+        assert ircore._TEMPLATES
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -318,7 +365,7 @@ class TestLineMemo:
     def test_modules_in_shuffled_order_with_warm_caches_parse_like_reference(self, data):
         texts = data.draw(st.lists(_shuffled_module(_fixture_lines()), min_size=2,
                                    max_size=4))
-        for text in texts:  # warm both caches
+        for text in texts * 2:  # warm the cache
             _outcome(parse_ir, text, "m")
         for text in data.draw(st.permutations(texts)):
             got = _outcome(parse_ir, text, "m")
@@ -606,11 +653,14 @@ lpad:
         ("%s = shufflevector <4 x i32> %a, <4 x i32> %b, <4 x i32> <i32 0, i32 5, i32 1, i32 6>",
          "< 4 x i32 >", ["%a", "%b", "0", "5", "1", "6"]),
         ("%v = insertvalue [2 x i32] undef, i32 7, 1", "[ 2 x i32 ]", ["undef", "7", "1"]),
-        ("%p = va_arg ptr %ap, i32", "ptr", ["%ap"]),
+        ("%p = va_arg ptr %ap, i32", "i32", ["%ap"]),
+        # a type after a clause word is not skipped (the landingpad path)
+        ("%x = foo ptr %a, filter [1 x ptr] [ptr @t]", "ptr", ["%a", "1", "@t"]),
     ])
     def test_generic_path_types_and_operands(self, line, type_str, tokens):
-        """Generic opcodes take no number from an operand's type, and
-        extractvalue/extractelement give the type their indices select."""
+        """Generic opcodes take no number from the type that begins a
+        comma-separated operand; extractvalue/extractelement give the type
+        their indices select, and va_arg its last operand's type."""
         instr = parse_instruction(line)
         assert (instr.type_str, [op.token for op in instr.operands]) == (type_str, tokens)
 

@@ -97,9 +97,10 @@ def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[i
     instrs = []
     for block in fn.blocks:
         for instr in block.instructions:
-            if instr.result_id is not None:
-                defs[instr.result_id] = len(instrs)
+            idx = len(instrs)
             instrs.append(instr)
+            if instr.result_id is not None:
+                defs[instr.result_id] = idx
     rows = []
     base = []
     links: list[tuple[int, int]] = []
@@ -109,12 +110,11 @@ def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[i
         for op in instr.operands:
             if op.kind is OperandKind.LABEL:
                 continue
-            # the member's `_value_` is a plain attribute, `value` a property
-            kinds.append(op.kind._value_)
+            kinds.append(op.kind.value)
             if op.kind is OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                free.append(op.kind._value_)
+                free.append(op.kind.value)
         rows.append(keys.setdefault((instr.opcode, instr.type_str, tuple(kinds)), len(keys)))
         base.append(keys.setdefault((instr.opcode, instr.type_str, tuple(free)), len(keys)))
     return rows + base, links

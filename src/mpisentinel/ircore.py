@@ -463,7 +463,7 @@ LINE_CACHE_SIZE = 1 << 11
 LINE_CACHE_MAX_CHARS = 160
 LINE_CACHE_MAX_OPERANDS = 8
 _TEMPLATES: dict[str, tuple] = {}
-_SEEN: dict[str, None] = {}  # texts parsed in one call, not yet cached
+_SEEN: dict[str, None] = {}  # texts that a parse_ir call has parsed
 
 
 def _instruction(line: str, lineno: int) -> IrInstruction:

@@ -7,10 +7,11 @@ model).  Errors are emitted as JSON lines on stderr; exit codes: 0 success,
 3 internal error.  One table, the usage errors of _error_tables, decides
 exit 2: main reports any error of a type in it by its type name, whichever
 command raised it, and any other exception as InternalError.  Before they
-read any input, ingest checks --timeout (finite, above 0) and --out, and
-evaluate and ablate check --report and --report-csv, so a bad output path
-costs no run.  Settings resolve flags > environment > config file >
-defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the
+read any input, ingest checks --timeout (finite, above 0), --out and,
+with a compiler, the directory <out stem>-ir/ beside it that receives the
+compiled IR, and evaluate and ablate check --report and --report-csv, so a
+bad output path costs no run.  Settings resolve flags > environment >
+config file > defaults (MPISENTINEL_COMPILER_CMD, MPISENTINEL_JOBS).  --jobs sets the
 number of compile workers for ingest; folds always run one after another.
 
 Each command imports only the modules it runs: ingest needs corpus alone
@@ -79,6 +80,21 @@ def _check_output(path) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
+def _check_dir(path) -> None:
+    """Raise the OSError that writing files into the directory `path` would
+    raise: it must be a writable directory, or a new path that
+    _check_output accepts.  Creates nothing."""
+    if not os.path.exists(path):
+        return _check_output(path)
+    if not os.path.isdir(path):
+        code = errno.ENOTDIR
+    elif not os.access(path, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _setting(flag_value, env_name, file_cfg, file_key, default):
     if flag_value is not None:
         return flag_value
@@ -123,15 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run an evaluation scenario")
     _run_flags(p)
     p.add_argument("--scenario", choices=("intra", "mix", "cross"), required=True)
-    p.add_argument("--backend", choices=("ir2vec-dt", "gnn"))
     p.add_argument("--labels", dest="label_mode", choices=("binary", "error-type"))
     p.add_argument("--train-suite")
     p.add_argument("--validate-suite")
     p.add_argument("--opt", dest="opt_level", help="restrict to one opt level")
     p.add_argument("--specificity-formula", choices=("ratio", "paper-literal"))
-    p.add_argument("--gnn-epochs", type=int)
-    p.add_argument("--gnn-lr", type=float)
-    p.add_argument("--gnn-batch-size", type=int)
     p.add_argument("--report-csv",
                    help="also write a flat CSV of fold/aggregate metrics")
 
@@ -154,10 +166,14 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", help="the suite of an intra scenario or an ablation")
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
+    p.add_argument("--backend", choices=("ir2vec-dt", "gnn"))
     p.add_argument("--normalization", choices=("none", "vector", "index"))
     p.add_argument("--ga", dest="ga_enabled", choices=("on", "off"))
     p.add_argument("--ga-population", type=int)
     p.add_argument("--ga-generations", type=int)
+    p.add_argument("--gnn-epochs", type=int)
+    p.add_argument("--gnn-lr", type=float)
+    p.add_argument("--gnn-batch-size", type=int)
     p.add_argument("--report", required=True)
 
 
@@ -186,11 +202,19 @@ def cmd_ingest(args, file_cfg, jobs: int) -> int:
     _check_output(args.out)
     compiler_cmd = _setting(args.compiler_cmd, ENV_COMPILER, file_cfg,
                             "compiler_cmd", "none")
+    # a compiler writes into <manifest stem>-ir/ beside the manifest, never
+    # into the directory it reads
+    ir_dir = None
+    if compiler_cmd not in ("", "none"):
+        out = Path(args.out)
+        ir_dir = out.with_name(f"{out.stem}-ir")
+        _check_dir(ir_dir)
     if args.suite == "mbi":
         samples = corpus_mod.ingest_mbi(directory, opt_level=args.opt)
     else:
         samples = corpus_mod.ingest_corrbench(directory, opt_level=args.opt)
-    corpus_mod.attach_ir(samples, compiler_cmd, timeout=args.timeout, jobs=jobs)
+    corpus_mod.attach_ir(samples, compiler_cmd, ir_dir, timeout=args.timeout,
+                         jobs=jobs)
     manifest = corpus_mod.Manifest(samples, provenance={
         "suite": args.suite, "directory": str(directory),
         "compiler_cmd": compiler_cmd, "opt": args.opt, "seed": 0,

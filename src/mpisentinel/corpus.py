@@ -12,6 +12,7 @@ sources are labeled by filename prefix, with correct codes under a
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -235,12 +236,19 @@ def compile_to_ir(source, opt_level: str, compiler_cmd: str | None,
 
 def attach_ir(samples: list[CorpusSample], compiler_cmd: str | None,
               out_dir=None, timeout: float = 120.0, jobs: int = 1):
-    """Compile (or locate) IR for every non-quarantined sample, in place."""
+    """Compile (or locate) IR for every non-quarantined sample, in place.
+    With out_dir, a compiler writes each sample's products under it, in the
+    directory its source has below the sources' common directory, so
+    sources of one name in two directories keep apart; without, next to
+    the source."""
     work = [s for s in samples if not s.quarantined]
+    src_dirs = {s.id: Path(s.source_path).resolve().parent for s in work}
+    root = os.path.commonpath(src_dirs.values()) if out_dir and work else None
 
     def one(sample: CorpusSample):
+        dest = out_dir and Path(out_dir) / src_dirs[sample.id].relative_to(root)
         ir, status, message = compile_to_ir(
-            sample.source_path, sample.opt_level, compiler_cmd, out_dir,
+            sample.source_path, sample.opt_level, compiler_cmd, dest,
             timeout, debias=sample.suite == "CorrBench")
         sample.ir_path = ir
         sample.compile_status = status

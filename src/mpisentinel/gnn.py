@@ -6,6 +6,13 @@ its relations are summed with the node's own term `W_self h`, one matrix per
 node type (as in R-GCN), then ELU.  Elementwise max pooling over all nodes
 and a two-layer fully connected head follow.  Trained with cross-entropy and
 Adam.
+
+Every transform runs once per row of the table a layer reads and is then
+gathered per edge or node: layer 0 reads the embedding table itself, each
+node being its token's row, and later layers read the previous layer's
+node features.  In float64 this differs from gathering first only in the
+order of sums, within rtol 1e-10 plus atol 1e-12 times the largest
+gradient of the model (see `gatv2_relation`).
 """
 
 from __future__ import annotations
@@ -174,36 +181,42 @@ def init_model(cfg: GnnConfig, vocab: dict[str, int],
 
 
 def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
-                   slope: float = 0.2) -> Tensor:
+                   slope: float = 0.2, src_rows=None, dst_rows=None) -> Tensor:
     """Attention messages for one relation.
 
     Per edge (i, j): score = a . leaky_relu(W_att [h_i || h_j]); attention is
     the softmax of scores over each destination's incoming edges; the output
     row for j sums attention-weighted value transforms of the sources.
     Destinations without incoming edges output zeros.  `edges` is an (E, 2)
-    int64 array of (source row, destination row) or a list of such pairs.
+    int64 array of (source node, destination node) or a list of such pairs.
+    Node i of a side is row `rows[i]` of that side's table (`src_rows`,
+    `dst_rows`), or row i where no rows are given; layer 0 passes the
+    embedding table and each node's token row.
 
-    The relation is one autodiff node.  Its tape keeps the value transforms,
-    the attention, the exponentiated scores and each edge's denominator;
-    backward rebuilds the gathered features, their concatenation and the
-    raw scores from the layer's features.  Forward and backward evaluate the
-    same expressions, on the same operands, as the chain of primitive
-    operations the relation replaces (`gatv2_relation_chain` in the tests'
-    oracles), so its output and every gradient are the same bits.
+    Each transform runs once per table row and is then gathered per edge:
+    the values are `(h_src W_valᵀ)[src]`, and since W_att [h_i || h_j] =
+    W_l h_i + W_r h_j for the two halves of the one stored W_att (Brody et
+    al., ICLR 2022), the scores read `P_l[src] + P_r[dst]` with
+    `P_l = h_src W_lᵀ` and `P_r = h_dst W_rᵀ`.  Backward scatters each edge
+    gradient to its table row first and then does one matmul per weight.
+    The relation is one autodiff node, whose tape keeps the transformed
+    tables, the attention, the exponentiated scores and each edge's
+    denominator.  Against the chain of primitive operations that gathers
+    before it transforms (`gatv2_relation_full` in the tests' oracles) only
+    the summation order differs: outputs and gradients agree within rtol
+    1e-10 plus atol 1e-12 times the largest gradient of the model.
 
     Where no destination has two incoming edges, the scores are not
     computed: each edge's attention is exactly 1 (score minus its own max
     is +0.0, exp gives 1, over a denominator of 1), so the output is the
-    scattered value transforms, bit for bit, and the tape keeps nothing.
-    The gradient the full path gives a score there is g/1 - g*1/1 = +0.0,
-    so w_att and a keep their zero gradients, and every other gradient
-    differs at most in the sign of an exact zero.  Only a non-finite score,
-    which would make the full path's attention NaN, gives a different
-    result.
+    scattered value transforms and the tape keeps nothing.  The gradient
+    the full path gives a score there is g/1 - g*1/1 = +0.0, so w_att and a
+    keep their zero gradients.  Only a non-finite score, which would make
+    the full path's attention NaN, gives a different result.
     """
     w_att, a, w_val = params.w_att, params.a, params.w_val
     n_src, d_src = h_src.data.shape
-    n_dst = h_dst.data.shape[0]
+    n_dst = h_dst.data.shape[0] if dst_rows is None else len(dst_rows)
     if w_att.data.shape[1] != d_src + h_dst.data.shape[1]:
         raise ShapeMismatch(
             f"w_att expects width {w_att.data.shape[1]}, got "
@@ -211,31 +224,24 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     if len(edges) == 0:
         return ad.zeros((n_dst, w_val.data.shape[0]))
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    src_row = src_idx if src_rows is None else src_rows[src_idx]
     parents = (h_src, h_dst, w_att, a, w_val)
 
-    def values_backward(g_values):
-        """matmul(hs, w_valᵀ): accumulates w_val, returns hs's gradient."""
-        if w_val.requires_grad:
-            w_val.accumulate((h_src.data[src_idx].T @ g_values).T)
-        return g_values @ w_val.data
-
-    def scatter_to_src(g_hs):
-        if h_src.requires_grad:
-            h_src.accumulate(ad._scatter_rows(src_idx, g_hs, n_src))
-
-    values = h_src.data[src_idx] @ w_val.data.T           # (E, out)
+    p_val = h_src.data @ w_val.data.T                      # (n_src, out)
     if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
         def backward_unscored(g):
-            scatter_to_src(values_backward(g[dst_idx]))
-        return Tensor(ad._scatter_rows(dst_idx, values, n_dst), parents=parents,
-                      backward=backward_unscored)
+            g_val = ad._scatter_rows(src_row, g[dst_idx], n_src)
+            if w_val.requires_grad:
+                w_val.accumulate(g_val.T @ h_src.data)
+            if h_src.requires_grad:
+                h_src.accumulate(g_val @ w_val.data)
+        return Tensor(ad._scatter_rows(dst_idx, p_val[src_row], n_dst),
+                      parents=parents, backward=backward_unscored)
 
-    def raw_scores():
-        """The concatenated end features and their scores before leaky_relu."""
-        pair = np.concatenate([h_src.data[src_idx], h_dst.data[dst_idx]], axis=1)
-        return pair, pair @ w_att.data.T
-
-    scores = _leaky_relu(raw_scores()[1], slope) @ a.data  # (E, 1)
+    dst_row = dst_idx if dst_rows is None else dst_rows[dst_idx]
+    p_l = h_src.data @ w_att.data[:, :d_src].T             # (n_src, out)
+    p_r = h_dst.data @ w_att.data[:, d_src:].T             # (n_dst rows, out)
+    scores = _leaky_relu(p_l[src_row] + p_r[dst_row], slope) @ a.data  # (E, 1)
     # softmax per destination; the shift is a constant so gradients are exact
     shift = np.full(n_dst, -np.inf)
     np.maximum.at(shift, dst_idx, scores.ravel())
@@ -243,35 +249,34 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     denom = ad._scatter_rows(dst_idx, expd, n_dst)[dst_idx]  # (E, 1)
     alpha = expd / denom                                     # (E, 1)
 
-    # The chain stored each intermediate gradient plus 0.0, which turns -0.0
-    # into +0.0.  Skipping that changes no value: a zero's sign reaches no
-    # division or comparison, and Tensor.accumulate applies it to what
-    # reaches a parent.
     def backward_scored(g):
         g_mv = g[dst_idx]                              # of values * alpha
-        g_alpha = (g_mv * values).sum(axis=1, keepdims=True)
-        g_hs = values_backward(g_mv * alpha)
+        g_alpha = (g_mv * p_val[src_row]).sum(axis=1, keepdims=True)
+        g_val = ad._scatter_rows(src_row, g_mv * alpha, n_src)
         del g_mv
         g_expd = g_alpha / denom                       # of expd / denom
         g_denom = -g_alpha * expd / (denom * denom)
         g_expd += ad._scatter_rows(dst_idx, g_denom, n_dst)[dst_idx]
         g_scores = g_expd * expd                       # of exp, then the shift
-        pair, pre = raw_scores()
+        pre = p_l[src_row] + p_r[dst_row]
         if a.requires_grad:
             a.accumulate(_leaky_relu(pre, slope).T @ g_scores)
         g_pre = (g_scores @ a.data.T) * np.where(pre > 0, 1.0, slope)
         del pre
+        g_l = ad._scatter_rows(src_row, g_pre, n_src)
+        g_r = ad._scatter_rows(dst_row, g_pre, h_dst.data.shape[0])
+        del g_pre
+        if w_val.requires_grad:
+            w_val.accumulate(g_val.T @ h_src.data)
         if w_att.requires_grad:
-            w_att.accumulate((pair.T @ g_pre).T)
-        del pair
-        g_pair = g_pre @ w_att.data
-        g_hs += g_pair[:, :d_src]
-        scatter_to_src(g_hs)
+            w_att.accumulate(np.hstack([g_l.T @ h_src.data, g_r.T @ h_dst.data]))
+        if h_src.requires_grad:
+            h_src.accumulate(g_val @ w_val.data + g_l @ w_att.data[:, :d_src])
         if h_dst.requires_grad:
-            h_dst.accumulate(ad._scatter_rows(dst_idx, g_pair[:, d_src:], n_dst))
+            h_dst.accumulate(g_r @ w_att.data[:, d_src:])
 
-    return Tensor(ad._scatter_rows(dst_idx, values * alpha, n_dst), parents=parents,
-                  backward=backward_scored)
+    return Tensor(ad._scatter_rows(dst_idx, p_val[src_row] * alpha, n_dst),
+                  parents=parents, backward=backward_scored)
 
 
 def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -306,10 +311,13 @@ def _sum(parts: list[Tensor]) -> Tensor:
 def hetero_layer(features: dict[str, Tensor],
                  rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
-                 self_w: dict[str, Tensor], slope: float = 0.2) -> dict[str, Tensor]:
+                 self_w: dict[str, Tensor], slope: float = 0.2,
+                 rows: dict[str, np.ndarray] | None = None) -> dict[str, Tensor]:
     """One heterogeneous round: per node type, the messages of the relations
     into it and then its own term `h W_selfᵀ`, summed in that order, then
-    ELU."""
+    ELU.  With `rows`, node i of type t is row `rows[t][i]` of
+    `features[t]`, and the own term is `(features[t] W_selfᵀ)[rows[t]]`."""
+    rows = rows or {}
     messages: dict[str, list[Tensor]] = {t: [] for t in features}
     for rel, params in layer_params.items():
         src_t, _, dst_t = rel
@@ -317,10 +325,14 @@ def hetero_layer(features: dict[str, Tensor],
         if len(edges) == 0:
             continue  # a relation without edges contributes only zeros
         messages[dst_t].append(
-            gatv2_relation(features[src_t], features[dst_t], edges, params, slope))
+            gatv2_relation(features[src_t], features[dst_t], edges, params, slope,
+                           rows.get(src_t), rows.get(dst_t)))
     out: dict[str, Tensor] = {}
     for t, feats in features.items():
-        parts = messages[t] + [ad.matmul(feats, _t(self_w[t]))]
+        own = ad.matmul(feats, _t(self_w[t]))
+        if t in rows:
+            own = ad.gather_rows(own, rows[t])
+        parts = messages[t] + [own]
         out[t] = ad.elu(_sum(parts) if len(parts) > 1 else parts[0])
     return out
 
@@ -368,10 +380,12 @@ def logits_batch(model: GnnModel, graphs: list[ProgramGraph]) -> Tensor:
     """Forward pass over a disjoint-union batch; returns (n_graphs, C) logits."""
     cfg = model.config
     batch = _build_batch(graphs, model.vocab)
-    feats = {t: ad.gather_rows(model.embedding, batch.token_rows[t])
-             for t in NODE_TYPES}
+    # layer 0 reads each node type's token rows of the embedding table
+    feats = {t: model.embedding for t in NODE_TYPES}
+    rows = batch.token_rows
     for layer, own in zip(model.layers, model.self_w):
-        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope)
+        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope, rows)
+        rows = None
     pooled_parts = []
     seg_parts = []
     for t in NODE_TYPES:

@@ -296,9 +296,9 @@ def canonical_type(type_str: str) -> str:
     first = t.split(" ", 1)[0] if " " in t else t
     if t.endswith("*") or first == "ptr" or "addrspace" in t:
         return "ptrTy"
-    if t.startswith("<") and not t.startswith("<{"):
-        return "vecTy"
-    if t.startswith("[") or t.startswith("{") or t.startswith("<{"):
+    if t.startswith("<"):  # a packed struct reads `< { ... } >` once tokenized
+        return "aggTy" if t[1:].lstrip().startswith("{") else "vecTy"
+    if t.startswith("[") or t.startswith("{"):
         return "aggTy"
     if first.startswith("%"):
         return "aggTy"

@@ -4,10 +4,11 @@ The brute-force ones deliberately avoid the library's vectorized code paths:
 plain Python loops and dicts, recomputing results from first principles.  The
 bit-exact ones keep an earlier, slower implementation (the per-feature
 CART, the per-individual GA fitness, the np.add.at autodiff engine, the
-GATv2 relation that scores every edge, the GATv2 layer as a chain of
-primitive operations, the GNN's self loops as attention relations, the
-embedding's per-instruction walk) that the library must
-still match bit for bit.
+embedding's per-instruction walk) that the library must still match bit
+for bit.  The GNN's earlier forms (the GATv2 relation that scores every
+edge, the GATv2 layer as a chain of primitive operations, the self loops
+as attention relations) gather before they transform, so gnn matches them
+within the declared tolerance of `assert_within_tolerance`.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Three
@@ -413,8 +414,10 @@ def segment_sum(a: Tensor, seg, n_segments: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # The GATv2 relation as it was before one-incoming-edge relations skipped
-# their scoring: every edge is scored and softmaxed.  The bit-exact
-# reference for gnn.gatv2_relation; tests monkeypatch it into mpisentinel.gnn.
+# their scoring and before it transformed each table row ahead of the
+# gather: every edge is scored and softmaxed.  The float64 reference for
+# gnn.gatv2_relation within the declared tolerance; tests monkeypatch it
+# into mpisentinel.gnn through relation_on_node_rows.
 
 ad = autodiff
 
@@ -574,6 +577,56 @@ def hetero_layer_self_relations(features, rel_edges, layer_params, self_w,
             pre = ad.zeros((feats.data.shape[0], self_w[t].data.shape[0]))
         out[t] = ad.elu(pre)
     return out
+
+
+# ---------------------------------------------------------------------------
+# gnn transforms each table row once and then gathers per edge, and splits
+# W_att into its source and destination halves; the references above gather
+# first and transform the concatenated pair.  The two sum in different
+# orders, so they are compared within one declared tolerance, and the
+# adapters below call a reference as gnn calls its own relation and layer.
+
+RTOL = 1e-10
+ATOL_SCALE = 1e-12
+
+
+def assert_within_tolerance(got, want, what: str = ""):
+    """Each array of `got` equals its counterpart in `want` within
+    RTOL * |want| + ATOL_SCALE * (largest magnitude in all of `want`), the
+    declared tolerance between gnn and the references; a None (no
+    gradient) must be None on both sides."""
+    pairs = list(zip(got, want, strict=True))
+    assert [g is None for g, _ in pairs] == [w is None for _, w in pairs], what
+    arrays = [(np.asarray(g), np.asarray(w)) for g, w in pairs if w is not None]
+    scale = max((float(np.abs(w).max()) for _, w in arrays if w.size), default=0.0)
+    for i, (g, w) in enumerate(arrays):
+        assert g.shape == w.shape, (what, i)
+        excess = np.abs(g - w) - (RTOL * np.abs(w) + ATOL_SCALE * scale)
+        assert not (excess > 0).any() and not np.isnan(excess).any(), (
+            what, i, float(np.nanmax(excess)))
+
+
+def _gathered(table: Tensor, rows) -> Tensor:
+    return table if rows is None else autodiff.gather_rows(table, rows)
+
+
+def relation_on_node_rows(relation):
+    """A reference relation called as gnn.hetero_layer calls
+    gnn.gatv2_relation: each side's table is first gathered at its rows."""
+    def run(h_src, h_dst, edges, params, slope=0.2, src_rows=None, dst_rows=None):
+        return relation(_gathered(h_src, src_rows), _gathered(h_dst, dst_rows),
+                        edges, params, slope)
+    return run
+
+
+def layer_on_node_rows(layer):
+    """A reference layer called as gnn.logits_batch calls gnn.hetero_layer:
+    with `rows`, each node type's features are first gathered at them."""
+    def run(features, rel_edges, layer_params, self_w, slope=0.2, rows=None):
+        if rows is not None:
+            features = {t: _gathered(f, rows[t]) for t, f in features.items()}
+        return layer(features, rel_edges, layer_params, self_w, slope)
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,43 @@ class TestCompileFailures:
         assert json.loads(stderr.splitlines()[-1])["error"] == "CompilerNotFound"
 
 
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestCompiledIrDirectory:
+    def test_compiler_writes_beside_the_manifest(self, tmp_path, capsys):
+        """A compiler's products go to <manifest stem>-ir/, mirroring the
+        source tree; the directory read is left as it was, and a later
+        ingest without a compiler finds no IR there."""
+        cc = tmp_path / "cc.py"
+        cc.write_text(WRITE_CC)
+        corpus = tmp_path / "corpus"
+        for rel in ("a/ArgError-x-0.c", "b/ArgError-x-0.c", "correct/ok-0.c"):
+            (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+            (corpus / rel).write_text('#include "mpitest.h"\nint main(void){}\n')
+        before = tree_bytes(corpus)
+        out = tmp_path / "m.json"
+        code, stdout, _ = run_cli(
+            "ingest", "--suite", "corrbench", "--dir", str(corpus),
+            "--compiler-cmd", f"{sys.executable} {cc} {{source}} {{output}}",
+            "--out", str(out), capsys=capsys)
+        assert code == 0 and json.loads(stdout)["compile_errors"] == 0
+        assert tree_bytes(corpus) == before
+        irs = {s["id"]: Path(s["ir"]) for s in json.loads(out.read_text())["samples"]}
+        assert irs == {
+            f"corrbench:{rel}.c@O0": tmp_path / "m-ir" / f"{rel}.O0.ll"
+            for rel in ("a/ArgError-x-0", "b/ArgError-x-0", "correct/ok-0")}
+        assert all(p.is_file() for p in irs.values())
+        code, stdout, _ = run_cli(
+            "ingest", "--suite", "corrbench", "--dir", str(corpus),
+            "--compiler-cmd", "none", "--out", str(tmp_path / "again.json"),
+            capsys=capsys)
+        assert code == 0 and json.loads(stdout)["compile_errors"] == 3
+        assert not (tmp_path / "again-ir").exists()
+
+
 class TestEvaluate:
     def test_cross_with_error_type_rejected(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -426,27 +463,34 @@ class TestAblate:
         assert len(ids) == 7
         assert report["failures"] == {key: named}
 
-    def test_bad_gnn_setting_exit_2(self, manifest_path, tmp_path, capsys,
-                                    monkeypatch):
-        """ablate has no GNN flags; its options reach the GNN backend only
-        through the scenario options, so the test sets them there."""
-        scenario_options = cli._scenario_options
-
-        def gnn_with_nan_lr(args):
-            options = scenario_options(args)
-            options.backend = "gnn"
-            options.gnn.lr = float("nan")
-            return options
-        monkeypatch.setattr(cli, "_scenario_options", gnn_with_nan_lr)
+    def test_bad_gnn_setting_exit_2(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
             "ablate", "--manifest", str(manifest_path),
             "--exclude", "MessageRace", "--folds", "5",
+            "--backend", "gnn", "--gnn-lr", "nan",
             "--report", str(tmp_path / "x.json"), capsys=capsys)
         assert code == 2
         err = json.loads(stderr.splitlines()[-1])
         assert err["error"] == "InvalidGnnConfig"
         assert "lr" in err["message"]
         assert not (tmp_path / "x.json").exists()
+
+    def test_gnn_ablation_matches_python_call(self, manifest_path, tmp_path, capsys):
+        """The GNN flags reach ablate's backend: the CLI writes the report
+        evaluate.ablation gives for the same options."""
+        report_path = tmp_path / "ab.json"
+        code, _, _ = run_cli(
+            "ablate", "--manifest", str(manifest_path),
+            "--exclude", "MessageRace", "--folds", "2", "--seed", "3",
+            "--backend", "gnn", "--gnn-epochs", "1", "--gnn-lr", "0.01",
+            "--gnn-batch-size", "16", "--report", str(report_path), capsys=capsys)
+        assert code == 0
+        options = ev.ScenarioOptions(folds=2, seed=3, backend="gnn")
+        options.gnn.epochs, options.gnn.lr, options.gnn.batch_size = 1, 0.01, 16
+        want = ev.ablation(cli.corpus_mod.read_manifest(manifest_path),
+                                 {"MessageRace"}, options)
+        assert report_path.read_text() == ev.report_to_json(want)
+        assert json.loads(report_path.read_text())["options"]["backend"] == "gnn"
 
     def test_exclude_correct_exit_2(self, manifest_path, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -925,6 +969,9 @@ INPUT_ERRORS = {
         ("ingest", "--suite", "mbi", "--dir", str(FIXTURES / "corpus_mbi"),
          "--compiler-cmd", "none", "--out", "{tmp}/no/m.json"),
         "FileNotFoundError", True),
+    "ingest-ir-dir-is-a-file": (
+        ("ingest", "--suite", "mbi", "--dir", "{tmp}/corpus", "--compiler-cmd",
+         "{cc}", "--out", "{tmp}/taken.json"), "NotADirectoryError", True),
     "evaluate-report-is-directory": (
         EVALUATE + ("--manifest", "{manifest}", "--report", "{tmp}/out"),
         "IsADirectoryError", True),
@@ -945,6 +992,7 @@ class TestInputErrorTable:
         argv, kind, early = INPUT_ERRORS[case]
         (tmp_path / "latin1.json").write_bytes(b'{"manifest_version": 1, "\xe9"')
         (tmp_path / "out").mkdir()
+        (tmp_path / "taken-ir").write_text("")  # where IR beside taken.json would go
         cc = tmp_path / "cc.py"
         cc.write_text(WRITE_CC)
         (tmp_path / "corpus").mkdir()

@@ -176,16 +176,17 @@ class TestCompile:
 
     def test_repeat_corrbench_ingest_writes_the_same_manifest(self, tmp_path,
                                                               fixtures_dir):
-        """compile_to_ir leaves <stem>.debiased.c next to each CorrBench
-        source; a second ingest must not take those copies for samples."""
+        """Ingesting the same directory twice into the same manifest path
+        writes the same manifest: the debiased copies and the IR go to the
+        manifest's IR directory, and no run takes them for samples."""
         from mpisentinel import cli
         corpus = shutil.copytree(fixtures_dir / "corpus_corrbench",
                                  tmp_path / "corrbench")
         cc = write(tmp_path / "fake_cc.py", FAKE_CC)
         template = f"{sys.executable} {cc} {{source}} {{output}} {{opt}}"
         manifests = []
-        for run in ("first", "second"):
-            out = tmp_path / f"{run}.json"
+        out = tmp_path / "m.json"
+        for _ in range(2):
             assert cli.main(["--jobs", "2", "ingest", "--suite", "corrbench",
                              "--dir", str(corpus), "--compiler-cmd", template,
                              "--out", str(out)]) == 0

@@ -1,9 +1,9 @@
 """Benchmark-shaped corpora, written by the benchmark's own generator
 (imported read-only from perfbench/): modules parse and embed exactly as
 the cache-free references in tests/oracles.py do, in whatever order one
-process meets them, and the GNN trains on their program graphs exactly
-as it did with self loops as relations and keeps a smaller tape than the
-chain of primitive operations."""
+process meets them, and the GNN trains on their program graphs as it did
+with self loops as relations, within the declared tolerance, and keeps a
+smaller tape than the chain of primitive operations."""
 
 import dataclasses
 import gc
@@ -103,11 +103,42 @@ def test_gnn_trains_as_with_self_loop_relations(tmp_path, monkeypatch):
         return gnn.train(model, samples)
 
     model, log = trained()
-    monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_self_relations)
+    monkeypatch.setattr(gnn, "hetero_layer", oracles.layer_on_node_rows(
+        oracles.hetero_layer_self_relations))
     ref, ref_log = trained()
-    assert log == ref_log
-    for (name, t), (_, r) in zip(model.parameter_items(), ref.parameter_items()):
-        assert t.data.tobytes() == r.data.tobytes(), name
+    assert [e for e, _ in log] == [e for e, _ in ref_log]
+    oracles.assert_within_tolerance([np.array([v for _, v in log])],
+                                    [np.array([v for _, v in ref_log])], "loss log")
+    names = [n for n, _ in model.parameter_items()]
+    assert names == [n for n, _ in ref.parameter_items()]
+    oracles.assert_within_tolerance([t.data for t in model.parameters()],
+                                    [t.data for t in ref.parameters()], "parameters")
+
+
+def test_gnn_learns_at_paper_widths_in_ten_epochs(tmp_path, monkeypatch):
+    """The learning gate: 32 graphs of the gnn-train shape, the paper's
+    widths, lr 4e-4 and 10 epochs in batches of 8 (40 Adam steps).  The loss
+    log stays within the declared tolerance of training through the chain
+    of primitive operations, the loss falls, and the model fits the
+    training graphs (30 of 32 when this gate was set)."""
+    samples = gnn_samples(tmp_path, modules=32)
+
+    def trained():
+        cfg = gnn.GnnConfig(lr=4e-4, epochs=10, batch_size=8)
+        model = gnn.init_model(cfg, gnn.build_vocab([g for g, _ in samples]),
+                               ["bad", "ok"])
+        return gnn.train(model, samples)
+
+    model, log = trained()
+    accuracy = np.mean([gnn.predict_gnn(model, g) == lab for g, lab in samples])
+    monkeypatch.setattr(gnn, "hetero_layer",
+                        oracles.layer_on_node_rows(oracles.hetero_layer_chain))
+    _, ref_log = trained()
+    assert [e for e, _ in log] == list(range(1, 11)) == [e for e, _ in ref_log]
+    oracles.assert_within_tolerance([np.array([v for _, v in log])],
+                                    [np.array([v for _, v in ref_log])], "loss log")
+    assert log[-1][1] < 0.8 * log[0][1]
+    assert accuracy >= 0.8
 
 
 def test_model_size_at_paper_widths(tmp_path):
@@ -121,9 +152,9 @@ def test_model_size_at_paper_widths(tmp_path):
 
 def test_tape_keeps_what_backward_reads(tmp_path, monkeypatch):
     """One 8-graph batch at the paper's widths: the fused layer's tape holds
-    at most half the bytes of the chain of primitive operations, gives the
-    same gradients, and backward() frees every interior tensor even while
-    the loss is still referenced."""
+    at most half the bytes of the chain of primitive operations, gives its
+    gradients within the declared tolerance, and backward() frees every
+    interior tensor even while the loss is still referenced."""
     samples = gnn_samples(tmp_path, modules=8)
     graphs = [g for g, _ in samples]
     model = gnn.init_model(gnn.GnnConfig(), gnn.build_vocab(graphs), ["bad", "ok"])
@@ -154,9 +185,10 @@ def test_tape_keeps_what_backward_reads(tmp_path, monkeypatch):
             gc.enable()
     grads = [p.grad.copy() for p in model.parameters()]
     del loss
-    monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_chain)
+    monkeypatch.setattr(gnn, "hetero_layer",
+                        oracles.layer_on_node_rows(oracles.hetero_layer_chain))
     loss, chain_bytes = forward_traced()
     loss.backward()
     assert fused_bytes <= chain_bytes / 2, (fused_bytes, chain_bytes)
-    for (name, p), g in zip(model.parameter_items(), grads):
-        assert p.grad.tobytes() == g.tobytes(), name
+    oracles.assert_within_tolerance(grads, [p.grad for p in model.parameters()],
+                                    "gradients")

@@ -142,8 +142,8 @@ class TestGatv2Relation:
     @given(st.data())
     def test_one_edge_per_destination_matches_full_attention(self, data):
         """With at most one incoming edge per destination the unscored path
-        gives the full path's output and gradients bit for bit, and w_att
-        and a get no gradient."""
+        gives the full path's output and gradients within the declared
+        tolerance, and w_att and a get no gradient."""
         d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         n_src, n_dst = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
         shared = data.draw(st.booleans())  # one feature tensor at both ends
@@ -176,11 +176,11 @@ class TestGatv2Relation:
             oracles.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
             return out.data, [t.grad for t in leaves]
 
-        out, (g_src, g_dst, g_att, g_a, g_val) = run(gnn.gatv2_relation)
-        ref, (r_src, r_dst, r_att, r_a, r_val) = run(oracles.gatv2_relation_full)
-        assert out.tobytes() == ref.tobytes()
-        for g, r in ((g_src, r_src), (g_dst, r_dst), (g_val, r_val)):
-            assert g.tobytes() == r.tobytes()
+        out, grads = run(gnn.gatv2_relation)
+        ref, ref_grads = run(oracles.gatv2_relation_full)
+        oracles.assert_within_tolerance([out], [ref], "output")
+        oracles.assert_within_tolerance(grads, ref_grads, "gradients")
+        g_att, g_a, r_att, r_a = grads[2], grads[3], ref_grads[2], ref_grads[3]
         assert not g_att.any() and not g_a.any()
         assert not r_att.any() and not r_a.any()
 
@@ -188,10 +188,11 @@ class TestGatv2Relation:
     @given(st.data())
     def test_matches_full_attention_chain(self, data):
         """The relation as one autodiff node against the chain of primitive
-        operations that scores every edge: the output and every gradient are
-        the same bytes, with or without edges, with destinations of in-degree
-        0, 1 and more, with one feature tensor at both ends, and with
-        features that take no gradient."""
+        operations that scores every edge: the output and every gradient
+        agree within the declared tolerance, with or without edges, with
+        destinations of in-degree 0, 1 and more, with one feature tensor at
+        both ends, with features that take no gradient, and with nodes read
+        from rows of a table, as layer 0 reads the embedding."""
         d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         n_src, n_dst = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
         shared = data.draw(st.booleans())
@@ -206,7 +207,14 @@ class TestGatv2Relation:
 
         edges = data.draw(st.lists(st.tuples(st.integers(0, n_src - 1),
                                              st.integers(0, n_dst - 1)), max_size=8))
-        h_src, h_dst = matrix((n_src, d_in)), matrix((n_dst, d_in))
+        n_rows = data.draw(st.integers(1, 4))  # table rows when nodes read rows
+        rows = data.draw(st.one_of(st.none(), st.tuples(*(
+            arrays(np.int64, n, elements=st.integers(0, n_rows - 1))
+            for n in (n_src, n_dst)))))
+        if rows is not None and shared:
+            rows = (rows[0], rows[0])
+        tables = (n_src, n_dst) if rows is None else (n_rows, n_rows)
+        h_src, h_dst = matrix((tables[0], d_in)), matrix((tables[1], d_in))
         w_att, a = matrix((d_out, 2 * d_in)), matrix((d_out, 1))
         w_val, weights = matrix((d_out, d_in)), matrix((n_dst, d_out))
 
@@ -218,14 +226,17 @@ class TestGatv2Relation:
             for t in leaves:
                 if t.requires_grad:
                     t.zero_grad()
-            out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params)
+            out = relation(src, dst, np.array(edges, np.int64).reshape(-1, 2), params,
+                           0.2, *(rows or (None, None)))
             weighted = ad.matmul(oracles.mul(out, ad.Tensor(weights)),
                                  ad.Tensor(np.ones((d_out, 1))))
             oracles.segment_sum(weighted, np.zeros(n_dst, np.int64), 1).backward()
-            return out.data.tobytes(), [t.grad if t.grad is None else t.grad.tobytes()
-                                        for t in leaves]
+            return out.data, [t.grad for t in leaves]
 
-        assert run(gnn.gatv2_relation) == run(oracles.gatv2_relation_full)
+        out, grads = run(gnn.gatv2_relation)
+        ref, ref_grads = run(oracles.relation_on_node_rows(oracles.gatv2_relation_full))
+        oracles.assert_within_tolerance([out], [ref], "output")
+        oracles.assert_within_tolerance(grads, ref_grads, "gradients")
 
 
 def self_weights(rng, out_dim, in_dim):
@@ -279,18 +290,26 @@ class TestHeteroLayer:
     @given(st.data())
     def test_matches_chain_of_primitives(self, data):
         """The layer with one node per relation and per sum against the chain
-        of primitive operations: the outputs and every gradient are the same
-        bytes.  A feature tensor feeds several relations and its own term,
-        so the order in which its gradient is summed shows; the values are
-        normal draws, whose sums round differently in another order."""
+        of primitive operations: the outputs and every gradient agree within
+        the declared tolerance.  A feature tensor feeds several relations
+        and its own term, so the order in which its gradient is summed
+        shows; the values are normal draws, whose sums round differently in
+        another order.  Half the draws read every node type's nodes from
+        rows of one shared table, as layer 0 reads the embedding."""
         d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         sizes = {t: data.draw(st.integers(0, 4)) for t in gnn.NODE_TYPES}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tabled = data.draw(st.booleans())
 
         def matrix(shape):
             return rng.normal(size=shape)
 
-        feats = {t: matrix((n, d_in)) for t, n in sizes.items()}
+        if tabled:
+            n_rows = data.draw(st.integers(1, 4))
+            table = matrix((n_rows, d_in))
+            rows = {t: rng.integers(0, n_rows, size=n) for t, n in sizes.items()}
+        else:
+            feats = {t: matrix((n, d_in)) for t, n in sizes.items()}
         rel_edges = {}
         for rel in gnn.RELATIONS:
             n_src, n_dst = sizes[rel[0]], sizes[rel[2]]
@@ -304,25 +323,37 @@ class TestHeteroLayer:
         weights = {t: matrix((n, d_out)) for t, n in sizes.items()}
 
         def run(layer):
-            inputs = {t: ad.Tensor(f.copy(), requires_grad=True) for t, f in feats.items()}
+            if tabled:
+                shared = ad.Tensor(table.copy(), requires_grad=True)
+                inputs = {t: shared for t in gnn.NODE_TYPES}
+                tables = [shared]
+            else:
+                inputs = {t: ad.Tensor(f.copy(), requires_grad=True)
+                          for t, f in feats.items()}
+                tables = list(inputs.values())
             layer_params = {rel: relation_params(*p) for rel, p in params.items()}
             self_w = {t: ad.Tensor(w.copy(), requires_grad=True) for t, w in own.items()}
-            leaves = [*inputs.values(), *self_w.values(),
+            leaves = [*tables, *self_w.values(),
                       *(t for p in layer_params.values() for t in p.tensors())]
             for t in leaves:
                 t.zero_grad()
-            out = layer(inputs, rel_edges, layer_params, self_w)
+            out = layer(inputs, rel_edges, layer_params, self_w, 0.2,
+                        rows if tabled else None)
             loss = ad.Tensor(np.zeros((1, 1)))
             for t in gnn.NODE_TYPES:
                 weighted = ad.matmul(oracles.mul(out[t], ad.Tensor(weights[t])),
                                      ad.Tensor(np.ones((d_out, 1))))
                 loss = ad.add(loss, oracles.segment_sum(
                     weighted, np.zeros(sizes[t], np.int64), 1))
-            outputs = [out[t].data.tobytes() for t in gnn.NODE_TYPES]
+            outputs = [out[t].data for t in gnn.NODE_TYPES]
             loss.backward()
-            return outputs, [t.grad.tobytes() for t in leaves]
+            return outputs, [t.grad for t in leaves]
 
-        assert run(gnn.hetero_layer) == run(oracles.hetero_layer_chain)
+        outputs, grads = run(gnn.hetero_layer)
+        chain = oracles.layer_on_node_rows(oracles.hetero_layer_chain)
+        ref_outputs, ref_grads = run(chain)
+        oracles.assert_within_tolerance(outputs, ref_outputs, "outputs")
+        oracles.assert_within_tolerance(grads, ref_grads, "gradients")
 
     def test_missing_relation_params(self):
         """An edge whose typed triple is no relation is refused when the
@@ -531,9 +562,25 @@ def train_fixture_model(samples, seed):
     return gnn.train(model, samples)
 
 
+def assert_same_training(model, log, ref, ref_log, samples):
+    """Two trained models agree within the declared tolerance: the epochs
+    and losses of their logs, every parameter, and each sample's logits."""
+    assert [e for e, _ in log] == [e for e, _ in ref_log]
+    oracles.assert_within_tolerance([np.array([v for _, v in log])],
+                                    [np.array([v for _, v in ref_log])], "loss log")
+    names = [name for name, _ in model.parameter_items()]
+    assert names == [name for name, _ in ref.parameter_items()]
+    oracles.assert_within_tolerance([t.data for t in model.parameters()],
+                                    [t.data for t in ref.parameters()], "parameters")
+    graphs = [g for g, _ in samples]
+    oracles.assert_within_tolerance([gnn.logits_batch(model, graphs).data],
+                                    [gnn.logits_batch(ref, graphs).data], "logits")
+
+
 class TestTrainingEngine:
     """Training with bincount scatters, copied first gradients and released
-    interior gradients must match the np.add.at engine bit for bit."""
+    interior gradients must match the np.add.at engine bit for bit, and the
+    GNN's earlier relation and layer forms within the declared tolerance."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_engine_run(self, seed, fixture_samples,
@@ -551,15 +598,14 @@ class TestTrainingEngine:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_full_attention_run(self, seed, fixture_samples, monkeypatch):
+        """Training with the relation that gathers, concatenates and scores
+        every edge moves every parameter as gnn's does, within the declared
+        tolerance: loss log, trained parameters and logits."""
         model, log = train_fixture_model(fixture_samples, seed)
-        monkeypatch.setattr(gnn, "gatv2_relation", oracles.gatv2_relation_full)
+        monkeypatch.setattr(gnn, "gatv2_relation",
+                            oracles.relation_on_node_rows(oracles.gatv2_relation_full))
         ref, ref_log = train_fixture_model(fixture_samples, seed)
-        assert log == ref_log
-        for (name, t), (_, r) in zip(model.parameter_items(),
-                                     ref.parameter_items()):
-            assert t.data.tobytes() == r.data.tobytes(), name
-        for g, _ in fixture_samples:
-            assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
+        assert_same_training(model, log, ref, ref_log, fixture_samples)
 
     def test_only_relations_with_two_incoming_edges_are_scored(
             self, fixture_samples, monkeypatch):
@@ -613,17 +659,13 @@ class TestTrainingEngine:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_self_relation_run(self, seed, fixture_samples, monkeypatch):
         """Training with the self term moves every parameter as training with
-        self-loop relations did: same loss log, same trained bytes, same
-        logits."""
+        self-loop relations did, within the declared tolerance: loss log,
+        trained parameters and logits."""
         model, log = train_fixture_model(fixture_samples, seed)
-        monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_self_relations)
+        monkeypatch.setattr(gnn, "hetero_layer", oracles.layer_on_node_rows(
+            oracles.hetero_layer_self_relations))
         ref, ref_log = train_fixture_model(fixture_samples, seed)
-        assert log == ref_log
-        for (name, t), (_, r) in zip(model.parameter_items(),
-                                     ref.parameter_items()):
-            assert t.data.tobytes() == r.data.tobytes(), name
-        for g, _ in fixture_samples:
-            assert gnn.forward(model, g).tobytes() == gnn.forward(ref, g).tobytes()
+        assert_same_training(model, log, ref, ref_log, fixture_samples)
 
     def test_step_tape_freed_before_next_forward(self, fixture_samples,
                                                  monkeypatch):

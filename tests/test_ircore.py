@@ -692,10 +692,17 @@ class TestCanonicalTypes:
         ("ptr", "ptrTy"), ("i32 *", "ptrTy"), ("i8 * *", "ptrTy"),
         ("< 4 x i32 >", "vecTy"), ("[ 4 x i32 ]", "aggTy"),
         ("{ i32 , i1 }", "aggTy"), ("%struct.S", "aggTy"),
+        ("< { i32 , i8 } >", "aggTy"), ("<{i32, i8}>", "aggTy"),
         ("void", "void"),
     ])
     def test_table(self, raw, expected):
         assert canonical_type(raw) == expected
+
+    def test_packed_struct_load_is_an_aggregate(self):
+        """A packed struct is a struct, not a vector, as the parser writes it."""
+        instr = parse_instruction("%p = load <{ i32, i8 }>, ptr %q, align 1")
+        assert instr.type_str == "< { i32 , i8 } >"
+        assert canonical_type(instr.type_str) == "aggTy"
 
 
 class TestRoundTrip:

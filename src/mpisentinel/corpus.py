@@ -242,13 +242,15 @@ def attach_ir(samples: list[CorpusSample], compiler_cmd: str | None,
     sources of one name in two directories keep apart; without, next to
     the source."""
     work = [s for s in samples if not s.quarantined]
-    src_dirs = {s.id: Path(s.source_path).resolve().parent for s in work}
-    root = os.path.commonpath(src_dirs.values()) if out_dir and work else None
+    dest = {}
+    if out_dir and work:
+        src_dirs = {s.id: Path(s.source_path).resolve().parent for s in work}
+        root = os.path.commonpath(src_dirs.values())
+        dest = {sid: Path(out_dir) / d.relative_to(root) for sid, d in src_dirs.items()}
 
     def one(sample: CorpusSample):
-        dest = out_dir and Path(out_dir) / src_dirs[sample.id].relative_to(root)
         ir, status, message = compile_to_ir(
-            sample.source_path, sample.opt_level, compiler_cmd, dest,
+            sample.source_path, sample.opt_level, compiler_cmd, dest.get(sample.id),
             timeout, debias=sample.suite == "CorrBench")
         sample.ir_path = ir
         sample.compile_status = status

@@ -240,7 +240,7 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
 
     dst_row = dst_idx if dst_rows is None else dst_rows[dst_idx]
     p_l = h_src.data @ w_att.data[:, :d_src].T             # (n_src, out)
-    p_r = h_dst.data @ w_att.data[:, d_src:].T             # (n_dst rows, out)
+    p_r = h_dst.data @ w_att.data[:, d_src:].T             # (h_dst rows, out)
     scores = _leaky_relu(p_l[src_row] + p_r[dst_row], slope) @ a.data  # (E, 1)
     # softmax per destination; the shift is a constant so gradients are exact
     shift = np.full(n_dst, -np.inf)

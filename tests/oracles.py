@@ -606,6 +606,20 @@ def assert_within_tolerance(got, want, what: str = ""):
             what, i, float(np.nanmax(excess)))
 
 
+def assert_same_training(model, log, ref, ref_log, graphs):
+    """Two trained GNNs agree within the declared tolerance: the epochs and
+    losses of their logs, every parameter, and the logits of `graphs`."""
+    assert [e for e, _ in log] == [e for e, _ in ref_log]
+    assert_within_tolerance([np.array([v for _, v in log])],
+                            [np.array([v for _, v in ref_log])], "loss log")
+    names = [name for name, _ in model.parameter_items()]
+    assert names == [name for name, _ in ref.parameter_items()]
+    assert_within_tolerance([t.data for t in model.parameters()],
+                            [t.data for t in ref.parameters()], "parameters")
+    assert_within_tolerance([gnn.logits_batch(model, graphs).data],
+                            [gnn.logits_batch(ref, graphs).data], "logits")
+
+
 def _gathered(table: Tensor, rows) -> Tensor:
     return table if rows is None else autodiff.gather_rows(table, rows)
 

@@ -106,13 +106,7 @@ def test_gnn_trains_as_with_self_loop_relations(tmp_path, monkeypatch):
     monkeypatch.setattr(gnn, "hetero_layer", oracles.layer_on_node_rows(
         oracles.hetero_layer_self_relations))
     ref, ref_log = trained()
-    assert [e for e, _ in log] == [e for e, _ in ref_log]
-    oracles.assert_within_tolerance([np.array([v for _, v in log])],
-                                    [np.array([v for _, v in ref_log])], "loss log")
-    names = [n for n, _ in model.parameter_items()]
-    assert names == [n for n, _ in ref.parameter_items()]
-    oracles.assert_within_tolerance([t.data for t in model.parameters()],
-                                    [t.data for t in ref.parameters()], "parameters")
+    oracles.assert_same_training(model, log, ref, ref_log, [g for g, _ in samples])
 
 
 def test_gnn_learns_at_paper_widths_in_ten_epochs(tmp_path, monkeypatch):
@@ -133,10 +127,9 @@ def test_gnn_learns_at_paper_widths_in_ten_epochs(tmp_path, monkeypatch):
     accuracy = np.mean([gnn.predict_gnn(model, g) == lab for g, lab in samples])
     monkeypatch.setattr(gnn, "hetero_layer",
                         oracles.layer_on_node_rows(oracles.hetero_layer_chain))
-    _, ref_log = trained()
-    assert [e for e, _ in log] == list(range(1, 11)) == [e for e, _ in ref_log]
-    oracles.assert_within_tolerance([np.array([v for _, v in log])],
-                                    [np.array([v for _, v in ref_log])], "loss log")
+    ref, ref_log = trained()
+    assert [e for e, _ in log] == list(range(1, 11))
+    oracles.assert_same_training(model, log, ref, ref_log, [g for g, _ in samples])
     assert log[-1][1] < 0.8 * log[0][1]
     assert accuracy >= 0.8
 

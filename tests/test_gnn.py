@@ -562,21 +562,6 @@ def train_fixture_model(samples, seed):
     return gnn.train(model, samples)
 
 
-def assert_same_training(model, log, ref, ref_log, samples):
-    """Two trained models agree within the declared tolerance: the epochs
-    and losses of their logs, every parameter, and each sample's logits."""
-    assert [e for e, _ in log] == [e for e, _ in ref_log]
-    oracles.assert_within_tolerance([np.array([v for _, v in log])],
-                                    [np.array([v for _, v in ref_log])], "loss log")
-    names = [name for name, _ in model.parameter_items()]
-    assert names == [name for name, _ in ref.parameter_items()]
-    oracles.assert_within_tolerance([t.data for t in model.parameters()],
-                                    [t.data for t in ref.parameters()], "parameters")
-    graphs = [g for g, _ in samples]
-    oracles.assert_within_tolerance([gnn.logits_batch(model, graphs).data],
-                                    [gnn.logits_batch(ref, graphs).data], "logits")
-
-
 class TestTrainingEngine:
     """Training with bincount scatters, copied first gradients and released
     interior gradients must match the np.add.at engine bit for bit, and the
@@ -605,7 +590,8 @@ class TestTrainingEngine:
         monkeypatch.setattr(gnn, "gatv2_relation",
                             oracles.relation_on_node_rows(oracles.gatv2_relation_full))
         ref, ref_log = train_fixture_model(fixture_samples, seed)
-        assert_same_training(model, log, ref, ref_log, fixture_samples)
+        oracles.assert_same_training(model, log, ref, ref_log,
+                                     [g for g, _ in fixture_samples])
 
     def test_only_relations_with_two_incoming_edges_are_scored(
             self, fixture_samples, monkeypatch):
@@ -665,7 +651,8 @@ class TestTrainingEngine:
         monkeypatch.setattr(gnn, "hetero_layer", oracles.layer_on_node_rows(
             oracles.hetero_layer_self_relations))
         ref, ref_log = train_fixture_model(fixture_samples, seed)
-        assert_same_training(model, log, ref, ref_log, fixture_samples)
+        oracles.assert_same_training(model, log, ref, ref_log,
+                                     [g for g, _ in fixture_samples])
 
     def test_step_tape_freed_before_next_forward(self, fixture_samples,
                                                  monkeypatch):

@@ -23,10 +23,8 @@ _SOURCE = {
     "ablation": "evaluate", "confusion": "evaluate", "make_folds": "evaluate",
     "metrics": "evaluate", "run_scenario": "evaluate",
     "GnnConfig": "gnn", "GnnModel": "gnn", "predict_gnn": "gnn",
-    "ProgramGraph": "graph", "build_graph": "graph", "graph_stats": "graph",
-    "validate_graph": "graph",
+    "ProgramGraph": "graph", "build_graph": "graph",
     "IrModule": "ircore", "MalformedIr": "ircore", "parse_ir": "ircore",
-    "token_triple": "ircore",
     "DecisionTree": "tabular", "GaConfig": "tabular",
     "LabeledVectors": "tabular", "ga_select": "tabular",
     "predict_tree": "tabular", "train_tree": "tabular",

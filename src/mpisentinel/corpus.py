@@ -162,10 +162,11 @@ def ingest_corrbench(directory, opt_level: str = "O0") -> list[CorpusSample]:
     directory = Path(directory)
     samples = []
     for path in _scan_sources(directory):
-        rel = path.relative_to(directory).as_posix()
+        rel_path = path.relative_to(directory)
+        rel = rel_path.as_posix()
         sid = f"corrbench:{rel}@{opt_level}"
         sample = CorpusSample(sid, "CorrBench", str(path), None, opt_level)
-        in_correct_area = "correct" in (p.lower() for p in path.parent.parts)
+        in_correct_area = "correct" in (p.lower() for p in rel_path.parent.parts)
         prefix = path.name.split("-", 1)[0]
         if path.suffix != ".c":
             sample.quarantined = True

@@ -377,7 +377,8 @@ def run_scenario(manifest: Manifest, scenario: Scenario) -> dict:
     if scenario.kind in ("intra", "mix"):
         plan = make_folds(evaluable, opts.folds, opts.seed)
         for fi, fold in enumerate(plan.folds):
-            train_ids = [s.id for s in evaluable if s.id not in set(fold)]
+            in_fold = set(fold)
+            train_ids = [s.id for s in evaluable if s.id not in in_fold]
             fold_args.append((fi, train_ids, list(fold), opts.seed + fi))
     else:
         train_ids = [s.id for s in evaluable if s.suite == scenario.train_suite]

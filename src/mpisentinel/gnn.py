@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, ClassOutOfRange, ShapeMismatch, Tensor, adam_step
-from .graph import RELATIONS, NodeType, ProgramGraph
+from .graph import NODE_TYPES, RELATIONS, ProgramGraph
 
 __all__ = [
     "GnnConfig", "GnnModel", "RelationParams", "EmptyGraph",
@@ -57,8 +57,6 @@ class CheckpointParamsMismatch(Exception):
     """A checkpoint's parameter list does not name every model parameter
     exactly once."""
 
-
-NODE_TYPES = tuple(t.value for t in NodeType)
 
 OOV_TOKEN = "<unk>"
 
@@ -353,19 +351,19 @@ def _build_batch(graphs: list[ProgramGraph], vocab: dict[str, int]) -> _Batch:
     for gi, g in enumerate(graphs):
         if not g.nodes:
             raise EmptyGraph(f"graph {gi} has no nodes")
-        local: dict[int, tuple[str, int]] = {}
+        local: list[tuple[str, int]] = []              # node -> (type, row)
         for node in g.nodes:
-            t = node.node_type.value
-            local[node.id] = (t, len(token_rows[t]))
+            t = node.node_type
+            local.append((t, len(token_rows[t])))
             token_rows[t].append(vocab.get(node.token, 0))
             graph_ids[t].append(gi)
         for e in g.edges:
             st, si = local[e.src]
             dt, di = local[e.dst]
-            rel = (st, e.edge_type.value, dt)
+            rel = (st, e.edge_type, dt)
             if rel not in rel_edges:
                 raise MissingRelationParams(
-                    f"edge type {e.edge_type.value} connecting {st}->{dt} "
+                    f"edge type {e.edge_type} connecting {st}->{dt} "
                     f"has no relation")
             rel_edges[rel].append((si, di))
     return _Batch(

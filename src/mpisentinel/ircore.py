@@ -48,13 +48,6 @@ class Operand:
     token: str
 
 
-@dataclass(frozen=True)
-class TokenTriple:
-    opcode_token: str
-    type_token: str
-    arg_tokens: tuple[str, ...]
-
-
 @dataclass
 class IrInstruction:
     opcode: str
@@ -946,13 +939,6 @@ def _add_function(module: IrModule, seen: set[str], signature: str, lineno: int,
     fn = IrFunction(fname, params, [], is_declaration)
     module.functions.append(fn)
     return fn
-
-
-def token_triple(instr: IrInstruction) -> TokenTriple:
-    """Canonical (opcode, type class, operand kinds) triple for one instruction."""
-    args = tuple(op.kind.value for op in instr.operands
-                 if op.kind is not OperandKind.LABEL)
-    return TokenTriple(instr.opcode, canonical_type(instr.type_str), args)
 
 
 def successors(block: IrBlock) -> list[str]:

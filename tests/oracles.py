@@ -18,7 +18,11 @@ module-line handling, isolating the line memo and the template cache, and the se
 hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
-the references for the parser's scanners and for ``build_graph``.
+the references for the parser's scanners and for ``build_graph``, and the
+graph checkers (``validate_graph``, ``graph_stats``) next to that builder
+state the invariants every built graph keeps.  ``token_triple``, the
+per-instruction (opcode, type, operand kinds) triple, feeds the embedding
+references at the top.
 """
 
 from __future__ import annotations
@@ -33,12 +37,26 @@ from mpisentinel.autodiff import ShapeMismatch, Tensor
 from mpisentinel.gnn import (
     NODE_TYPES, RELATIONS, GnnConfig, InvalidGnnConfig, RelationParams, _t,
 )
-from mpisentinel.graph import EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph
+from mpisentinel.graph import GraphEdge, GraphNode, ProgramGraph
 from mpisentinel.ircore import (
     BINARY_OPCODES, CAST_OPCODES, IrFunction, IrInstruction, IrModule, MalformedIr,
-    Operand, OperandKind, UndefinedLocal, canonical_type, successors, token_triple,
+    Operand, OperandKind, UndefinedLocal, canonical_type, successors,
 )
 from mpisentinel.tabular import EmptyDataset, FeatureSubset, LabeledVectors
+
+
+@dataclass(frozen=True)
+class TokenTriple:
+    opcode_token: str
+    type_token: str
+    arg_tokens: tuple[str, ...]
+
+
+def token_triple(instr: IrInstruction) -> TokenTriple:
+    """Canonical (opcode, type class, operand kinds) triple for one instruction."""
+    args = tuple(op.kind.value for op in instr.operands
+                 if op.kind is not OperandKind.LABEL)
+    return TokenTriple(instr.opcode, canonical_type(instr.type_str), args)
 
 
 def symbolic_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndarray:
@@ -1011,7 +1029,9 @@ def _reference_parse_ir(text: str, name: str) -> IrModule:
 # ---------------------------------------------------------------------------
 # The program graph as built before one pass per function: every function's
 # nodes first, then every function's edges, through dicts keyed by function
-# name.  The reference for build_graph's node ids and edge order.
+# name.  The reference for build_graph's node order and edge order.  After it,
+# the graph checkers: the invariants every built graph keeps, and the node
+# and edge counts per type.
 
 def reference_build_graph(module: IrModule) -> ProgramGraph:
     g = ProgramGraph()
@@ -1021,24 +1041,23 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
     entry_ids: dict[str, int] = {}                      # fn name -> entry control node
     ret_ids: dict[str, list[int]] = {}                  # fn name -> ret control nodes
 
-    def add_node(node_type: NodeType, token: str) -> int:
-        nid = len(g.nodes)
-        g.nodes.append(GraphNode(nid, node_type, token))
-        return nid
+    def add_node(node_type: str, token: str) -> int:
+        g.nodes.append(GraphNode(node_type, token))
+        return len(g.nodes) - 1
 
     per_fn_values: dict[str, dict[str, int]] = {}
     per_fn_consts: dict[str, dict[tuple[str, str], int]] = {}
     for fn in module.defined_functions():
         values: dict[str, int] = {}
         for pid, ptype in fn.params:
-            values[pid] = add_node(NodeType.VARIABLE, canonical_type(ptype))
+            values[pid] = add_node("variable", canonical_type(ptype))
         for bi, block in enumerate(fn.blocks):
             for ii, instr in enumerate(block.instructions):
                 token = instr.opcode
                 if instr.call_target is not None and instr.call_target not in defined \
                         and not instr.call_target.startswith("%"):
                     token = f"{instr.opcode}:{instr.call_target}"
-                nid = add_node(NodeType.CONTROL, token)
+                nid = add_node("control", token)
                 control_ids[(fn.name, bi, ii)] = nid
                 if bi == 0 and ii == 0:
                     entry_ids[fn.name] = nid
@@ -1046,7 +1065,7 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
                     ret_ids.setdefault(fn.name, []).append(nid)
                 if instr.result_id is not None:
                     values[instr.result_id] = add_node(
-                        NodeType.VARIABLE, canonical_type(instr.type_str))
+                        "variable", canonical_type(instr.type_str))
         consts: dict[tuple[str, str], int] = {}
         for block in fn.blocks:
             for instr in block.instructions:
@@ -1055,7 +1074,7 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
                                    OperandKind.FUNCTION):
                         key = (op.kind.value, op.token)
                         if key not in consts:
-                            consts[key] = add_node(NodeType.CONSTANT, "Constant")
+                            consts[key] = add_node("constant", "Constant")
         per_fn_values[fn.name] = values
         per_fn_consts[fn.name] = consts
 
@@ -1067,7 +1086,6 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
         for bi, block in enumerate(fn.blocks):
             for ii, instr in enumerate(block.instructions):
                 nid = control_ids[(fn.name, bi, ii)]
-                ordinal = 0
                 for op in instr.operands:
                     if op.kind is OperandKind.LABEL:
                         continue
@@ -1077,32 +1095,68 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
                             raise UndefinedLocal(op.token)
                     else:
                         src = consts[(op.kind.value, op.token)]
-                    g.edges.append(GraphEdge(src, nid, EdgeType.DATA, ordinal))
-                    ordinal += 1
+                    g.edges.append(GraphEdge(src, nid, "data"))
                 if instr.result_id is not None:
-                    g.edges.append(GraphEdge(
-                        nid, values[instr.result_id], EdgeType.DATA, 0))
+                    g.edges.append(GraphEdge(nid, values[instr.result_id], "data"))
                 if instr.call_target is not None and instr.call_target in defined:
                     call_sites.append((nid, instr.call_target))
             for ii in range(len(block.instructions) - 1):
                 g.edges.append(GraphEdge(control_ids[(fn.name, bi, ii)],
-                                         control_ids[(fn.name, bi, ii + 1)],
-                                         EdgeType.CONTROL, 0))
+                                         control_ids[(fn.name, bi, ii + 1)], "control"))
             last = len(block.instructions) - 1
-            for k, target in enumerate(successors(block)):
+            for target in successors(block):
                 tbi = label_to_index[target]
                 g.edges.append(GraphEdge(control_ids[(fn.name, bi, last)],
-                                         control_ids[(fn.name, tbi, 0)],
-                                         EdgeType.CONTROL, k))
+                                         control_ids[(fn.name, tbi, 0)], "control"))
 
-    ret_out: dict[int, int] = {}
     for site, callee in call_sites:
-        g.edges.append(GraphEdge(site, entry_ids[callee], EdgeType.CALL, 0))
+        g.edges.append(GraphEdge(site, entry_ids[callee], "call"))
         for ret_node in ret_ids.get(callee, []):
-            k = ret_out.get(ret_node, 0)
-            g.edges.append(GraphEdge(ret_node, site, EdgeType.CALL, k))
-            ret_out[ret_node] = k + 1
+            g.edges.append(GraphEdge(ret_node, site, "call"))
     return g
+
+
+@dataclass(frozen=True)
+class Violation:
+    rule: str
+    message: str
+
+
+def validate_graph(g: ProgramGraph) -> list[Violation]:
+    """Check that every edge joins two nodes of the graph along one of
+    RELATIONS, and that no variable node has two defining data edges."""
+    out: list[Violation] = []
+    for e in g.edges:
+        if not (0 <= e.src < len(g.nodes)) or not (0 <= e.dst < len(g.nodes)):
+            out.append(Violation("edge-endpoint",
+                                 f"edge {e.src}->{e.dst} references a missing node"))
+            continue
+        src_t, dst_t = g.nodes[e.src].node_type, g.nodes[e.dst].node_type
+        if (src_t, e.edge_type, dst_t) not in RELATIONS:
+            out.append(Violation(
+                "typed-edge", f"{e.edge_type} edge {e.src}->{e.dst} connects {src_t}->{dst_t}"))
+    if out:
+        return out
+    var_in: dict[int, int] = {}
+    for e in g.edges:
+        if e.edge_type == "data" and g.nodes[e.dst].node_type == "variable":
+            var_in[e.dst] = var_in.get(e.dst, 0) + 1
+    for nid, cnt in var_in.items():
+        if cnt > 1:
+            out.append(Violation("variable-def",
+                                 f"variable node {nid} has {cnt} defining data edges"))
+    return out
+
+
+def graph_stats(g: ProgramGraph) -> tuple[dict[str, int], dict[str, int]]:
+    """Node counts per node type and edge counts per edge type."""
+    node_counts = {t: 0 for t in NODE_TYPES}
+    edge_counts = {"control": 0, "data": 0, "call": 0}
+    for n in g.nodes:
+        node_counts[n.node_type] += 1
+    for e in g.edges:
+        edge_counts[e.edge_type] += 1
+    return node_counts, edge_counts
 
 
 # ---------------------------------------------------------------------------

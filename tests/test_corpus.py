@@ -74,6 +74,15 @@ class TestIngestCorrbench:
         samples = cm.ingest_corrbench(tmp_path)
         assert samples[0].label == "Correct"
 
+    def test_correct_area_is_read_below_the_suite_directory(self, tmp_path):
+        """A directory named `correct` above the suite marks nothing."""
+        suite = tmp_path / "correct" / "cb"
+        write(suite / "sub" / "foo.c", "int main(void){}\n")
+        write(suite / "correct" / "bar.c", "int main(void){}\n")
+        samples = cm.ingest_corrbench(suite)
+        assert [(s.source_path.endswith("foo.c"), s.label, s.quarantined)
+                for s in samples] == [(False, "Correct", False), (True, None, True)]
+
     def test_notes_file_quarantined(self, tmp_path):
         write(tmp_path / "notes.txt", "scratch\n")
         samples = cm.ingest_corrbench(tmp_path)

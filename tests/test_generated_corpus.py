@@ -1,9 +1,10 @@
 """Benchmark-shaped corpora, written by the benchmark's own generator
-(imported read-only from perfbench/): modules parse and embed exactly as
-the cache-free references in tests/oracles.py do, in whatever order one
-process meets them, and the GNN trains on their program graphs as it did
-with self loops as relations, within the declared tolerance, and keeps a
-smaller tape than the chain of primitive operations."""
+(imported read-only from perfbench/): modules parse, embed and build
+program graphs exactly as the references in tests/oracles.py do, in
+whatever order one process meets them, and the GNN trains on their
+program graphs as it did with self loops as relations, within the
+declared tolerance, and keeps a smaller tape than the chain of primitive
+operations."""
 
 import dataclasses
 import gc
@@ -70,7 +71,8 @@ def three_shapes(tmp_path_factory):
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order):
     """The template cache outlives each parse_ir call and the module order
-    decides what it holds; no order shows in a module or its embedding."""
+    decides what it holds; no order shows in a module, its embedding or its
+    program graph, and each graph keeps the graph invariants."""
     vocab = em.SeedVocab(11)
     for name, text in three_shapes if order == "forward" else three_shapes[::-1]:
         module = parse_ir(text, name)
@@ -79,6 +81,9 @@ def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order
         assert oracles.render(module) == oracles.render(want), name
         got = em.embed(module, vocab).values
         assert got.tobytes() == oracles.reference_embed(want, vocab).tobytes(), name
+        graph = build_graph(module)
+        assert graph == oracles.reference_build_graph(want), name
+        assert oracles.validate_graph(graph) == [], name
 
 
 def gnn_samples(tmp_path, modules=None):

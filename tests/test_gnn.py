@@ -13,9 +13,7 @@ import oracles
 from conftest import FIXTURES, tape_nodes
 from mpisentinel import autodiff as ad
 from mpisentinel import gnn
-from mpisentinel.graph import (
-    EdgeType, GraphEdge, GraphNode, NodeType, ProgramGraph, build_graph,
-)
+from mpisentinel.graph import GraphEdge, GraphNode, ProgramGraph, build_graph
 from mpisentinel.ircore import parse_ir
 
 BARRIER_MODULE = """
@@ -358,9 +356,8 @@ class TestHeteroLayer:
     def test_missing_relation_params(self):
         """An edge whose typed triple is no relation is refused when the
         batch is built, before any layer runs."""
-        g = ProgramGraph([GraphNode(0, NodeType.CONSTANT, "Constant"),
-                          GraphNode(1, NodeType.VARIABLE, "intTy")],
-                         [GraphEdge(0, 1, EdgeType.DATA)])
+        g = ProgramGraph([GraphNode("constant", "Constant"), GraphNode("variable", "intTy")],
+                         [GraphEdge(0, 1, "data")])
         with pytest.raises(gnn.MissingRelationParams, match="constant->variable"):
             gnn._build_batch([g], {})
 
@@ -370,16 +367,16 @@ def independent_forward(model, graph):
     feats = {}
     ids = {}
     for t in gnn.NODE_TYPES:
-        rows = [n for n in graph.nodes if n.node_type.value == t]
-        ids[t] = {n.id: i for i, n in enumerate(rows)}
-        feats[t] = np.vstack([model.embedding.data[model.vocab.get(n.token, 0)]
-                              for n in rows]) if rows else np.zeros((0, 0))
+        rows = [nid for nid, n in enumerate(graph.nodes) if n.node_type == t]
+        ids[t] = {nid: i for i, nid in enumerate(rows)}
+        feats[t] = np.vstack([model.embedding.data[model.vocab.get(graph.nodes[nid].token, 0)]
+                              for nid in rows]) if rows else np.zeros((0, 0))
     for layer, own in zip(model.layers, model.self_w):
         rel_edges = {rel: [] for rel in gnn.RELATIONS}
         for e in graph.edges:
-            src_t = graph.nodes[e.src].node_type.value
-            dst_t = graph.nodes[e.dst].node_type.value
-            rel_edges[(src_t, e.edge_type.value, dst_t)].append(
+            src_t = graph.nodes[e.src].node_type
+            dst_t = graph.nodes[e.dst].node_type
+            rel_edges[(src_t, e.edge_type, dst_t)].append(
                 (ids[src_t][e.src], ids[dst_t][e.dst]))
         out = {}
         for t in gnn.NODE_TYPES:
@@ -438,9 +435,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(g2.nodes))
         remap = {i: int(p) for i, p in enumerate(perm)}
-        for n in g2.nodes:
-            n.id = remap[n.id]
-        g2.nodes.sort(key=lambda n: n.id)
+        g2.nodes = [g2.nodes[i] for i in np.argsort(perm)]
         for e in g2.edges:
             e.src, e.dst = remap[e.src], remap[e.dst]
         assert np.max(np.abs(gnn.forward(model, g2) - base)) < 1e-9

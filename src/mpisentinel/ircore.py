@@ -5,9 +5,9 @@ objects carrying exactly what the downstream representations need: opcodes,
 result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
-while lexing.  One parse_ir call parses each distinct instruction line at
-most once, and a bounded cache that outlives the call keeps the parse of a
-line met in two calls, so later modules skip it too.
+while lexing.  A line memo shared by every parse_ir call in the process
+keeps the parse of each instruction line it has met, so a line is parsed
+once until parse_ir empties the memo at the bound LINE_MEMO_CHARS.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def canonical_type(type_str: str) -> str:
     if t == "void" or t == "":
         return "void"
     first = t.split(" ", 1)[0] if " " in t else t
-    if t.endswith("*") or first == "ptr" or "addrspace" in t:
+    if t.endswith("*") or first == "ptr":
         return "ptrTy"
     if t.startswith("<"):  # a packed struct reads `< { ... } >` once tokenized
         return "aggTy" if t[1:].lstrip().startswith("{") else "vecTy"
@@ -342,14 +342,14 @@ def _typed_value(fragment: list[str]) -> Operand | None:
 
 
 class _FunctionParser:
-    """Parses one function body, one logical line at a time.  `parsed` maps
-    an instruction line to the IrInstruction of its first occurrence; parse_ir
-    shares one such dict among the functions of a module."""
+    """Parses one function body, one logical line at a time.  `memo` maps an
+    instruction line to the fields of its parse; parse_ir passes the line
+    memo, which outlives the call."""
 
-    def __init__(self, fn: IrFunction, lineno: int, parsed: dict[str, IrInstruction]):
+    def __init__(self, fn: IrFunction, lineno: int, memo: dict[str, tuple]):
         self.fn = fn
         self.lineno = lineno
-        self.parsed = parsed
+        self.memo = memo
         self.current: IrBlock | None = None
         self.seen_labels: set[str] = set()
 
@@ -381,17 +381,17 @@ class _FunctionParser:
             self._open_block("entry")
         if self.current.instructions and self.current.instructions[-1].is_terminator():
             raise MalformedIr(lineno, "instruction after block terminator")
-        first = self.parsed.get(line)
-        if first is None:
+        fields = self.memo.get(line)
+        if fields is None:
             # a line that raises is never stored, so each occurrence raises
-            # at its own line; nothing in parse_ir mutates an instruction
-            # once built, so the first occurrence can serve as the template
-            instr = self.parsed[line] = _instruction(line, lineno)
+            # at its own line
+            instr = parse_instruction(line, lineno)
+            self.memo[line] = (instr.opcode, instr.type_str, instr.operands,
+                               instr.result_id, instr.call_target)
         else:
-            # a repeat gets its own IrInstruction sharing only the immutable
-            # operand tuple
-            instr = IrInstruction(first.opcode, first.type_str, first.operands,
-                                  first.result_id, first.call_target)
+            # every occurrence gets its own IrInstruction, sharing only the
+            # immutable operand tuple, so no module can change the memo
+            instr = IrInstruction(*fields)
         self.current.instructions.append(instr)
 
     def finish(self):
@@ -443,43 +443,14 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
     return instr
 
 
-# The template cache maps an instruction line to the fields of its parse.
-# A line enters it when a second parse_ir call parses it, so input whose
-# lines never repeat across calls pays only for remembering the texts it
-# has parsed.  Only lines of at most LINE_CACHE_MAX_CHARS characters with
-# at most LINE_CACHE_MAX_OPERANDS operands are remembered, which bounds a
-# template at about 2 KB and a text at about 0.25 KB (CPython 3.11).  The
-# cache is emptied when it holds LINE_CACHE_SIZE templates and the texts
-# when there are twice as many, so together they never hold more than
-# about 5 MB.
-LINE_CACHE_SIZE = 1 << 11
-LINE_CACHE_MAX_CHARS = 160
-LINE_CACHE_MAX_OPERANDS = 8
-_TEMPLATES: dict[str, tuple] = {}
-_SEEN: dict[str, None] = {}  # texts that a parse_ir call has parsed
-
-
-def _instruction(line: str, lineno: int) -> IrInstruction:
-    """parse_instruction through the template cache, for a line's first
-    occurrence in a parse_ir call; every call returns a new IrInstruction."""
-    fields = _TEMPLATES.get(line)
-    if fields is not None:
-        return IrInstruction(*fields)
-    instr = parse_instruction(line, lineno)
-    if len(line) <= LINE_CACHE_MAX_CHARS and len(instr.operands) <= LINE_CACHE_MAX_OPERANDS:
-        if line in _SEEN:
-            _keep(_TEMPLATES, LINE_CACHE_SIZE, line, (
-                instr.opcode, instr.type_str, instr.operands, instr.result_id,
-                instr.call_target))
-        else:
-            _keep(_SEEN, 2 * LINE_CACHE_SIZE, line, None)
-    return instr
-
-
-def _keep(cache: dict, size: int, line: str, value) -> None:
-    if len(cache) >= size:
-        cache.clear()
-    cache[line] = value
+# The line memo maps an instruction line to the fields of its parse.  It
+# outlives each parse_ir call, which empties it first when its lines hold
+# more than LINE_MEMO_CHARS characters: between calls it holds at most that
+# many characters of lines, plus the lines of the last module parsed.  The
+# bound is kept small because lines that never repeat across modules only
+# slow a larger memo down; the benchmark's dt-large corpus fills 44,000.
+LINE_MEMO_CHARS = 1 << 16
+_LINE_MEMO: dict[str, tuple] = {}
 
 
 def _skip_flags(tokens: list[str]) -> list[str]:
@@ -850,7 +821,9 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     """
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()  # function names, defined or declared
-    parsed: dict[str, IrInstruction] = {}  # instruction line -> first parse
+    memo = _LINE_MEMO
+    if sum(map(len, memo)) > LINE_MEMO_CHARS:
+        memo.clear()
     fn_parser: _FunctionParser | None = None
     for lineno, line in _logical_lines(text.splitlines()):
         if fn_parser is not None:
@@ -863,7 +836,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
                 fn_parser.feed(line, lineno)
             continue
         try:
-            fn_parser = _module_line(module, seen, parsed, line, lineno)
+            fn_parser = _module_line(module, seen, memo, line, lineno)
         except (ValueError, IndexError, TypeError) as exc:
             raise MalformedIr(lineno, f"cannot parse {line[:40]!r}: {exc}") from exc
     if fn_parser is not None:
@@ -871,7 +844,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     return module
 
 
-def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstruction],
+def _module_line(module: IrModule, seen: set[str], memo: dict[str, tuple],
                  line: str, lineno: int) -> _FunctionParser | None:
     """Add one line outside any function body to the module; returns the
     parser of a function body the line opens and leaves open."""
@@ -883,7 +856,7 @@ def _module_line(module: IrModule, seen: set[str], parsed: dict[str, IrInstructi
         if cut is None:
             raise MalformedIr(lineno, "define without a body brace")
         fn_parser = _FunctionParser(
-            _add_function(module, seen, sig[:cut], lineno, False), lineno, parsed)
+            _add_function(module, seen, sig[:cut], lineno, False), lineno, memo)
         inline = sig[cut + 1:].strip()
         if inline:
             closed = inline.endswith("}")

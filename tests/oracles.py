@@ -13,8 +13,8 @@ They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
 test; the reference trees are nested tuples, as cart_train's are.  Three
 references are narrower: the embedding walk's reuses embed's flow solve,
-the cache-free parse_ir reuses the library's function-body and
-module-line handling, isolating the line memo and the template cache, and the self-loop
+the memo-free parse_ir reuses the library's function-body and
+module-line handling, isolating the line memo, and the self-loop
 hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
@@ -988,21 +988,11 @@ def _reference_logical_lines(raw_lines: list[str]):
 
 
 def reference_parse_ir(text: str, name: str = "") -> IrModule:
-    """parse_ir without its line memo and template cache: every instruction
-    line is parsed afresh by parse_instruction, which stands in for the
-    cached ircore._instruction, and logical lines are joined with the
-    per-character scanners above and a word-based clause rule.  The
-    reference for parse_ir's memoized parse (same module, same MalformedIr
-    line and message)."""
-    cached = ircore._instruction
-    ircore._instruction = ircore.parse_instruction
-    try:
-        return _reference_parse_ir(text, name)
-    finally:
-        ircore._instruction = cached
-
-
-def _reference_parse_ir(text: str, name: str) -> IrModule:
+    """parse_ir without its line memo: a memo that never stores stands in
+    for it, so every instruction line is parsed afresh by parse_instruction,
+    and logical lines are joined with the per-character scanners above and
+    a word-based clause rule.  The reference for parse_ir's memoized parse
+    (same module, same MalformedIr line and message)."""
     module = IrModule(name=name, functions=[])
     seen: set[str] = set()
     fn_parser = None

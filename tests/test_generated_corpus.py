@@ -22,11 +22,14 @@ from mpisentinel import autodiff as ad
 from mpisentinel import embed as em
 from mpisentinel import gnn
 from mpisentinel.graph import build_graph
-from mpisentinel.ircore import parse_ir
+from mpisentinel.ircore import OperandKind, parse_instruction, parse_ir
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
 
 from gen_corpus import CORRECT, generate  # noqa: E402
+from suffix_locals import suffix_module  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -68,13 +71,24 @@ def three_shapes(tmp_path_factory):
     return modules
 
 
+@pytest.fixture(scope="module")
+def suffixed_shapes(three_shapes):
+    """The three_shapes modules with their locals and labels suffixed per
+    module and per function, as tools/suffix_locals.py copies a corpus."""
+    return [(f"{name}+suffixed", suffix_module(text, k))
+            for k, (name, text) in enumerate(three_shapes)]
+
+
 @pytest.mark.parametrize("order", ["forward", "reverse"])
-def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order):
-    """The template cache outlives each parse_ir call and the module order
+def test_workload_shapes_in_one_process_equal_the_references(three_shapes, suffixed_shapes,
+                                                             order):
+    """The line memo outlives each parse_ir call and the module order
     decides what it holds; no order shows in a module, its embedding or its
-    program graph, and each graph keeps the graph invariants."""
+    program graph, and each graph keeps the graph invariants.  The inputs
+    include the suffixed copies, which repeat few lines across modules."""
     vocab = em.SeedVocab(11)
-    for name, text in three_shapes if order == "forward" else three_shapes[::-1]:
+    modules = three_shapes + suffixed_shapes
+    for name, text in modules if order == "forward" else modules[::-1]:
         module = parse_ir(text, name)
         want = oracles.reference_parse_ir(text, name)
         assert module == want, name
@@ -84,6 +98,36 @@ def test_workload_shapes_in_one_process_equal_the_references(three_shapes, order
         graph = build_graph(module)
         assert graph == oracles.reference_build_graph(want), name
         assert oracles.validate_graph(graph) == [], name
+
+
+def test_suffixed_copies_rename_and_repeat_only_lines_without_locals(three_shapes,
+                                                                     suffixed_shapes):
+    """A suffixed copy embeds and builds its program graph as the original
+    does, and a line that recurs in another function names no local value
+    and no label."""
+    vocab = em.SeedVocab(11)
+    functions: dict[str, set] = {}
+    for (name, text), (_, copy) in zip(three_shapes, suffixed_shapes):
+        module, renamed = parse_ir(text, name), parse_ir(copy, name)
+        assert em.embed(renamed, vocab).values.tobytes() == \
+            em.embed(module, vocab).values.tobytes(), name
+        assert build_graph(renamed) == build_graph(module), name
+        fn = None
+        for line in copy.split("\n"):
+            line = line.strip()
+            if line.startswith("define"):
+                fn = line
+            elif line == "}":
+                fn = None
+            elif fn and line and not line.endswith(":"):
+                functions.setdefault(line, set()).add((name, fn))
+    repeated = [line for line, where in functions.items() if len(where) > 1]
+    assert repeated
+    for line in repeated:
+        instr = parse_instruction(line)
+        assert instr.result_id is None, line
+        assert all(op.kind not in (OperandKind.LOCAL, OperandKind.LABEL)
+                   for op in instr.operands), line
 
 
 def gnn_samples(tmp_path, modules=None):

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -241,9 +242,10 @@ class TestScannersMatchReference:
 
 
 class TestLineMemo:
-    """parse_ir parses a repeated instruction line once per call, and a
-    bounded template cache keeps the parse of a line that two calls met;
-    every module equals the cache-free reference in tests/oracles.py."""
+    """parse_ir parses an instruction line once while a line memo shared by
+    every call holds its parse, and empties the memo at the start of a call
+    once its lines hold more than LINE_MEMO_CHARS characters; every module
+    equals the memo-free reference in tests/oracles.py."""
 
     TWO_FUNCTIONS = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n"
@@ -251,8 +253,7 @@ class TestLineMemo:
                      "  ret i32 %a\n}\n")
 
     def test_repeated_line_gives_distinct_instructions(self, monkeypatch):
-        monkeypatch.setattr(ircore, "_TEMPLATES", {})
-        monkeypatch.setattr(ircore, "_SEEN", {})
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
         module = parse_ir(self.TWO_FUNCTIONS)
         first, second = (fn.blocks[0].instructions[0] for fn in module.functions)
         assert first is not second and first == second
@@ -261,13 +262,37 @@ class TestLineMemo:
         first.operands = ()
         assert (second.type_str, second.result_id) == ("i32", "%a")
         assert [op.token for op in second.operands] == ["%x", "1"]
-        # the second call caches the line and later calls copy it; no
-        # module holds the template
+        # later calls copy the memo's fields; no module holds them
         for _ in range(3):
             again = parse_ir(self.TWO_FUNCTIONS).functions[0].blocks[0].instructions[0]
             assert again == second and again is not second
             again.operands = ()
-        assert "%a = add i32 %x, 1" in ircore._TEMPLATES
+        assert ircore._LINE_MEMO["%a = add i32 %x, 1"] == (
+            "add", "i32", second.operands, "%a", None)
+
+    def test_mutated_module_leaves_a_later_parse_unchanged(self, add_loop_text, monkeypatch):
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        for instr in parse_ir(add_loop_text, "m").instructions():
+            instr.opcode, instr.type_str, instr.operands = "frem", "double", ()
+            instr.result_id, instr.call_target = "%zz", "MPI_Abort"
+        assert ircore._LINE_MEMO
+        want = oracles.reference_parse_ir(add_loop_text, "m")
+        assert parse_ir(add_loop_text, "m") == want
+        assert render(parse_ir(add_loop_text, "m")) == render(want)
+
+    def test_line_is_parsed_once_across_calls(self, monkeypatch):
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        calls = []
+
+        def counted(line, lineno=0):
+            calls.append(line)
+            return parse_instruction(line, lineno)
+
+        monkeypatch.setattr(ircore, "parse_instruction", counted)
+        modules = [parse_ir(self.TWO_FUNCTIONS) for _ in range(3)]
+        assert calls == ["%a = add i32 %x, 1", "ret i32 %a"]
+        assert list(ircore._LINE_MEMO) == calls
+        assert modules[0] == modules[2] == oracles.reference_parse_ir(self.TWO_FUNCTIONS)
 
     def test_repeated_line_after_terminator_raises_at_its_line(self):
         text = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
@@ -278,54 +303,58 @@ class TestLineMemo:
             5, "instruction after block terminator")
 
     def test_line_that_raises_is_never_stored(self):
-        parsed: dict = {}
-        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1, parsed)
+        memo: dict = {}
+        fn_parser = ircore._FunctionParser(ircore.IrFunction("f", [], []), 1, memo)
         for lineno in (3, 8, 9):
             with pytest.raises(MalformedIr) as info:
                 fn_parser.feed("store i32 0, ptr", lineno)
             assert info.value.line == lineno
-        assert parsed == {}
-        assert "store i32 0, ptr" not in ircore._SEEN
-        assert "store i32 0, ptr" not in ircore._TEMPLATES
+        assert memo == {}
+        assert "store i32 0, ptr" not in ircore._LINE_MEMO
 
-    def test_line_is_cached_at_its_second_parse(self, monkeypatch):
-        """_instruction serves a line's first occurrence in each call."""
-        monkeypatch.setattr(ircore, "_TEMPLATES", {})
-        monkeypatch.setattr(ircore, "_SEEN", {})
-        line = "%a = add i32 %x, 1"
-        got = [ircore._instruction(line, 1) for _ in range(3)]
-        assert list(ircore._SEEN) == list(ircore._TEMPLATES) == [line]
-        want = parse_instruction(line)
-        assert all(instr == want for instr in got)
-        assert len({id(instr) for instr in got}) == 3
-        assert got[1].operands is got[2].operands  # the template's
-
-    def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(ircore, "_TEMPLATES", {})
-        monkeypatch.setattr(ircore, "_SEEN", {})
-        monkeypatch.setattr(ircore, "LINE_CACHE_SIZE", 2)
-        lines = [f"%a = add i32 %x, {k}" for k in range(6)]
-        sizes = []
+    def test_memo_is_emptied_past_its_bound(self, monkeypatch):
+        """The bound counts characters, so long and wide lines are memoized
+        like short ones."""
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        monkeypatch.setattr(ircore, "LINE_MEMO_CHARS", 40)
+        wide = "call void @f(" + ", ".join(["i32 1"] * 30) + ")"
+        lines = [f"%a = add i32 %x, {k}" for k in range(4)] + [wide, "fence seq_cst"]
+        held = []
         for line in lines:
-            for _ in range(2):
-                assert ircore._instruction(line, 1) == parse_instruction(line)
-            sizes.append((len(ircore._SEEN), len(ircore._TEMPLATES)))
-        # each is emptied when full: texts at 2 * LINE_CACHE_SIZE, templates at it
-        assert sizes == [(1, 1), (2, 2), (3, 1), (4, 2), (1, 1), (2, 2)]
-        assert list(ircore._TEMPLATES) == lines[4:]
+            text = f"define void @f(i32 %x) {{\nentry:\n  {line}\n  ret void\n}}\n"
+            assert parse_ir(text) == oracles.reference_parse_ir(text)
+            held.append(list(ircore._LINE_MEMO))
+        # each call starts by emptying the memo once its lines hold more than
+        # 40 characters: 18 for each add line, 8 for `ret void`
+        assert held == [[lines[0], "ret void"],
+                        [lines[0], "ret void", lines[1]],
+                        [lines[2], "ret void"],
+                        [lines[2], "ret void", lines[3]],
+                        [wide, "ret void"],
+                        ["fence seq_cst", "ret void"]]
 
-    def test_long_lines_and_many_operands_are_not_cached(self, monkeypatch):
-        monkeypatch.setattr(ircore, "_TEMPLATES", {})
-        monkeypatch.setattr(ircore, "_SEEN", {})
-        n = ircore.LINE_CACHE_MAX_OPERANDS
-        wide = "call void @f(" + ", ".join(["i32 1"] * n) + ")"  # n + 1 operands
-        narrow = "call void @f(" + ", ".join(["i32 1"] * (n - 1)) + ")"
-        at_cap = "ret" + " " * (ircore.LINE_CACHE_MAX_CHARS - 7) + "void"
-        for line in (wide, narrow, at_cap + " ", at_cap):
-            for _ in range(2):
-                assert ircore._instruction(line, 1) == parse_instruction(line)
-        assert list(ircore._SEEN) == list(ircore._TEMPLATES) == [narrow, at_cap]
-        assert len(ircore._TEMPLATES[narrow][2]) == n
+    def test_memo_of_wide_distinct_lines_stays_within_its_budget(self, monkeypatch):
+        """122-operand call lines, each in a module of its own, until the
+        memo has been emptied twice: between calls it holds at most
+        LINE_MEMO_CHARS characters of lines plus the last module's, and at
+        most 2 MB by tracemalloc (1.0 MB when the README's figure was
+        measured)."""
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        texts = [("define void @f() {\nentry:\n  call void @g("
+                  + ", ".join(["i32 1"] * 120 + [f"i32 {k}"]) + ")\n  ret void\n}\n")
+                 for k in range(ircore.LINE_MEMO_CHARS // 400)]
+        sizes, peak = [], 0
+        tracemalloc.start()
+        try:
+            for text in texts:
+                parse_ir(text)
+                sizes.append(sum(map(len, ircore._LINE_MEMO)))
+                peak = max(peak, tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) == 2
+        assert max(sizes) <= ircore.LINE_MEMO_CHARS + len(texts[-1])
+        assert peak <= 2_000_000
 
     def test_line_that_raises_raises_at_its_line_in_a_later_module(self):
         good = self.TWO_FUNCTIONS
@@ -338,15 +367,14 @@ class TestLineMemo:
             assert info.value.message.startswith("store instruction")
 
     def test_reference_parse_uses_no_cache(self, add_loop_text, monkeypatch):
-        monkeypatch.setattr(ircore, "_TEMPLATES", {})
-        monkeypatch.setattr(ircore, "_SEEN", {})
-        for _ in range(2):
-            oracles.reference_parse_ir(add_loop_text, "m")
-        assert ircore._SEEN == ircore._TEMPLATES == {}
-        assert ircore._instruction is not ircore.parse_instruction
-        for _ in range(2):
-            parse_ir(add_loop_text, "m")
-        assert ircore._TEMPLATES
+        """A reference parse leaves the memo exactly as it found it."""
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        parse_ir(add_loop_text, "m")
+        before = dict(ircore._LINE_MEMO)
+        for text in (add_loop_text, TestLineMemo.TWO_FUNCTIONS):
+            oracles.reference_parse_ir(text, "m")
+        assert list(ircore._LINE_MEMO.items()) == list(before.items())
+        assert all(ircore._LINE_MEMO[line] is fields for line, fields in before.items())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -365,7 +393,7 @@ class TestLineMemo:
     def test_modules_in_shuffled_order_with_warm_caches_parse_like_reference(self, data):
         texts = data.draw(st.lists(_shuffled_module(_fixture_lines()), min_size=2,
                                    max_size=4))
-        for text in texts * 2:  # warm the cache
+        for text in texts * 2:  # warm the memo
             _outcome(parse_ir, text, "m")
         for text in data.draw(st.permutations(texts)):
             got = _outcome(parse_ir, text, "m")
@@ -692,6 +720,9 @@ class TestCanonicalTypes:
         ("< 4 x i32 >", "vecTy"), ("[ 4 x i32 ]", "aggTy"),
         ("{ i32 , i1 }", "aggTy"), ("%struct.S", "aggTy"),
         ("< { i32 , i8 } >", "aggTy"), ("<{i32, i8}>", "aggTy"),
+        ("ptr addrspace ( 1 )", "ptrTy"), ("i32 addrspace ( 1 ) *", "ptrTy"),
+        ("[ 4 x ptr addrspace ( 1 ) ]", "aggTy"), ("< 4 x ptr addrspace ( 1 ) >", "vecTy"),
+        ("{ ptr addrspace ( 1 ) , i32 }", "aggTy"), ("%struct.addrspace_cfg", "aggTy"),
         ("void", "void"),
     ])
     def test_table(self, raw, expected):

@@ -145,17 +145,6 @@ def _scatter_rows(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarra
     return summed.reshape((n_rows,) + tail)
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx], parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_scatter_rows(idx, g, a.data.shape[0]))
-    out._backward = backward
-    return out
-
-
 def segment_max(a: Tensor, seg, n_segments: int) -> Tensor:
     """Per-segment elementwise max; gradient flows to the first row attaining
     the maximum in each (segment, column)."""
@@ -198,10 +187,6 @@ def elu(a: Tensor) -> Tensor:
             a.accumulate(g * np.where(a.data > 0, 1.0, np.exp(a.data)))
     out._backward = backward
     return out
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 class ClassOutOfRange(Exception):

@@ -197,10 +197,11 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     al., ICLR 2022), the scores read `P_l[src] + P_r[dst]` with
     `P_l = h_src W_lᵀ` and `P_r = h_dst W_rᵀ`.  Backward scatters each edge
     gradient to its table row first and then does one matmul per weight.
-    The relation is one autodiff node, whose tape keeps the transformed
+    The relation is one autodiff node, whose backward keeps the transformed
     tables, the attention, the exponentiated scores and each edge's
-    denominator.  Against the chain of primitive operations that gathers
-    before it transforms (`gatv2_relation_full` in the tests' oracles) only
+    denominator; `hetero_layer` runs the same forward and backward inside
+    its per-type sum, where the messages are no node of their own.  Against
+    the chain of primitive operations that gathers before it transforms (`gatv2_relation_full` in the tests' oracles) only
     the summation order differs: outputs and gradients agree within rtol
     1e-10 plus atol 1e-12 times the largest gradient of the model.
 
@@ -212,6 +213,19 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     keep their zero gradients.  Only a non-finite score, which would make
     the full path's attention NaN, gives a different result.
     """
+    messages, backward = _relation_messages(h_src, h_dst, edges, params, slope,
+                                            src_rows, dst_rows)
+    if backward is None:
+        return Tensor(messages)
+    return Tensor(messages, parents=(h_src, h_dst, *params.tensors()),
+                  backward=backward)
+
+
+def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
+                       slope: float, src_rows, dst_rows):
+    """`gatv2_relation`'s messages as an array, and the closure that takes
+    their gradient into h_src, h_dst and the relation's parameters; the
+    closure is None where there are no edges and the messages are zeros."""
     w_att, a, w_val = params.w_att, params.a, params.w_val
     n_src, d_src = h_src.data.shape
     n_dst = h_dst.data.shape[0] if dst_rows is None else len(dst_rows)
@@ -220,10 +234,9 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
             f"w_att expects width {w_att.data.shape[1]}, got "
             f"{d_src} + {h_dst.data.shape[1]}")
     if len(edges) == 0:
-        return ad.zeros((n_dst, w_val.data.shape[0]))
+        return np.zeros((n_dst, w_val.data.shape[0])), None
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     src_row = src_idx if src_rows is None else src_rows[src_idx]
-    parents = (h_src, h_dst, w_att, a, w_val)
 
     p_val = h_src.data @ w_val.data.T                      # (n_src, out)
     if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
@@ -233,8 +246,7 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
                 w_val.accumulate(g_val.T @ h_src.data)
             if h_src.requires_grad:
                 h_src.accumulate(g_val @ w_val.data)
-        return Tensor(ad._scatter_rows(dst_idx, p_val[src_row], n_dst),
-                      parents=parents, backward=backward_unscored)
+        return ad._scatter_rows(dst_idx, p_val[src_row], n_dst), backward_unscored
 
     dst_row = dst_idx if dst_rows is None else dst_rows[dst_idx]
     p_l = h_src.data @ w_att.data[:, :d_src].T             # (n_src, out)
@@ -273,37 +285,11 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
         if h_dst.requires_grad:
             h_dst.accumulate(g_r @ w_att.data[:, d_src:])
 
-    return Tensor(ad._scatter_rows(dst_idx, p_val[src_row] * alpha, n_dst),
-                  parents=parents, backward=backward_scored)
+    return ad._scatter_rows(dst_idx, p_val[src_row] * alpha, n_dst), backward_scored
 
 
 def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x > 0, x, slope * x)
-
-
-def _t(p: Tensor) -> Tensor:
-    """Transposed view of a parameter that accumulates into the original."""
-    out = Tensor(p.data.T, parents=(p,))
-
-    def backward(g):
-        if p.requires_grad:
-            p.accumulate(g.T)
-    out._backward = backward
-    return out
-
-
-def _sum(parts: list[Tensor]) -> Tensor:
-    """parts[0] + parts[1] + ..., added left to right, as one node that keeps
-    no partial sum; each part's gradient is the sum's."""
-    total = parts[0].data + parts[1].data
-    for p in parts[2:]:
-        total += p.data
-
-    def backward(g):
-        for p in parts:
-            if p.requires_grad:
-                p.accumulate(g)
-    return Tensor(total, parents=tuple(parts), backward=backward)
 
 
 def hetero_layer(features: dict[str, Tensor],
@@ -314,25 +300,57 @@ def hetero_layer(features: dict[str, Tensor],
     """One heterogeneous round: per node type, the messages of the relations
     into it and then its own term `h W_selfᵀ`, summed in that order, then
     ELU.  With `rows`, node i of type t is row `rows[t][i]` of
-    `features[t]`, and the own term is `(features[t] W_selfᵀ)[rows[t]]`."""
+    `features[t]`, and the own term is `(features[t] W_selfᵀ)[rows[t]]`.
+    Each node type's sum is one autodiff node (`_type_sum`)."""
     rows = rows or {}
-    messages: dict[str, list[Tensor]] = {t: [] for t in features}
+    return {t: ad.elu(_type_sum(t, features, rel_edges, layer_params, self_w[t],
+                                slope, rows))
+            for t in features}
+
+
+def _type_sum(t: str, features, rel_edges, layer_params, w_self: Tensor,
+              slope: float, rows) -> Tensor:
+    """Node type t's relation messages, added left to right, plus its own
+    term, as one autodiff node.  Each message array is added into the total
+    and dropped, and the own term's product is not kept, so the tape holds
+    only what the relations' backward closures read.  Backward gives each
+    relation the node's gradient in turn, then the own term: its gradient is
+    scattered to the rows of features[t] (with `rows`), and features[t]
+    gets `g W_self` and W_self gets `(features[t]ᵀ g)ᵀ`."""
+    feats, own_rows = features[t], rows.get(t)
+    total, parents, backwards = None, [], []
     for rel, params in layer_params.items():
         src_t, _, dst_t = rel
         edges = rel_edges.get(rel, ())
-        if len(edges) == 0:
-            continue  # a relation without edges contributes only zeros
-        messages[dst_t].append(
-            gatv2_relation(features[src_t], features[dst_t], edges, params, slope,
-                           rows.get(src_t), rows.get(dst_t)))
-    out: dict[str, Tensor] = {}
-    for t, feats in features.items():
-        own = ad.matmul(feats, _t(self_w[t]))
-        if t in rows:
-            own = ad.gather_rows(own, rows[t])
-        parts = messages[t] + [own]
-        out[t] = ad.elu(_sum(parts) if len(parts) > 1 else parts[0])
-    return out
+        if dst_t != t or len(edges) == 0:
+            continue  # into another type, or without edges (only zeros)
+        messages, relation_backward = _relation_messages(
+            features[src_t], feats, edges, params, slope, rows.get(src_t), own_rows)
+        if total is None:
+            total = messages
+        else:
+            total += messages
+        del messages  # free it before the next relation's arrays
+        parents += [features[src_t], feats, *params.tensors()]
+        backwards.append(relation_backward)
+    own = feats.data @ w_self.data.T
+    if own_rows is not None:
+        own = own[own_rows]
+    if total is None:
+        total = own
+    else:
+        total += own
+
+    def backward(g):
+        for relation_backward in backwards:
+            relation_backward(g)
+        g_own = g if own_rows is None else ad._scatter_rows(
+            own_rows, g, feats.data.shape[0])
+        if feats.requires_grad:
+            feats.accumulate(g_own @ w_self.data)
+        if w_self.requires_grad:
+            w_self.accumulate((feats.data.T @ g_own).T)
+    return Tensor(total, parents=(*parents, feats, w_self), backward=backward)
 
 
 @dataclass
@@ -429,7 +447,7 @@ def train(model: GnnModel, samples: list[tuple[ProgramGraph, str]],
             logits = logits_batch(model, [graphs[i] for i in rows])
             loss = ad.cross_entropy_logits(logits, targets[rows])
             for p in params:
-                p.zero_grad()
+                p.grad = None  # adam_step reads None as a zero gradient
             loss.backward()
             adam_step(params, state, cfg.lr)
             total += float(loss.data) * len(rows)

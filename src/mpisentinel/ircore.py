@@ -443,12 +443,14 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
     return instr
 
 
-# The line memo maps an instruction line to the fields of its parse.  It
-# outlives each parse_ir call, which empties it first when its lines hold
-# more than LINE_MEMO_CHARS characters: between calls it holds at most that
-# many characters of lines, plus the lines of the last module parsed.  The
-# bound is kept small because lines that never repeat across modules only
-# slow a larger memo down; the benchmark's dt-large corpus fills 44,000.
+# The line memo maps an instruction line to the fields of its parse, and a
+# define or declare signature, keyed with a newline in front (no logical line
+# holds one), to its name and parameters.  It outlives each parse_ir call,
+# which empties it first when its keys hold more than LINE_MEMO_CHARS
+# characters: between calls it holds at most that many characters of keys,
+# plus the lines of the last module parsed.  The bound is kept small because
+# lines that never repeat across modules only slow a larger memo down; the
+# benchmark's dt-large corpus fills 46,000.
 LINE_MEMO_CHARS = 1 << 16
 _LINE_MEMO: dict[str, tuple] = {}
 
@@ -856,7 +858,7 @@ def _module_line(module: IrModule, seen: set[str], memo: dict[str, tuple],
         if cut is None:
             raise MalformedIr(lineno, "define without a body brace")
         fn_parser = _FunctionParser(
-            _add_function(module, seen, sig[:cut], lineno, False), lineno, memo)
+            _add_function(module, seen, memo, sig[:cut], lineno, False), lineno, memo)
         inline = sig[cut + 1:].strip()
         if inline:
             closed = inline.endswith("}")
@@ -869,7 +871,7 @@ def _module_line(module: IrModule, seen: set[str], memo: dict[str, tuple],
                 return None
         return fn_parser
     if line.startswith("declare"):
-        _add_function(module, seen, line[len("declare"):], lineno, True)
+        _add_function(module, seen, memo, line[len("declare"):], lineno, True)
         return None
     if line.startswith("define"):
         raise MalformedIr(lineno, "define without a body brace")
@@ -901,15 +903,21 @@ def _body_brace(sig: str) -> int | None:
     return sig.index("{")
 
 
-def _add_function(module: IrModule, seen: set[str], signature: str, lineno: int,
-                  is_declaration: bool) -> IrFunction:
+def _add_function(module: IrModule, seen: set[str], memo: dict[str, tuple],
+                  signature: str, lineno: int, is_declaration: bool) -> IrFunction:
     """Append the function that a define/declare signature names; a name may
-    be defined or declared once."""
-    fname, params = _parse_signature(_tokenize(signature), lineno)
+    be defined or declared once.  A signature's parse is kept in the line
+    memo, and one that raises is not kept.  Function names are unique within
+    a module, so only a memo that outlives the call parses fewer of them."""
+    key = "\n" + signature
+    parsed = memo.get(key)
+    if parsed is None:
+        parsed = memo[key] = _parse_signature(_tokenize(signature), lineno)
+    fname, params = parsed
     if fname in seen:
         raise MalformedIr(lineno, f"duplicate function @{fname}")
     seen.add(fname)
-    fn = IrFunction(fname, params, [], is_declaration)
+    fn = IrFunction(fname, list(params), [], is_declaration)
     module.functions.append(fn)
     return fn
 

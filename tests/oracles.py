@@ -8,14 +8,18 @@ embedding's per-instruction walk) that the library must still match bit
 for bit.  The GNN's earlier forms (the GATv2 relation that scores every
 edge, the GATv2 layer as a chain of primitive operations, the self loops
 as attention relations) gather before they transform, so gnn matches them
-within the declared tolerance of `assert_within_tolerance`.
+within the declared tolerance of `assert_within_tolerance`; the layer
+with a node per relation makes the same additions, so gnn matches it bit
+for bit.
 They share only the parsed IR structures, the graph data classes, the
 autodiff Tensor and the seeded vocabulary lookups with the code under
-test; the reference trees are nested tuples, as cart_train's are.  Three
+test; the reference trees are nested tuples, as cart_train's are.  Four
 references are narrower: the embedding walk's reuses embed's flow solve,
 the memo-free parse_ir reuses the library's function-body and
-module-line handling, isolating the line memo, and the self-loop
-hetero layer reuses gnn's typed relations, isolating the self term.  The IR helpers at the end
+module-line handling, isolating the line memo (which also keeps
+signatures), the self-loop hetero layer reuses gnn's typed relations,
+isolating the self term, and the per-relation hetero layer reuses
+gnn.gatv2_relation, isolating the per-type sum.  The IR helpers at the end
 (def-use map, structural equality, printer) serve the parser's tests; the
 per-character IR scanners and the two-pass graph builder before them are
 the references for the parser's scanners and for ``build_graph``, and the
@@ -35,7 +39,7 @@ import numpy as np
 from mpisentinel import autodiff, embed, gnn, ircore
 from mpisentinel.autodiff import ShapeMismatch, Tensor
 from mpisentinel.gnn import (
-    NODE_TYPES, RELATIONS, GnnConfig, InvalidGnnConfig, RelationParams, _t,
+    NODE_TYPES, RELATIONS, GnnConfig, InvalidGnnConfig, RelationParams,
 )
 from mpisentinel.graph import GraphEdge, GraphNode, ProgramGraph
 from mpisentinel.ircore import (
@@ -301,8 +305,9 @@ def reference_embed(module: IrModule, vocab, weights=(1.0, 0.5, 0.2)) -> np.ndar
 # The autodiff engine as it was before its scatters used bincount and before
 # backward() released interior gradients: np.add.at scatters, zeros-then-add
 # accumulation, every gradient kept.  The bit-exact reference for GNN
-# training; tests monkeypatch these into mpisentinel.autodiff, except
-# segment_sum_add_at, the scatter reference for segment_sum below.
+# training; tests monkeypatch the accumulation and backward into
+# mpisentinel.autodiff, and the two scatters are the references for
+# gather_rows and segment_sum below.
 
 def scatter_add_at(idx: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     out = np.zeros((n_rows,) + values.shape[1:])
@@ -361,17 +366,39 @@ def backward_keeping_grads(self: Tensor):
 
 
 def use_reference_autodiff(monkeypatch):
-    """Run mpisentinel.autodiff with the reference scatters, accumulation and
-    backward for the rest of the test."""
-    monkeypatch.setattr(autodiff, "gather_rows", gather_rows_add_at)
+    """Run mpisentinel.autodiff with the reference accumulation and backward
+    for the rest of the test."""
     monkeypatch.setattr(autodiff.Tensor, "accumulate", accumulate_zeros_then_add)
     monkeypatch.setattr(autodiff.Tensor, "backward", backward_keeping_grads)
 
 
 # ---------------------------------------------------------------------------
 # Autodiff primitives that only the chain references below and the
-# primitive gradchecks use: mpisentinel.gnn computes a relation as one
-# autodiff node, so mpisentinel.autodiff no longer carries them.
+# primitive gradchecks use: mpisentinel.gnn computes each node type's sum of
+# relation messages and own term as one autodiff node, so
+# mpisentinel.autodiff no longer carries them.
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(a.data[idx], parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(autodiff._scatter_rows(idx, g, a.data.shape[0]))
+    out._backward = backward
+    return out
+
+
+def _t(p: Tensor) -> Tensor:
+    """Transposed view of a parameter that accumulates into the original."""
+    out = Tensor(p.data.T, parents=(p,))
+
+    def backward(g):
+        if p.requires_grad:
+            p.accumulate(g.T)
+    out._backward = backward
+    return out
+
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, parents=(a, b))
@@ -457,10 +484,10 @@ def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationPar
             f"w_att expects width {params.w_att.data.shape[1]}, got "
             f"{h_src.data.shape[1]} + {h_dst.data.shape[1]}")
     if len(edges) == 0:
-        return ad.zeros((n_dst, out_dim))
+        return Tensor(np.zeros((n_dst, out_dim)))
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    hs = ad.gather_rows(h_src, src_idx)
-    hd = ad.gather_rows(h_dst, dst_idx)
+    hs = gather_rows(h_src, src_idx)
+    hd = gather_rows(h_dst, dst_idx)
     pair = ad.concat([hs, hd], axis=1)
     scores = ad.matmul(leaky_relu(ad.matmul(pair, _t(params.w_att)), slope),
                        params.a)                         # (E, 1)
@@ -470,7 +497,7 @@ def gatv2_relation_full(h_src: Tensor, h_dst: Tensor, edges, params: RelationPar
     shifted = ad.add(scores, Tensor(-shift[dst_idx][:, None]))
     expd = exp(shifted)
     denom = segment_sum(expd, dst_idx, n_dst)             # (n_dst, 1)
-    alpha = div(expd, ad.gather_rows(denom, dst_idx))     # (E, 1)
+    alpha = div(expd, gather_rows(denom, dst_idx))        # (E, 1)
     values = ad.matmul(hs, _t(params.w_val))              # (E, out)
     return segment_sum(mul(values, alpha), dst_idx, n_dst)
 
@@ -489,7 +516,7 @@ def gatv2_relation_chain(h_src: Tensor, h_dst: Tensor, edges, params: RelationPa
         src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
         n_dst = h_dst.data.shape[0]
         if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
-            values = ad.matmul(ad.gather_rows(h_src, src_idx), _t(params.w_val))
+            values = ad.matmul(gather_rows(h_src, src_idx), _t(params.w_val))
             return segment_sum(values, dst_idx, n_dst)
     return gatv2_relation_full(h_src, h_dst, edges, params, slope)
 
@@ -511,6 +538,50 @@ def hetero_layer_chain(features, rel_edges, layer_params, self_w,
     for t, feats in features.items():
         own = ad.matmul(feats, _t(self_w[t]))
         out[t] = ad.elu(ad.add(accum[t], own) if t in accum else own)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The GATv2 layer as it was before each node type's messages and own term
+# were summed in one autodiff node: a Tensor per relation with edges, the
+# own term as a transpose, a matmul and (with rows) a gather, and one node
+# summing them.  The same additions in the same order, so the bit-exact
+# reference for gnn.hetero_layer's values, gradients and training.
+
+def _sum(parts: list[Tensor]) -> Tensor:
+    """parts[0] + parts[1] + ..., added left to right, as one node that keeps
+    no partial sum; each part's gradient is the sum's."""
+    total = parts[0].data + parts[1].data
+    for p in parts[2:]:
+        total += p.data
+
+    def backward(g):
+        for p in parts:
+            if p.requires_grad:
+                p.accumulate(g)
+    return Tensor(total, parents=tuple(parts), backward=backward)
+
+
+def hetero_layer_per_relation(features, rel_edges, layer_params, self_w,
+                              slope: float = 0.2, rows=None):
+    """gnn.hetero_layer with each relation's messages a node of their own."""
+    rows = rows or {}
+    messages = {t: [] for t in features}
+    for rel, params in layer_params.items():
+        src_t, _, dst_t = rel
+        edges = rel_edges.get(rel, ())
+        if len(edges) == 0:
+            continue
+        messages[dst_t].append(
+            gnn.gatv2_relation(features[src_t], features[dst_t], edges, params, slope,
+                               rows.get(src_t), rows.get(dst_t)))
+    out = {}
+    for t, feats in features.items():
+        own = ad.matmul(feats, _t(self_w[t]))
+        if t in rows:
+            own = gather_rows(own, rows[t])
+        parts = messages[t] + [own]
+        out[t] = ad.elu(_sum(parts) if len(parts) > 1 else parts[0])
     return out
 
 
@@ -592,7 +663,7 @@ def hetero_layer_self_relations(features, rel_edges, layer_params, self_w,
     for t, feats in features.items():
         pre = accum.get(t)
         if pre is None:
-            pre = ad.zeros((feats.data.shape[0], self_w[t].data.shape[0]))
+            pre = Tensor(np.zeros((feats.data.shape[0], self_w[t].data.shape[0])))
         out[t] = ad.elu(pre)
     return out
 
@@ -639,7 +710,7 @@ def assert_same_training(model, log, ref, ref_log, graphs):
 
 
 def _gathered(table: Tensor, rows) -> Tensor:
-    return table if rows is None else autodiff.gather_rows(table, rows)
+    return table if rows is None else gather_rows(table, rows)
 
 
 def relation_on_node_rows(relation):
@@ -961,7 +1032,8 @@ def _reference_is_clause(raw: str) -> bool:
 
 
 class _Forgetful(dict):
-    """A line memo that never stores, so every instruction line is parsed."""
+    """A memo that never stores, so every signature and instruction line is
+    parsed."""
 
     def __setitem__(self, line, instr):
         pass
@@ -988,9 +1060,9 @@ def _reference_logical_lines(raw_lines: list[str]):
 
 
 def reference_parse_ir(text: str, name: str = "") -> IrModule:
-    """parse_ir without its line memo: a memo that never stores stands in
-    for it, so every instruction line is parsed afresh by parse_instruction,
-    and logical lines are joined with the per-character scanners above and
+    """parse_ir without its memos: memos that never store stand in for its
+    signature and line memos, so every signature and every instruction
+    line is parsed afresh, and logical lines are joined with the per-character scanners above and
     a word-based clause rule.  The reference for parse_ir's memoized parse
     (same module, same MalformedIr line and message)."""
     module = IrModule(name=name, functions=[])

@@ -2,9 +2,9 @@
 (imported read-only from perfbench/): modules parse, embed and build
 program graphs exactly as the references in tests/oracles.py do, in
 whatever order one process meets them, and the GNN trains on their
-program graphs as it did with self loops as relations, within the
-declared tolerance, and keeps a smaller tape than the chain of primitive
-operations."""
+program graphs as it did with a node per relation, bit for bit, and as it
+did with self loops as relations, within the declared tolerance, and
+keeps a smaller tape than the chain of primitive operations."""
 
 import dataclasses
 import gc
@@ -183,6 +183,29 @@ def test_gnn_learns_at_paper_widths_in_ten_epochs(tmp_path, monkeypatch):
     assert accuracy >= 0.8
 
 
+def test_gnn_trains_as_with_a_node_per_relation(tmp_path, monkeypatch):
+    """Summing each node type's messages and own term in one node makes the
+    same additions as a node per relation and one sum node: after 2 epochs
+    on 32 graphs of the gnn-train shape at the paper's widths, the loss log,
+    the trained parameters and the logits are the same bytes."""
+    samples = gnn_samples(tmp_path, modules=32)
+    graphs = [g for g, _ in samples]
+
+    def trained():
+        cfg = gnn.GnnConfig(lr=4e-4, epochs=2, batch_size=8)
+        model = gnn.init_model(cfg, gnn.build_vocab(graphs), ["bad", "ok"])
+        model, log = gnn.train(model, samples)
+        return model, log, gnn.logits_batch(model, graphs).data
+
+    model, log, logits = trained()
+    monkeypatch.setattr(gnn, "hetero_layer", oracles.hetero_layer_per_relation)
+    ref, ref_log, ref_logits = trained()
+    assert log == ref_log
+    assert [(name, t.data.tobytes()) for name, t in model.parameter_items()] == \
+        [(name, t.data.tobytes()) for name, t in ref.parameter_items()]
+    assert logits.tobytes() == ref_logits.tobytes()
+
+
 def test_model_size_at_paper_widths(tmp_path):
     """One value matrix per node type and layer for the self term: 59
     tensors where self-loop relations made 77."""
@@ -194,7 +217,7 @@ def test_model_size_at_paper_widths(tmp_path):
 
 def test_tape_keeps_what_backward_reads(tmp_path, monkeypatch):
     """One 8-graph batch at the paper's widths: the fused layer's tape holds
-    at most half the bytes of the chain of primitive operations, gives its
+    at most a third of the bytes of the chain of primitive operations, gives its
     gradients within the declared tolerance, and backward() frees every
     interior tensor even while the loss is still referenced."""
     samples = gnn_samples(tmp_path, modules=8)
@@ -231,6 +254,6 @@ def test_tape_keeps_what_backward_reads(tmp_path, monkeypatch):
                         oracles.layer_on_node_rows(oracles.hetero_layer_chain))
     loss, chain_bytes = forward_traced()
     loss.backward()
-    assert fused_bytes <= chain_bytes / 2, (fused_bytes, chain_bytes)
+    assert fused_bytes <= chain_bytes / 3, (fused_bytes, chain_bytes)
     oracles.assert_within_tolerance(grads, [p.grad for p in model.parameters()],
                                     "gradients")

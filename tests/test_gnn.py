@@ -287,13 +287,15 @@ class TestHeteroLayer:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_chain_of_primitives(self, data):
-        """The layer with one node per relation and per sum against the chain
-        of primitive operations: the outputs and every gradient agree within
-        the declared tolerance.  A feature tensor feeds several relations
-        and its own term, so the order in which its gradient is summed
-        shows; the values are normal draws, whose sums round differently in
-        another order.  Half the draws read every node type's nodes from
-        rows of one shared table, as layer 0 reads the embedding."""
+        """The layer with one node per node type's sum against the chain of
+        primitive operations, whose outputs and gradients agree within the
+        declared tolerance, and against the layer with a node per relation,
+        whose outputs and gradients are the same bytes.  A feature tensor
+        feeds several relations and its own term, so the order in which its
+        gradient is summed shows; the values are normal draws, whose sums
+        round differently in another order.  Half the draws read every node
+        type's nodes from rows of one shared table, as layer 0 reads the
+        embedding."""
         d_in, d_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         sizes = {t: data.draw(st.integers(0, 4)) for t in gnn.NODE_TYPES}
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -352,6 +354,9 @@ class TestHeteroLayer:
         ref_outputs, ref_grads = run(chain)
         oracles.assert_within_tolerance(outputs, ref_outputs, "outputs")
         oracles.assert_within_tolerance(grads, ref_grads, "gradients")
+        per_outputs, per_grads = run(oracles.hetero_layer_per_relation)
+        assert [o.tobytes() for o in outputs] == [o.tobytes() for o in per_outputs]
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in per_grads]
 
     def test_missing_relation_params(self):
         """An edge whose typed triple is no relation is refused when the
@@ -626,11 +631,10 @@ class TestTrainingEngine:
             return interior, [p.grad.copy() for p in model.parameters()]
 
         interior, grads = leaf_grads()
-        # each layer adds a node per relation with edges and, per node type,
-        # the self matrix's transpose, its matmul and the ELU
-        rel_edges = gnn._build_batch(graphs, model.vocab).rel_edges
-        per_layer = sum(len(e) > 0 for e in rel_edges.values()) + 3 * len(gnn.NODE_TYPES)
-        assert len(interior) > len(model.layers) * per_layer
+        # each layer adds, per node type, one node summing its relations'
+        # messages and its own term, and the ELU; the head adds the pooling
+        # concat and segment_max, two matmul-add pairs, the ReLU and the loss
+        assert len(interior) == len(model.layers) * 2 * len(gnn.NODE_TYPES) + 8
         assert all(r() is None or r().grad is None for r in interior)
         oracles.use_reference_autodiff(monkeypatch)
         _, ref_grads = leaf_grads()

@@ -242,10 +242,11 @@ class TestScannersMatchReference:
 
 
 class TestLineMemo:
-    """parse_ir parses an instruction line once while a line memo shared by
-    every call holds its parse, and empties the memo at the start of a call
-    once its lines hold more than LINE_MEMO_CHARS characters; every module
-    equals the memo-free reference in tests/oracles.py."""
+    """parse_ir parses an instruction line or a function signature once
+    while a line memo shared by every call holds its parse, and empties the
+    memo at the start of a call once its keys hold more than LINE_MEMO_CHARS
+    characters; every module equals the memo-free reference in
+    tests/oracles.py."""
 
     TWO_FUNCTIONS = ("define i32 @f(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n"
@@ -289,9 +290,18 @@ class TestLineMemo:
             return parse_instruction(line, lineno)
 
         monkeypatch.setattr(ircore, "parse_instruction", counted)
+        parse_signature = ircore._parse_signature
+        signatures = []
+
+        def counted_signature(tokens, lineno):
+            signatures.append(tokens)
+            return parse_signature(tokens, lineno)
+
+        monkeypatch.setattr(ircore, "_parse_signature", counted_signature)
         modules = [parse_ir(self.TWO_FUNCTIONS) for _ in range(3)]
         assert calls == ["%a = add i32 %x, 1", "ret i32 %a"]
-        assert list(ircore._LINE_MEMO) == calls
+        assert [tokens[1] for tokens in signatures] == ["@f", "@g"]
+        assert list(ircore._LINE_MEMO) == ["\n i32 @f(i32 %x) ", *calls, "\n i32 @g(i32 %x) "]
         assert modules[0] == modules[2] == oracles.reference_parse_ir(self.TWO_FUNCTIONS)
 
     def test_repeated_line_after_terminator_raises_at_its_line(self):
@@ -316,7 +326,7 @@ class TestLineMemo:
         """The bound counts characters, so long and wide lines are memoized
         like short ones."""
         monkeypatch.setattr(ircore, "_LINE_MEMO", {})
-        monkeypatch.setattr(ircore, "LINE_MEMO_CHARS", 40)
+        monkeypatch.setattr(ircore, "LINE_MEMO_CHARS", 58)
         wide = "call void @f(" + ", ".join(["i32 1"] * 30) + ")"
         lines = [f"%a = add i32 %x, {k}" for k in range(4)] + [wide, "fence seq_cst"]
         held = []
@@ -324,14 +334,16 @@ class TestLineMemo:
             text = f"define void @f(i32 %x) {{\nentry:\n  {line}\n  ret void\n}}\n"
             assert parse_ir(text) == oracles.reference_parse_ir(text)
             held.append(list(ircore._LINE_MEMO))
-        # each call starts by emptying the memo once its lines hold more than
-        # 40 characters: 18 for each add line, 8 for `ret void`
-        assert held == [[lines[0], "ret void"],
-                        [lines[0], "ret void", lines[1]],
-                        [lines[2], "ret void"],
-                        [lines[2], "ret void", lines[3]],
-                        [wide, "ret void"],
-                        ["fence seq_cst", "ret void"]]
+        # each call starts by emptying the memo once its keys hold more than
+        # 58 characters: 18 for the signature (a newline in front), 18 for
+        # each add line, 8 for `ret void`
+        sig = "\n void @f(i32 %x) "
+        assert held == [[sig, lines[0], "ret void"],
+                        [sig, lines[0], "ret void", lines[1]],
+                        [sig, lines[2], "ret void"],
+                        [sig, lines[2], "ret void", lines[3]],
+                        [sig, wide, "ret void"],
+                        [sig, "fence seq_cst", "ret void"]]
 
     def test_memo_of_wide_distinct_lines_stays_within_its_budget(self, monkeypatch):
         """122-operand call lines, each in a module of its own, until the
@@ -355,6 +367,22 @@ class TestLineMemo:
         assert sum(b < a for a, b in zip(sizes, sizes[1:])) == 2
         assert max(sizes) <= ircore.LINE_MEMO_CHARS + len(texts[-1])
         assert peak <= 2_000_000
+
+    def test_signature_is_kept_only_when_it_parses(self, monkeypatch):
+        """A memoized signature gives each function its own parameter list,
+        and one that raises is never stored, so it raises at its own line in
+        every module."""
+        monkeypatch.setattr(ircore, "_LINE_MEMO", {})
+        first, second = (parse_ir(self.TWO_FUNCTIONS).functions[0] for _ in range(2))
+        assert first.params == second.params == [("%x", "i32")]
+        assert first.params is not second.params
+        bad = "declare void @h\n"
+        for text, line in ((bad, 1), ("\n" + bad, 2), (self.TWO_FUNCTIONS + bad, 11)):
+            with pytest.raises(MalformedIr) as info:
+                parse_ir(text)
+            assert (info.value.line, info.value.message) == (
+                line, "function signature without @name(...)")
+        assert "\n void @h" not in ircore._LINE_MEMO
 
     def test_line_that_raises_raises_at_its_line_in_a_later_module(self):
         good = self.TWO_FUNCTIONS

@@ -201,9 +201,10 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     tables, the attention, the exponentiated scores and each edge's
     denominator; `hetero_layer` runs the same forward and backward inside
     its per-type sum, where the messages are no node of their own.  Against
-    the chain of primitive operations that gathers before it transforms (`gatv2_relation_full` in the tests' oracles) only
-    the summation order differs: outputs and gradients agree within rtol
-    1e-10 plus atol 1e-12 times the largest gradient of the model.
+    the chain of primitive operations that gathers before it transforms
+    (`gatv2_relation_full` in the tests' oracles) only the summation order
+    differs: outputs and gradients agree within rtol 1e-10 plus atol 1e-12
+    times the largest gradient of the model.
 
     Where no destination has two incoming edges, the scores are not
     computed: each edge's attention is exactly 1 (score minus its own max

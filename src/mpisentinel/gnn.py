@@ -7,12 +7,17 @@ node type (as in R-GCN), then ELU.  Elementwise max pooling over all nodes
 and a two-layer fully connected head follow.  Trained with cross-entropy and
 Adam.
 
-Every transform runs once per row of the table a layer reads and is then
-gathered per edge or node: layer 0 reads the embedding table itself, each
-node being its token's row, and later layers read the previous layer's
-node features.  In float64 this differs from gathering first only in the
-order of sums, within rtol 1e-10 plus atol 1e-12 times the largest
-gradient of the model (see `gatv2_relation`).
+Attention is scored only on contested edges, those into a node with two
+or more incoming edges of the relation; any other edge's attention is
+exactly 1.  A batch lists each relation's contested edges once, for all
+three layers.  Every value transform runs once per row of the table a
+layer reads and is then gathered per edge or node, and the scoring
+transform only on the rows that contested edges touch: layer 0 reads the
+embedding table itself, each node being its token's row, and later layers
+read the previous layer's node features.  In float64 this differs from
+gathering first and scoring every edge only in the order of sums, within
+rtol 1e-10 plus atol 1e-12 times the largest gradient of the model (see
+`gatv2_relation`).
 """
 
 from __future__ import annotations
@@ -191,28 +196,33 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
     `dst_rows`), or row i where no rows are given; layer 0 passes the
     embedding table and each node's token row.
 
-    Each transform runs once per table row and is then gathered per edge:
-    the values are `(h_src W_valᵀ)[src]`, and since W_att [h_i || h_j] =
+    Only contested edges, those whose destination has two or more
+    incoming edges, are scored.  Any other edge's attention is exactly 1
+    (score minus its own max is +0.0, exp gives 1, over a denominator of
+    1), so its message is `(h_src W_valᵀ)[src]`, and the gradient the full
+    path gives its score is g/1 - g*1/1 = +0.0, which moves neither w_att
+    nor a.  So scores, softmax and every score gradient run on contested
+    edges alone, and a relation without one keeps its w_att and a at zero
+    gradient.  Only a non-finite score on an uncontested edge, which would
+    make the full path's attention NaN, gives a different result.
+
+    Each value transform runs once per table row and is then gathered per
+    edge: the values are `(h_src W_valᵀ)[src]`.  Since W_att [h_i || h_j] =
     W_l h_i + W_r h_j for the two halves of the one stored W_att (Brody et
-    al., ICLR 2022), the scores read `P_l[src] + P_r[dst]` with
-    `P_l = h_src W_lᵀ` and `P_r = h_dst W_rᵀ`.  Backward scatters each edge
-    gradient to its table row first and then does one matmul per weight.
-    The relation is one autodiff node, whose backward keeps the transformed
-    tables, the attention, the exponentiated scores and each edge's
-    denominator; `hetero_layer` runs the same forward and backward inside
-    its per-type sum, where the messages are no node of their own.  Against
-    the chain of primitive operations that gathers before it transforms
+    al., ICLR 2022), a contested edge's score reads `P_l[src] + P_r[dst]`
+    with `P_l = h_src W_lᵀ` and `P_r = h_dst W_rᵀ` taken only on the
+    distinct table rows that contested edges touch.  Backward scatters each
+    edge gradient to its row first and then does one matmul per weight,
+    and puts the input gradients of the scores back at the touched rows.
+    The relation is one autodiff node, whose backward keeps the value
+    transforms and, for the contested edges, the score inputs, attention,
+    exponentiated scores and denominators; `hetero_layer` runs the same
+    forward and backward inside its per-type sum, where the messages are
+    no node of their own.  Against the chain of primitive operations that
+    gathers before it transforms and scores every edge
     (`gatv2_relation_full` in the tests' oracles) only the summation order
     differs: outputs and gradients agree within rtol 1e-10 plus atol 1e-12
     times the largest gradient of the model.
-
-    Where no destination has two incoming edges, the scores are not
-    computed: each edge's attention is exactly 1 (score minus its own max
-    is +0.0, exp gives 1, over a denominator of 1), so the output is the
-    scattered value transforms and the tape keeps nothing.  The gradient
-    the full path gives a score there is g/1 - g*1/1 = +0.0, so w_att and a
-    keep their zero gradients.  Only a non-finite score, which would make
-    the full path's attention NaN, gives a different result.
     """
     messages, backward = _relation_messages(h_src, h_dst, edges, params, slope,
                                             src_rows, dst_rows)
@@ -223,10 +233,12 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
 
 
 def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
-                       slope: float, src_rows, dst_rows):
+                       slope: float, src_rows, dst_rows, contested=None):
     """`gatv2_relation`'s messages as an array, and the closure that takes
     their gradient into h_src, h_dst and the relation's parameters; the
-    closure is None where there are no edges and the messages are zeros."""
+    closure is None where there are no edges and the messages are zeros.
+    `contested` holds the ids of the contested edges (`_contested_edges`),
+    computed here where it is not given."""
     w_att, a, w_val = params.w_att, params.a, params.w_val
     n_src, d_src = h_src.data.shape
     n_dst = h_dst.data.shape[0] if dst_rows is None else len(dst_rows)
@@ -238,55 +250,75 @@ def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationPara
         return np.zeros((n_dst, w_val.data.shape[0])), None
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     src_row = src_idx if src_rows is None else src_rows[src_idx]
+    if contested is None:
+        contested = _contested_edges(dst_idx)
 
     p_val = h_src.data @ w_val.data.T                      # (n_src, out)
-    if np.bincount(dst_idx, minlength=n_dst).max() <= 1:  # attention is 1
+    values = p_val[src_row]                                # (E, out)
+    if len(contested) == 0:                                # every attention is 1
         def backward_unscored(g):
             g_val = ad._scatter_rows(src_row, g[dst_idx], n_src)
             if w_val.requires_grad:
                 w_val.accumulate(g_val.T @ h_src.data)
             if h_src.requires_grad:
                 h_src.accumulate(g_val @ w_val.data)
-        return ad._scatter_rows(dst_idx, p_val[src_row], n_dst), backward_unscored
+        return ad._scatter_rows(dst_idx, values, n_dst), backward_unscored
 
-    dst_row = dst_idx if dst_rows is None else dst_rows[dst_idx]
-    p_l = h_src.data @ w_att.data[:, :d_src].T             # (n_src, out)
-    p_r = h_dst.data @ w_att.data[:, d_src:].T             # (h_dst rows, out)
-    scores = _leaky_relu(p_l[src_row] + p_r[dst_row], slope) @ a.data  # (E, 1)
+    # the W_att halves transform only the rows that contested edges touch
+    c_dst = dst_idx[contested]
+    c_src = src_row[contested]
+    src_u, src_at = np.unique(c_src, return_inverse=True)
+    dst_u, dst_at = np.unique(c_dst if dst_rows is None else dst_rows[c_dst],
+                              return_inverse=True)
+    w_l, w_r = w_att.data[:, :d_src], w_att.data[:, d_src:]
+    pre = (h_src.data[src_u] @ w_l.T)[src_at] + (h_dst.data[dst_u] @ w_r.T)[dst_at]
+    scores = _leaky_relu(pre, slope) @ a.data               # (C, 1)
     # softmax per destination; the shift is a constant so gradients are exact
     shift = np.full(n_dst, -np.inf)
-    np.maximum.at(shift, dst_idx, scores.ravel())
-    expd = np.exp(scores + -shift[dst_idx][:, None])
-    denom = ad._scatter_rows(dst_idx, expd, n_dst)[dst_idx]  # (E, 1)
-    alpha = expd / denom                                     # (E, 1)
+    np.maximum.at(shift, c_dst, scores.ravel())
+    expd = np.exp(scores + -shift[c_dst][:, None])
+    denom = ad._scatter_rows(c_dst, expd, n_dst)[c_dst]   # (C, 1)
+    alpha = expd / denom                                   # (C, 1)
+    values[contested] *= alpha
 
     def backward_scored(g):
         g_mv = g[dst_idx]                              # of values * alpha
-        g_alpha = (g_mv * p_val[src_row]).sum(axis=1, keepdims=True)
-        g_val = ad._scatter_rows(src_row, g_mv * alpha, n_src)
-        del g_mv
+        g_c = g_mv[contested]
+        g_alpha = (g_c * p_val[c_src]).sum(axis=1, keepdims=True)
+        g_mv[contested] = g_c * alpha
+        g_val = ad._scatter_rows(src_row, g_mv, n_src)
+        del g_mv, g_c
         g_expd = g_alpha / denom                       # of expd / denom
         g_denom = -g_alpha * expd / (denom * denom)
-        g_expd += ad._scatter_rows(dst_idx, g_denom, n_dst)[dst_idx]
+        g_expd += ad._scatter_rows(c_dst, g_denom, n_dst)[c_dst]
         g_scores = g_expd * expd                       # of exp, then the shift
-        pre = p_l[src_row] + p_r[dst_row]
         if a.requires_grad:
             a.accumulate(_leaky_relu(pre, slope).T @ g_scores)
         g_pre = (g_scores @ a.data.T) * np.where(pre > 0, 1.0, slope)
-        del pre
-        g_l = ad._scatter_rows(src_row, g_pre, n_src)
-        g_r = ad._scatter_rows(dst_row, g_pre, h_dst.data.shape[0])
+        g_l = ad._scatter_rows(src_at, g_pre, len(src_u))
+        g_r = ad._scatter_rows(dst_at, g_pre, len(dst_u))
         del g_pre
         if w_val.requires_grad:
             w_val.accumulate(g_val.T @ h_src.data)
         if w_att.requires_grad:
-            w_att.accumulate(np.hstack([g_l.T @ h_src.data, g_r.T @ h_dst.data]))
+            w_att.accumulate(np.hstack([g_l.T @ h_src.data[src_u],
+                                        g_r.T @ h_dst.data[dst_u]]))
         if h_src.requires_grad:
-            h_src.accumulate(g_val @ w_val.data + g_l @ w_att.data[:, :d_src])
+            g_src = g_val @ w_val.data
+            g_src[src_u] += g_l @ w_l
+            h_src.accumulate(g_src)
         if h_dst.requires_grad:
-            h_dst.accumulate(g_r @ w_att.data[:, d_src:])
+            g_dst = np.zeros_like(h_dst.data)
+            g_dst[dst_u] = g_r @ w_r
+            h_dst.accumulate(g_dst)
 
-    return ad._scatter_rows(dst_idx, p_val[src_row] * alpha, n_dst), backward_scored
+    return ad._scatter_rows(dst_idx, values, n_dst), backward_scored
+
+
+def _contested_edges(dst_idx: np.ndarray) -> np.ndarray:
+    """Ids of the edges whose destination has two or more incoming edges;
+    every other edge's attention is exactly 1."""
+    return np.flatnonzero(np.bincount(dst_idx)[dst_idx] > 1)
 
 
 def _leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -297,20 +329,25 @@ def hetero_layer(features: dict[str, Tensor],
                  rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
                  self_w: dict[str, Tensor], slope: float = 0.2,
-                 rows: dict[str, np.ndarray] | None = None) -> dict[str, Tensor]:
+                 rows: dict[str, np.ndarray] | None = None,
+                 contested: dict[tuple[str, str, str], np.ndarray] | None = None,
+                 ) -> dict[str, Tensor]:
     """One heterogeneous round: per node type, the messages of the relations
     into it and then its own term `h W_selfᵀ`, summed in that order, then
     ELU.  With `rows`, node i of type t is row `rows[t][i]` of
     `features[t]`, and the own term is `(features[t] W_selfᵀ)[rows[t]]`.
-    Each node type's sum is one autodiff node (`_type_sum`)."""
-    rows = rows or {}
+    `contested` maps a relation to the ids of its contested edges
+    (`_contested_edges`), which a batch computes once for all its layers;
+    a relation it lacks computes its own.  Each node type's sum is one
+    autodiff node (`_type_sum`)."""
+    rows, contested = rows or {}, contested or {}
     return {t: ad.elu(_type_sum(t, features, rel_edges, layer_params, self_w[t],
-                                slope, rows))
+                                slope, rows, contested))
             for t in features}
 
 
 def _type_sum(t: str, features, rel_edges, layer_params, w_self: Tensor,
-              slope: float, rows) -> Tensor:
+              slope: float, rows, contested) -> Tensor:
     """Node type t's relation messages, added left to right, plus its own
     term, as one autodiff node.  Each message array is added into the total
     and dropped, and the own term's product is not kept, so the tape holds
@@ -326,7 +363,8 @@ def _type_sum(t: str, features, rel_edges, layer_params, w_self: Tensor,
         if dst_t != t or len(edges) == 0:
             continue  # into another type, or without edges (only zeros)
         messages, relation_backward = _relation_messages(
-            features[src_t], feats, edges, params, slope, rows.get(src_t), own_rows)
+            features[src_t], feats, edges, params, slope, rows.get(src_t), own_rows,
+            contested.get(rel))
         if total is None:
             total = messages
         else:
@@ -359,6 +397,7 @@ class _Batch:
     token_rows: dict[str, np.ndarray]
     graph_ids: dict[str, np.ndarray]
     rel_edges: dict[tuple[str, str, str], np.ndarray]   # (E, 2) int64
+    contested: dict[tuple[str, str, str], np.ndarray]   # edge ids
     n_graphs: int
 
 
@@ -385,11 +424,12 @@ def _build_batch(graphs: list[ProgramGraph], vocab: dict[str, int]) -> _Batch:
                     f"edge type {e.edge_type} connecting {st}->{dt} "
                     f"has no relation")
             rel_edges[rel].append((si, di))
+    edges = {rel: np.array(v, dtype=np.int64).reshape(-1, 2)
+             for rel, v in rel_edges.items()}
     return _Batch(
         {t: np.array(v, dtype=np.int64) for t, v in token_rows.items()},
         {t: np.array(v, dtype=np.int64) for t, v in graph_ids.items()},
-        {rel: np.array(v, dtype=np.int64).reshape(-1, 2)
-         for rel, v in rel_edges.items()},
+        edges, {rel: _contested_edges(e[:, 1]) for rel, e in edges.items()},
         len(graphs))
 
 
@@ -401,7 +441,8 @@ def logits_batch(model: GnnModel, graphs: list[ProgramGraph]) -> Tensor:
     feats = {t: model.embedding for t in NODE_TYPES}
     rows = batch.token_rows
     for layer, own in zip(model.layers, model.self_w):
-        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope, rows)
+        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope, rows,
+                             batch.contested)
         rows = None
     pooled_parts = []
     seg_parts = []

@@ -563,8 +563,10 @@ def _sum(parts: list[Tensor]) -> Tensor:
 
 
 def hetero_layer_per_relation(features, rel_edges, layer_params, self_w,
-                              slope: float = 0.2, rows=None):
-    """gnn.hetero_layer with each relation's messages a node of their own."""
+                              slope: float = 0.2, rows=None, contested=None):
+    """gnn.hetero_layer with each relation's messages a node of their own;
+    gnn.gatv2_relation finds each relation's contested edges itself, the
+    same ids as `contested`."""
     rows = rows or {}
     messages = {t: [] for t in features}
     for rel, params in layer_params.items():
@@ -683,11 +685,16 @@ def assert_within_tolerance(got, want, what: str = ""):
     """Each array of `got` equals its counterpart in `want` within
     RTOL * |want| + ATOL_SCALE * (largest magnitude in all of `want`), the
     declared tolerance between gnn and the references; a None (no
-    gradient) must be None on both sides."""
+    gradient) must be None on both sides.  The largest magnitude is floored
+    at the smallest normal float, so where every reference is zero (or
+    subnormal) a subnormal result, from an order of sums that rounds a
+    subnormal product differently, is still within the bound."""
     pairs = list(zip(got, want, strict=True))
     assert [g is None for g, _ in pairs] == [w is None for _, w in pairs], what
     arrays = [(np.asarray(g), np.asarray(w)) for g, w in pairs if w is not None]
-    scale = max((float(np.abs(w).max()) for _, w in arrays if w.size), default=0.0)
+    scale = max((float(np.abs(w).max()) for _, w in arrays if w.size),
+                default=0.0)
+    scale = max(scale, float(np.finfo(float).tiny))
     for i, (g, w) in enumerate(arrays):
         assert g.shape == w.shape, (what, i)
         excess = np.abs(g - w) - (RTOL * np.abs(w) + ATOL_SCALE * scale)
@@ -724,8 +731,11 @@ def relation_on_node_rows(relation):
 
 def layer_on_node_rows(layer):
     """A reference layer called as gnn.logits_batch calls gnn.hetero_layer:
-    with `rows`, each node type's features are first gathered at them."""
-    def run(features, rel_edges, layer_params, self_w, slope=0.2, rows=None):
+    with `rows`, each node type's features are first gathered at them; the
+    batch's contested edges are not passed on, as the references decide
+    themselves which edges they score."""
+    def run(features, rel_edges, layer_params, self_w, slope=0.2, rows=None,
+            contested=None):
         if rows is not None:
             features = {t: _gathered(f, rows[t]) for t, f in features.items()}
         return layer(features, rel_edges, layer_params, self_w, slope)

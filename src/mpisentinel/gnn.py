@@ -9,12 +9,11 @@ Adam.
 
 Attention is scored only on contested edges, those into a node with two
 or more incoming edges of the relation; any other edge's attention is
-exactly 1.  A batch lists each relation's contested edges once, for all
-three layers.  Every value transform runs once per row of the table a
-layer reads and is then gathered per edge or node, and the scoring
-transform only on the rows that contested edges touch: layer 0 reads the
-embedding table itself, each node being its token's row, and later layers
-read the previous layer's node features.  In float64 this differs from
+exactly 1.  Every value transform runs once per row of the table a layer
+reads and is then gathered per edge or node, and the scoring transform
+only on the rows that contested edges touch: layer 0 reads the embedding
+table itself, each node being its token's row, and later layers read the
+previous layer's node features.  In float64 this differs from
 gathering first and scoring every edge only in the order of sums, within
 rtol 1e-10 plus atol 1e-12 times the largest gradient of the model (see
 `gatv2_relation`).
@@ -233,12 +232,10 @@ def gatv2_relation(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
 
 
 def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationParams,
-                       slope: float, src_rows, dst_rows, contested=None):
+                       slope: float, src_rows, dst_rows):
     """`gatv2_relation`'s messages as an array, and the closure that takes
     their gradient into h_src, h_dst and the relation's parameters; the
-    closure is None where there are no edges and the messages are zeros.
-    `contested` holds the ids of the contested edges (`_contested_edges`),
-    computed here where it is not given."""
+    closure is None where there are no edges and the messages are zeros."""
     w_att, a, w_val = params.w_att, params.a, params.w_val
     n_src, d_src = h_src.data.shape
     n_dst = h_dst.data.shape[0] if dst_rows is None else len(dst_rows)
@@ -250,20 +247,10 @@ def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationPara
         return np.zeros((n_dst, w_val.data.shape[0])), None
     src_idx, dst_idx = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     src_row = src_idx if src_rows is None else src_rows[src_idx]
-    if contested is None:
-        contested = _contested_edges(dst_idx)
+    contested = _contested_edges(dst_idx)
 
     p_val = h_src.data @ w_val.data.T                      # (n_src, out)
     values = p_val[src_row]                                # (E, out)
-    if len(contested) == 0:                                # every attention is 1
-        def backward_unscored(g):
-            g_val = ad._scatter_rows(src_row, g[dst_idx], n_src)
-            if w_val.requires_grad:
-                w_val.accumulate(g_val.T @ h_src.data)
-            if h_src.requires_grad:
-                h_src.accumulate(g_val @ w_val.data)
-        return ad._scatter_rows(dst_idx, values, n_dst), backward_unscored
-
     # the W_att halves transform only the rows that contested edges touch
     c_dst = dst_idx[contested]
     c_src = src_row[contested]
@@ -281,7 +268,7 @@ def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationPara
     alpha = expd / denom                                   # (C, 1)
     values[contested] *= alpha
 
-    def backward_scored(g):
+    def backward(g):
         g_mv = g[dst_idx]                              # of values * alpha
         g_c = g_mv[contested]
         g_alpha = (g_c * p_val[c_src]).sum(axis=1, keepdims=True)
@@ -312,7 +299,7 @@ def _relation_messages(h_src: Tensor, h_dst: Tensor, edges, params: RelationPara
             g_dst[dst_u] = g_r @ w_r
             h_dst.accumulate(g_dst)
 
-    return ad._scatter_rows(dst_idx, values, n_dst), backward_scored
+    return ad._scatter_rows(dst_idx, values, n_dst), backward
 
 
 def _contested_edges(dst_idx: np.ndarray) -> np.ndarray:
@@ -329,25 +316,20 @@ def hetero_layer(features: dict[str, Tensor],
                  rel_edges: dict[tuple[str, str, str], np.ndarray],
                  layer_params: dict[tuple[str, str, str], RelationParams],
                  self_w: dict[str, Tensor], slope: float = 0.2,
-                 rows: dict[str, np.ndarray] | None = None,
-                 contested: dict[tuple[str, str, str], np.ndarray] | None = None,
-                 ) -> dict[str, Tensor]:
+                 rows: dict[str, np.ndarray] | None = None) -> dict[str, Tensor]:
     """One heterogeneous round: per node type, the messages of the relations
     into it and then its own term `h W_selfᵀ`, summed in that order, then
     ELU.  With `rows`, node i of type t is row `rows[t][i]` of
     `features[t]`, and the own term is `(features[t] W_selfᵀ)[rows[t]]`.
-    `contested` maps a relation to the ids of its contested edges
-    (`_contested_edges`), which a batch computes once for all its layers;
-    a relation it lacks computes its own.  Each node type's sum is one
-    autodiff node (`_type_sum`)."""
-    rows, contested = rows or {}, contested or {}
+    Each node type's sum is one autodiff node (`_type_sum`)."""
+    rows = rows or {}
     return {t: ad.elu(_type_sum(t, features, rel_edges, layer_params, self_w[t],
-                                slope, rows, contested))
+                                slope, rows))
             for t in features}
 
 
 def _type_sum(t: str, features, rel_edges, layer_params, w_self: Tensor,
-              slope: float, rows, contested) -> Tensor:
+              slope: float, rows) -> Tensor:
     """Node type t's relation messages, added left to right, plus its own
     term, as one autodiff node.  Each message array is added into the total
     and dropped, and the own term's product is not kept, so the tape holds
@@ -363,8 +345,7 @@ def _type_sum(t: str, features, rel_edges, layer_params, w_self: Tensor,
         if dst_t != t or len(edges) == 0:
             continue  # into another type, or without edges (only zeros)
         messages, relation_backward = _relation_messages(
-            features[src_t], feats, edges, params, slope, rows.get(src_t), own_rows,
-            contested.get(rel))
+            features[src_t], feats, edges, params, slope, rows.get(src_t), own_rows)
         if total is None:
             total = messages
         else:
@@ -397,7 +378,6 @@ class _Batch:
     token_rows: dict[str, np.ndarray]
     graph_ids: dict[str, np.ndarray]
     rel_edges: dict[tuple[str, str, str], np.ndarray]   # (E, 2) int64
-    contested: dict[tuple[str, str, str], np.ndarray]   # edge ids
     n_graphs: int
 
 
@@ -424,12 +404,11 @@ def _build_batch(graphs: list[ProgramGraph], vocab: dict[str, int]) -> _Batch:
                     f"edge type {e.edge_type} connecting {st}->{dt} "
                     f"has no relation")
             rel_edges[rel].append((si, di))
-    edges = {rel: np.array(v, dtype=np.int64).reshape(-1, 2)
-             for rel, v in rel_edges.items()}
     return _Batch(
         {t: np.array(v, dtype=np.int64) for t, v in token_rows.items()},
         {t: np.array(v, dtype=np.int64) for t, v in graph_ids.items()},
-        edges, {rel: _contested_edges(e[:, 1]) for rel, e in edges.items()},
+        {rel: np.array(v, dtype=np.int64).reshape(-1, 2)
+         for rel, v in rel_edges.items()},
         len(graphs))
 
 
@@ -441,8 +420,7 @@ def logits_batch(model: GnnModel, graphs: list[ProgramGraph]) -> Tensor:
     feats = {t: model.embedding for t in NODE_TYPES}
     rows = batch.token_rows
     for layer, own in zip(model.layers, model.self_w):
-        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope, rows,
-                             batch.contested)
+        feats = hetero_layer(feats, batch.rel_edges, layer, own, cfg.leaky_slope, rows)
         rows = None
     pooled_parts = []
     seg_parts = []

@@ -563,10 +563,8 @@ def _sum(parts: list[Tensor]) -> Tensor:
 
 
 def hetero_layer_per_relation(features, rel_edges, layer_params, self_w,
-                              slope: float = 0.2, rows=None, contested=None):
-    """gnn.hetero_layer with each relation's messages a node of their own;
-    gnn.gatv2_relation finds each relation's contested edges itself, the
-    same ids as `contested`."""
+                              slope: float = 0.2, rows=None):
+    """gnn.hetero_layer with each relation's messages a node of their own."""
     rows = rows or {}
     messages = {t: [] for t in features}
     for rel, params in layer_params.items():
@@ -731,11 +729,8 @@ def relation_on_node_rows(relation):
 
 def layer_on_node_rows(layer):
     """A reference layer called as gnn.logits_batch calls gnn.hetero_layer:
-    with `rows`, each node type's features are first gathered at them; the
-    batch's contested edges are not passed on, as the references decide
-    themselves which edges they score."""
-    def run(features, rel_edges, layer_params, self_w, slope=0.2, rows=None,
-            contested=None):
+    with `rows`, each node type's features are first gathered at them."""
+    def run(features, rel_edges, layer_params, self_w, slope=0.2, rows=None):
         if rows is not None:
             features = {t: _gathered(f, rows[t]) for t, f in features.items()}
         return layer(features, rel_edges, layer_params, self_w, slope)

@@ -1,5 +1,5 @@
-"""Verdicts, previous-record lookup and recorded environment of
-tools/bench_pairs.py on made-up paired runs and records."""
+"""Verdicts and previous-record lookup of tools/bench_pairs.py on made-up
+paired runs and records."""
 
 import importlib.util
 import json
@@ -103,15 +103,3 @@ def test_no_previous_record(tmp_path, monkeypatch):
                     "-q", "--allow-empty", "-m", "empty"], cwd=tmp_path, check=True)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert bench_pairs.previous_record("HEAD", "BENCH_1.json") == (None, {})
-
-
-@pytest.mark.parametrize("value,expected", [
-    (None, False), ("", False), ("1", True), ("0", True)])
-def test_env_records_whether_bytecode_is_written(monkeypatch, value, expected):
-    if value is None:
-        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
-    run_env = {"python": "3.11.7", "blas": "openblas"}
-    assert bench_pairs.bench_env(run_env) == {**run_env,
-                                              "PYTHONDONTWRITEBYTECODE": expected}

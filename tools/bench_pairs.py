@@ -20,10 +20,6 @@ where that file lacks the metric or there is none) and a verdict per
 metric.  ``previous_median`` was measured on another day, when the
 machine may have run faster or slower, so it is context only: no verdict
 reads it, and only the paired runs of one invocation compare code.
-``env`` is the first parent run's environment, plus whether
-``PYTHONDONTWRITEBYTECODE`` is set: the runs inherit it, and with it set
-every ``evaluate`` child compiles mpisentinel from source, which adds to
-each side's ``evaluate_s``.
 The verdicts:
 
 - ``regression``: the change's median is worse than the parent's by more
@@ -39,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import statistics
 import subprocess
@@ -97,13 +92,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "env": head["env"], "problems": head["problems"],
             "failed": result["failed"], "attempted": result["attempted"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
-
-
-def bench_env(run_env: dict) -> dict:
-    """run_env, and whether PYTHONDONTWRITEBYTECODE is set (to a non-empty
-    string, as Python reads it) for this process and so for every run."""
-    return {**run_env,
-            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def spread(values: list[float]) -> dict:
@@ -188,7 +176,7 @@ def main(argv=None) -> int:
                 print(workload, seed, {name: {s: pair[s]["metrics"][name]
                                               for s in sides}
                                        for name in declared}, flush=True)
-            doc["env"] = bench_env(pairs[0]["parent"]["env"])
+            doc["env"] = pairs[0]["parent"]["env"]
             doc["workloads"][workload] = {
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in revs},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in revs},

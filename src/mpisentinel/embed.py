@@ -89,7 +89,7 @@ def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[i
     symbolic row without the operands that a local definition resolves),
     and the (user index, def index) links, which come out in user order
     and, within one user, in operand order.  A row depends only on its
-    key, (opcode, type string, non-label operand kind values) for a
+    key, (opcode, type string, non-label operand kinds) for a
     symbolic row and the same with only the unresolved kinds for a base
     row; `keys` numbers the keys of one embed call in first-seen order,
     which is the order of its row table."""
@@ -108,13 +108,13 @@ def _function_parts(fn: IrFunction, keys: dict) -> tuple[list[int], list[tuple[i
         kinds = []
         free = []
         for op in instr.operands:
-            if op.kind is OperandKind.LABEL:
+            if op.kind == OperandKind.LABEL:
                 continue
-            kinds.append(op.kind.value)
-            if op.kind is OperandKind.LOCAL and op.token in defs:
+            kinds.append(op.kind)
+            if op.kind == OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
-                free.append(op.kind.value)
+                free.append(op.kind)
         rows.append(keys.setdefault((instr.opcode, instr.type_str, tuple(kinds)), len(keys)))
         base.append(keys.setdefault((instr.opcode, instr.type_str, tuple(free)), len(keys)))
     return rows + base, links

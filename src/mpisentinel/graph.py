@@ -87,7 +87,7 @@ def build_graph(module: IrModule) -> ProgramGraph:
                 for op in instr.operands:
                     if op.kind in (OperandKind.CONSTANT, OperandKind.GLOBAL,
                                    OperandKind.FUNCTION):
-                        key = (op.kind.value, op.token)
+                        key = (op.kind, op.token)
                         if key not in consts:
                             consts[key] = add_node("constant", "Constant")
 
@@ -97,14 +97,14 @@ def build_graph(module: IrModule) -> ProgramGraph:
         for block, ids in zip(fn.blocks, control):
             for instr, nid in zip(block.instructions, ids):
                 for op in instr.operands:
-                    if op.kind is OperandKind.LABEL:
+                    if op.kind == OperandKind.LABEL:
                         continue
-                    if op.kind is OperandKind.LOCAL:
+                    if op.kind == OperandKind.LOCAL:
                         src = values.get(op.token)
                         if src is None:
                             raise UndefinedLocal(op.token)
                     else:
-                        src = consts[(op.kind.value, op.token)]
+                        src = consts[(op.kind, op.token)]
                     g.edges.append(GraphEdge(src, nid, "data"))
                 if instr.result_id is not None:
                     g.edges.append(GraphEdge(nid, values[instr.result_id], "data"))

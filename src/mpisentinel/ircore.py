@@ -5,16 +5,16 @@ objects carrying exactly what the downstream representations need: opcodes,
 result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
-while lexing.  A line memo shared by every parse_ir call in the process
-keeps the parse of each instruction line it has met, so a line is parsed
-once until parse_ir empties the memo at the bound LINE_MEMO_CHARS.
+while lexing.  A parsed instruction is a frozen value: a line memo shared by
+every parse_ir call in the process keeps the instruction of each line it has
+met, and every occurrence of the line shares it, so a line is parsed once
+until parse_ir empties the memo at the bound LINE_MEMO_CHARS.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class MalformedIr(Exception):
@@ -34,7 +34,8 @@ class UndefinedLocal(Exception):
         self.identifier = identifier
 
 
-class OperandKind(enum.Enum):
+class OperandKind:
+    """The operand kinds: each is the vocabulary token that names it."""
     LOCAL = "LocalValue"
     GLOBAL = "GlobalValue"
     CONSTANT = "Constant"
@@ -44,11 +45,11 @@ class OperandKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Operand:
-    kind: OperandKind
+    kind: str  # one of the OperandKind constants
     token: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class IrInstruction:
     opcode: str
     type_str: str
@@ -343,10 +344,10 @@ def _typed_value(fragment: list[str]) -> Operand | None:
 
 class _FunctionParser:
     """Parses one function body, one logical line at a time.  `memo` maps an
-    instruction line to the fields of its parse; parse_ir passes the line
-    memo, which outlives the call."""
+    instruction line to its instruction; parse_ir passes the line memo,
+    which outlives the call."""
 
-    def __init__(self, fn: IrFunction, lineno: int, memo: dict[str, tuple]):
+    def __init__(self, fn: IrFunction, lineno: int, memo: dict):
         self.fn = fn
         self.lineno = lineno
         self.memo = memo
@@ -381,17 +382,11 @@ class _FunctionParser:
             self._open_block("entry")
         if self.current.instructions and self.current.instructions[-1].is_terminator():
             raise MalformedIr(lineno, "instruction after block terminator")
-        fields = self.memo.get(line)
-        if fields is None:
+        instr = self.memo.get(line)
+        if instr is None:
             # a line that raises is never stored, so each occurrence raises
             # at its own line
-            instr = parse_instruction(line, lineno)
-            self.memo[line] = (instr.opcode, instr.type_str, instr.operands,
-                               instr.result_id, instr.call_target)
-        else:
-            # every occurrence gets its own IrInstruction, sharing only the
-            # immutable operand tuple, so no module can change the memo
-            instr = IrInstruction(*fields)
+            instr = self.memo[line] = parse_instruction(line, lineno)
         self.current.instructions.append(instr)
 
     def finish(self):
@@ -405,7 +400,7 @@ class _FunctionParser:
         for block in self.fn.blocks:
             for instr in block.instructions:
                 for op in instr.operands:
-                    if op.kind is OperandKind.LABEL and op.token not in labels:
+                    if op.kind == OperandKind.LABEL and op.token not in labels:
                         raise MalformedIr(
                             self.lineno,
                             f"branch target %{op.token} does not name a block "
@@ -436,23 +431,24 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
     if result_id is not None:
         if instr.type_str == "void":
             raise MalformedIr(lineno, f"{opcode} assigns a result but has void type")
-        instr.result_id = result_id
-    elif instr.type_str != "void":
+        return replace(instr, result_id=result_id)
+    if instr.type_str != "void":
         # value-producing instruction with an ignored result defines nothing
-        instr.type_str = "void"
+        return replace(instr, type_str="void")
     return instr
 
 
-# The line memo maps an instruction line to the fields of its parse, and a
-# define or declare signature, keyed with a newline in front (no logical line
-# holds one), to its name and parameters.  It outlives each parse_ir call,
-# which empties it first when its keys hold more than LINE_MEMO_CHARS
-# characters: between calls it holds at most that many characters of keys,
-# plus the lines of the last module parsed.  The bound is kept small because
-# lines that never repeat across modules only slow a larger memo down; the
-# benchmark's dt-large corpus fills 46,000.
+# The line memo maps an instruction line to its IrInstruction, which every
+# occurrence of the line shares (instructions are frozen, so no module can
+# change the memo), and a define or declare signature, keyed with a newline in
+# front (no logical line holds one), to its name and parameters.  It outlives
+# each parse_ir call, which empties it first when its keys hold more than
+# LINE_MEMO_CHARS characters: between calls it holds at most that many
+# characters of keys, plus the lines of the last module parsed.  The bound is
+# kept small because lines that never repeat across modules only slow a larger
+# memo down; the benchmark's dt-large corpus fills 46,000.
 LINE_MEMO_CHARS = 1 << 16
-_LINE_MEMO: dict[str, tuple] = {}
+_LINE_MEMO: dict[str, IrInstruction | tuple] = {}
 
 
 def _skip_flags(tokens: list[str]) -> list[str]:
@@ -496,9 +492,6 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
             else:
                 operands.append(_typed_value(chunk))
         return IrInstruction("switch", "void", tuple(o for o in operands if o))
-
-    if opcode == "unreachable":
-        return IrInstruction("unreachable", "void", ())
 
     if opcode in ("call", "invoke"):
         return _parse_call(opcode, rest, result_id)
@@ -624,9 +617,6 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
         new = _typed_value(parts[2])
         return IrInstruction("cmpxchg", "{ %s , i1 }" % inner, (ptr, cmp, new))
 
-    if opcode == "fence":
-        return IrInstruction("fence", "void", ())
-
     return _parse_generic(opcode, rest, result_id)
 
 
@@ -675,7 +665,8 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
     """Any other opcode: harvest a type and any obvious value operands, but
     not the numbers in the type that begins a comma-separated operand.
     extractvalue and extractelement get the member type that their indices
-    select, and va_arg gets its last operand's type."""
+    select, shufflevector a vector of its mask's length (`vscale` kept) of
+    its first operand's element type, and va_arg its last operand's type."""
     got = consume_type(rest, 0, allow_named=True)
     if got is not None:
         type_str, j = got
@@ -688,6 +679,14 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
             member = _member_type(member, int(index[-1])) if member else None
         if member:
             type_str = " ".join(member)
+    elif got is not None and opcode == "shufflevector" and len(parts) == 3:
+        mask = consume_type(parts[2], 0)
+        mask_type = parts[2][:mask[1]] if mask else []
+        element = _member_type(rest[:j], 0)
+        if element and mask_type[:1] == ["<"]:
+            # keep `<` [`vscale x`] m `x` of the mask's `<m x i32>`
+            lanes = mask_type[:-1 - len(_member_type(mask_type, 0))]
+            type_str = " ".join(lanes + element + [">"])
     elif got is not None and opcode == "va_arg" and len(parts) == 2:
         arg_type = consume_type(parts[1], 0, allow_named=True)
         if arg_type:
@@ -846,7 +845,7 @@ def parse_ir(text: str, name: str = "") -> IrModule:
     return module
 
 
-def _module_line(module: IrModule, seen: set[str], memo: dict[str, tuple],
+def _module_line(module: IrModule, seen: set[str], memo: dict,
                  line: str, lineno: int) -> _FunctionParser | None:
     """Add one line outside any function body to the module; returns the
     parser of a function body the line opens and leaves open."""
@@ -903,7 +902,7 @@ def _body_brace(sig: str) -> int | None:
     return sig.index("{")
 
 
-def _add_function(module: IrModule, seen: set[str], memo: dict[str, tuple],
+def _add_function(module: IrModule, seen: set[str], memo: dict,
                   signature: str, lineno: int, is_declaration: bool) -> IrFunction:
     """Append the function that a define/declare signature names; a name may
     be defined or declared once.  A signature's parse is kept in the line
@@ -927,4 +926,4 @@ def successors(block: IrBlock) -> list[str]:
     if not block.instructions:
         return []
     term = block.instructions[-1]
-    return [op.token for op in term.operands if op.kind is OperandKind.LABEL]
+    return [op.token for op in term.operands if op.kind == OperandKind.LABEL]

@@ -58,8 +58,8 @@ class TokenTriple:
 
 def token_triple(instr: IrInstruction) -> TokenTriple:
     """Canonical (opcode, type class, operand kinds) triple for one instruction."""
-    args = tuple(op.kind.value for op in instr.operands
-                 if op.kind is not OperandKind.LABEL)
+    args = tuple(op.kind for op in instr.operands
+                 if op.kind != OperandKind.LABEL)
     return TokenTriple(instr.opcode, canonical_type(instr.type_str), args)
 
 
@@ -104,12 +104,12 @@ def flow_aware_sum(module: IrModule, vocab, weights=(1.0, 0.5, 0.2),
                 + w_ty * vocab.vector(triple.type_token)
             dyn[idx] = []
             for op in instr.operands:
-                if op.kind is OperandKind.LABEL:
+                if op.kind == OperandKind.LABEL:
                     continue
-                if op.kind is OperandKind.LOCAL and op.token in defs:
+                if op.kind == OperandKind.LOCAL and op.token in defs:
                     dyn[idx].append(defs[op.token])
                 else:
-                    vec = vec + w_arg * vocab.vector(op.kind.value)
+                    vec = vec + w_arg * vocab.vector(op.kind)
             base[idx] = vec
         state = {i: base[i].copy() for i in base}
         if any(dyn.values()):
@@ -268,11 +268,11 @@ def reference_function_parts(fn: IrFunction, vocab, weights):
         sym = flow = w_op * vocab.vector(triple.opcode_token) \
             + w_ty * vocab.vector(triple.type_token)
         for op in instr.operands:
-            if op.kind is OperandKind.LABEL:
+            if op.kind == OperandKind.LABEL:
                 continue
-            arg = w_arg * vocab.vector(op.kind.value)
+            arg = w_arg * vocab.vector(op.kind)
             sym = sym + arg
-            if op.kind is OperandKind.LOCAL and op.token in defs:
+            if op.kind == OperandKind.LOCAL and op.token in defs:
                 links.append((idx, defs[op.token]))
             else:
                 flow = flow + arg
@@ -1139,7 +1139,7 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
                 for op in instr.operands:
                     if op.kind in (OperandKind.CONSTANT, OperandKind.GLOBAL,
                                    OperandKind.FUNCTION):
-                        key = (op.kind.value, op.token)
+                        key = (op.kind, op.token)
                         if key not in consts:
                             consts[key] = add_node("constant", "Constant")
         per_fn_values[fn.name] = values
@@ -1154,14 +1154,14 @@ def reference_build_graph(module: IrModule) -> ProgramGraph:
             for ii, instr in enumerate(block.instructions):
                 nid = control_ids[(fn.name, bi, ii)]
                 for op in instr.operands:
-                    if op.kind is OperandKind.LABEL:
+                    if op.kind == OperandKind.LABEL:
                         continue
-                    if op.kind is OperandKind.LOCAL:
+                    if op.kind == OperandKind.LOCAL:
                         src = values.get(op.token)
                         if src is None:
                             raise UndefinedLocal(op.token)
                     else:
-                        src = consts[(op.kind.value, op.token)]
+                        src = consts[(op.kind, op.token)]
                     g.edges.append(GraphEdge(src, nid, "data"))
                 if instr.result_id is not None:
                     g.edges.append(GraphEdge(nid, values[instr.result_id], "data"))
@@ -1245,7 +1245,7 @@ def def_use_map(fn: IrFunction) -> dict[str, list[tuple[int, int]]]:
     for bi, block in enumerate(fn.blocks):
         for ii, instr in enumerate(block.instructions):
             for op in instr.operands:
-                if op.kind is OperandKind.LOCAL:
+                if op.kind == OperandKind.LOCAL:
                     if op.token not in defs:
                         raise UndefinedLocal(op.token)
                     defs[op.token].append((bi, ii))
@@ -1308,10 +1308,10 @@ def _render_instruction(instr: IrInstruction) -> str:  # noqa: C901
     if op in ("call", "invoke"):
         callee = ops[0].token
         args = ", ".join(f"i64 {_render_value(o)}" for o in ops[1:]
-                         if o.kind is not OperandKind.LABEL)
+                         if o.kind != OperandKind.LABEL)
         ret = instr.type_str if instr.result_id is not None else "void"
         text = f"{prefix}{op} {ret} {callee}({args})"
-        labels = [o for o in ops if o.kind is OperandKind.LABEL]
+        labels = [o for o in ops if o.kind == OperandKind.LABEL]
         if labels:
             text += f" to label %{labels[0].token} unwind label %{labels[1].token}"
         return text

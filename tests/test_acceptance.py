@@ -134,7 +134,7 @@ def test_criterion_5_graph_invariants_exhaustive():
                 in_data[e.dst] += 1
         for nid, instr in zip(control_nodes, instrs):
             expected = sum(1 for op in instr.operands
-                           if op.kind is not OperandKind.LABEL)
+                           if op.kind != OperandKind.LABEL)
             assert in_data[nid] == expected, (path, nid)
             checked += 1
     _report(5, f"validate_graph empty, node-count and data in-degree laws hold "

@@ -1,5 +1,5 @@
-"""Verdicts and previous-record lookup of tools/bench_pairs.py on made-up
-paired runs and records."""
+"""Verdicts, previous-record lookup and the recorded environment of
+tools/bench_pairs.py on made-up paired runs and records."""
 
 import importlib.util
 import json
@@ -103,3 +103,40 @@ def test_no_previous_record(tmp_path, monkeypatch):
                     "-q", "--allow-empty", "-m", "empty"], cwd=tmp_path, check=True)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert bench_pairs.previous_record("HEAD", "BENCH_1.json") == (None, {})
+
+
+@pytest.mark.parametrize("value,expected", [
+    (None, False), ("", False), ("1", True), ("0", True)])
+def test_env_records_whether_bytecode_is_written(tmp_path, monkeypatch, capsys,
+                                                 value, expected):
+    """main over a two-commit repository, with each perfbench run stubbed:
+    the output's env is the first parent run's plus whether
+    PYTHONDONTWRITEBYTECODE is set to a non-empty string."""
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "dt-ga"}],
+        "end_to_end": list(DECLARED.values())}))
+    git("add", ".")
+    git("commit", "-q", "-m", "parent")
+    git("commit", "-q", "--allow-empty", "-m", "change")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    run_env = {"python": "3.11.7", "blas": "openblas"}
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"seed": seed, "env": run_env, "problems": [], "failed": 0,
+                "attempted": 1, "metrics": {"evaluate_s": 1.0, "accuracy": 0.8}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["env"] == {**run_env, "PYTHONDONTWRITEBYTECODE": expected}
+    assert doc["workloads"]["dt-ga"]["attempted"] == {"parent": 10, "change": 10}

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from conftest import phi_call_loop
 from mpisentinel import embed as em
-from mpisentinel.ircore import parse_ir
+from mpisentinel.ircore import OperandKind, parse_ir
 
 
 @pytest.fixture(scope="module")
@@ -232,12 +232,40 @@ entry:
         assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
         assert base[1].tobytes() != base[0].tobytes()
         assert links == [(1, 0), (3, 2)]
-        # add: both kinds, constant only; ret: local, none; keyed on kind values
+        # add: both kinds, constant only; ret: local, none; keyed on the kind strings
         assert list(keys) == [("add", "i32", ("LocalValue", "Constant")),
                               ("add", "i32", ("Constant",)),
                               ("ret", "void", ("LocalValue",)), ("ret", "void", ())]
         want = oracles.reference_function_parts(fn, vocab, em.DEFAULT_WEIGHTS)
         assert base.tobytes() == want[1].tobytes()
+
+    def test_operand_kinds_are_the_tokens_embed_looks_up(self):
+        """Each OperandKind constant is a str; embed looks up every kind
+        but a label's as that very string."""
+        kinds = {v for k, v in vars(OperandKind).items() if k.isupper()}
+        assert len(kinds) == 5 and all(type(kind) is str for kind in kinds)
+        module = parse_ir("""
+@x = global i32 0
+declare void @g(ptr)
+define void @f(ptr %p) {
+entry:
+  call void @g(ptr @x)
+  store i32 1, ptr %p
+  br label %next
+next:
+  ret void
+}
+""")
+        assert {op.kind for instr in module.instructions() for op in instr.operands} == kinds
+        looked_up = []
+
+        class Recording(em.SeedVocab):
+            def vector(self, token):
+                looked_up.append(token)
+                return super().vector(token)
+
+        em.embed(module, Recording(0, 8))
+        assert kinds & set(looked_up) == kinds - {OperandKind.LABEL}
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 9)),

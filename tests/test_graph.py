@@ -143,7 +143,7 @@ class TestStats:
             n_operand_uses = sum(
                 1 for f in module.defined_functions() for b in f.blocks
                 for i in b.instructions for op in i.operands
-                if op.kind is not OperandKind.LABEL)
+                if op.kind != OperandKind.LABEL)
             assert edge_counts["data"] == n_operand_uses + n_results, path
 
 
@@ -172,7 +172,7 @@ class TestLaws:
                     continue
                 instr = next(instr_iter)
                 expected_in = sum(1 for op in instr.operands
-                                  if op.kind is not OperandKind.LABEL)
+                                  if op.kind != OperandKind.LABEL)
                 assert in_data[nid] == expected_in, (path, nid)
                 assert out_data[nid] == (1 if instr.result_id else 0), (path, nid)
 

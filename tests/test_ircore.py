@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 from collections import Counter
@@ -253,29 +254,38 @@ class TestLineMemo:
                      "define i32 @g(i32 %x) {\nentry:\n  %a = add i32 %x, 1\n"
                      "  ret i32 %a\n}\n")
 
-    def test_repeated_line_gives_distinct_instructions(self, monkeypatch):
+    def test_repeated_line_shares_one_instruction(self, monkeypatch):
+        """Every occurrence of a line, within a call and across calls, is
+        the one instruction the memo holds for it."""
         monkeypatch.setattr(ircore, "_LINE_MEMO", {})
         module = parse_ir(self.TWO_FUNCTIONS)
+        shared = ircore._LINE_MEMO["%a = add i32 %x, 1"]
         first, second = (fn.blocks[0].instructions[0] for fn in module.functions)
-        assert first is not second and first == second
-        assert first.operands is second.operands  # immutable, so shared
-        first.type_str, first.result_id = "i64", "%z"
-        first.operands = ()
-        assert (second.type_str, second.result_id) == ("i32", "%a")
-        assert [op.token for op in second.operands] == ["%x", "1"]
-        # later calls copy the memo's fields; no module holds them
+        assert first is second is shared
+        assert (shared.opcode, shared.type_str, shared.result_id) == ("add", "i32", "%a")
         for _ in range(3):
-            again = parse_ir(self.TWO_FUNCTIONS).functions[0].blocks[0].instructions[0]
-            assert again == second and again is not second
-            again.operands = ()
-        assert ircore._LINE_MEMO["%a = add i32 %x, 1"] == (
-            "add", "i32", second.operands, "%a", None)
+            again = parse_ir(self.TWO_FUNCTIONS)
+            assert all(fn.blocks[0].instructions[0] is shared for fn in again.functions)
+        assert again == module == oracles.reference_parse_ir(self.TWO_FUNCTIONS)
 
     def test_mutated_module_leaves_a_later_parse_unchanged(self, add_loop_text, monkeypatch):
+        """An instruction's fields cannot be assigned, and a module's own
+        lists can be reordered or cleared without reaching the memo."""
         monkeypatch.setattr(ircore, "_LINE_MEMO", {})
-        for instr in parse_ir(add_loop_text, "m").instructions():
-            instr.opcode, instr.type_str, instr.operands = "frem", "double", ()
-            instr.result_id, instr.call_target = "%zz", "MPI_Abort"
+        module = parse_ir(add_loop_text, "m")
+        for instr in module.instructions():
+            for name, value in (("opcode", "frem"), ("type_str", "double"),
+                                ("operands", ()), ("result_id", "%zz"),
+                                ("call_target", "MPI_Abort")):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(instr, name, value)
+        for fn in module.functions:
+            fn.params.clear()
+        for fn in module.defined_functions():
+            for block in fn.blocks:
+                block.instructions.reverse()
+            fn.blocks[0].instructions.clear()
+            fn.blocks.reverse()
         assert ircore._LINE_MEMO
         want = oracles.reference_parse_ir(add_loop_text, "m")
         assert parse_ir(add_loop_text, "m") == want
@@ -449,7 +459,7 @@ def _fixture_lines() -> tuple[list[str], list[list[str]]]:
             except MalformedIr:
                 continue
             if not instr.is_terminator() and all(
-                    op.kind is not OperandKind.LABEL for op in instr.operands):
+                    op.kind != OperandKind.LABEL for op in instr.operands):
                 bodies.add(line)
     return sorted(bodies), texts
 
@@ -533,7 +543,7 @@ join:
         fn = module.functions[0]
         sw = fn.blocks[0].instructions[0]
         assert sw.opcode == "switch"
-        assert [op.token for op in sw.operands if op.kind is OperandKind.LABEL] == \
+        assert [op.token for op in sw.operands if op.kind == OperandKind.LABEL] == \
             ["other", "zero", "one"]
         phi = fn.blocks[4].instructions[0]
         assert token_triple(phi).arg_tokens == ("Constant", "Constant", "Constant")
@@ -707,15 +717,25 @@ lpad:
         ("%e = extractelement <vscale x 4 x i32> %v, i64 %i", "i32", ["%v", "%i"]),
         ("%s = shufflevector <4 x i32> %a, <4 x i32> %b, <4 x i32> <i32 0, i32 5, i32 1, i32 6>",
          "< 4 x i32 >", ["%a", "%b", "0", "5", "1", "6"]),
+        # the mask's length of the first operand's element type
+        ("%s = shufflevector <4 x i32> %a, <4 x i32> %b, <2 x i32> <i32 0, i32 5>",
+         "< 2 x i32 >", ["%a", "%b", "0", "5"]),
+        ("%s = shufflevector <vscale x 4 x float> %a, <vscale x 4 x float> poison, "
+         "<vscale x 2 x i32> zeroinitializer",
+         "< vscale x 2 x float >", ["%a", "poison", "zeroinitializer"]),
         ("%v = insertvalue [2 x i32] undef, i32 7, 1", "[ 2 x i32 ]", ["undef", "7", "1"]),
         ("%p = va_arg ptr %ap, i32", "i32", ["%ap"]),
         # a type after a clause word is not skipped (the landingpad path)
         ("%x = foo ptr %a, filter [1 x ptr] [ptr @t]", "ptr", ["%a", "1", "@t"]),
+        ("unreachable", "void", []),
+        ("fence seq_cst", "void", []),
+        ('fence syncscope("agent") acquire', "void", []),
     ])
     def test_generic_path_types_and_operands(self, line, type_str, tokens):
         """Generic opcodes take no number from the type that begins a
         comma-separated operand; extractvalue/extractelement give the type
-        their indices select, and va_arg its last operand's type."""
+        their indices select, shufflevector a vector of its mask's length,
+        and va_arg its last operand's type."""
         instr = parse_instruction(line)
         assert (instr.type_str, [op.token for op in instr.operands]) == (type_str, tokens)
 

@@ -20,6 +20,10 @@ where that file lacks the metric or there is none) and a verdict per
 metric.  ``previous_median`` was measured on another day, when the
 machine may have run faster or slower, so it is context only: no verdict
 reads it, and only the paired runs of one invocation compare code.
+``env`` is the first parent run's environment, plus whether
+``PYTHONDONTWRITEBYTECODE`` is set: every run inherits it, and with it set
+each ``evaluate`` child compiles mpisentinel from source, which adds to
+both sides' ``evaluate_s``.
 The verdicts:
 
 - ``regression``: the change's median is worse than the parent's by more
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -92,6 +97,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "env": head["env"], "problems": head["problems"],
             "failed": result["failed"], "attempted": result["attempted"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def bench_env(run_env: dict) -> dict:
+    """run_env, and whether PYTHONDONTWRITEBYTECODE is set (to a non-empty
+    string, as Python reads it) in this process and so in every run."""
+    return {**run_env,
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def spread(values: list[float]) -> dict:
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
                 print(workload, seed, {name: {s: pair[s]["metrics"][name]
                                               for s in sides}
                                        for name in declared}, flush=True)
-            doc["env"] = pairs[0]["parent"]["env"]
+            doc["env"] = bench_env(pairs[0]["parent"]["env"])
             doc["workloads"][workload] = {
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in revs},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in revs},

@@ -99,13 +99,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
 
-def bench_env(run_env: dict) -> dict:
-    """run_env, and whether PYTHONDONTWRITEBYTECODE is set (to a non-empty
-    string, as Python reads it) in this process and so in every run."""
-    return {**run_env,
-            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
-
-
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -188,7 +181,9 @@ def main(argv=None) -> int:
                 print(workload, seed, {name: {s: pair[s]["metrics"][name]
                                               for s in sides}
                                        for name in declared}, flush=True)
-            doc["env"] = bench_env(pairs[0]["parent"]["env"])
+            # Python reads the variable as set when it is a non-empty string
+            doc["env"] = {**pairs[0]["parent"]["env"], "PYTHONDONTWRITEBYTECODE":
+                          bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
             doc["workloads"][workload] = {
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in revs},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in revs},

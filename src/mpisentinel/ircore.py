@@ -493,6 +493,10 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
                 operands.append(_typed_value(chunk))
         return IrInstruction("switch", "void", tuple(o for o in operands if o))
 
+    if opcode in ("unreachable", "fence"):
+        # never a value: a result on either raises in parse_instruction
+        return IrInstruction(opcode, "void", ())
+
     if opcode in ("call", "invoke"):
         return _parse_call(opcode, rest, result_id)
 

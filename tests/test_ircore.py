@@ -132,6 +132,13 @@ class TestMalformed:
         with pytest.raises(MalformedIr):
             parse_ir("define void @f() {\nentry:\n  %a = add i32 1, 2\nnext:\n  ret void\n}")
 
+    @pytest.mark.parametrize("line", [
+        "%x = fence seq_cst", "%x = unreachable", "%x = store i32 0, ptr %p",
+    ])
+    def test_result_on_a_void_instruction(self, line):
+        with pytest.raises(MalformedIr, match="assigns a result but has void type"):
+            parse_instruction(line, 4)
+
     def test_instruction_after_terminator(self):
         with pytest.raises(MalformedIr):
             parse_ir("define void @f() {\nentry:\n  ret void\n  ret void\n}")
@@ -727,6 +734,7 @@ lpad:
         ("%p = va_arg ptr %ap, i32", "i32", ["%ap"]),
         # a type after a clause word is not skipped (the landingpad path)
         ("%x = foo ptr %a, filter [1 x ptr] [ptr @t]", "ptr", ["%a", "1", "@t"]),
+        # unreachable and fence have their own branch, which keeps void
         ("unreachable", "void", []),
         ("fence seq_cst", "void", []),
         ('fence syncscope("agent") acquire', "void", []),

@@ -5,10 +5,14 @@ objects carrying exactly what the downstream representations need: opcodes,
 result types, operand kinds and def-use structure.  Anything outside the
 supported instruction families degrades to a generic (opcode, type, operands)
 form instead of being rejected.  Metadata, attributes and comdats are stripped
-while lexing.  A parsed instruction is a frozen value: a line memo shared by
-every parse_ir call in the process keeps the instruction of each line it has
-met, and every occurrence of the line shares it, so a line is parsed once
-until parse_ir empties the memo at the bound LINE_MEMO_CHARS.
+while lexing.  Three facts about an instruction are decided by one rule each,
+for every opcode: the ARITH_FLAGS words after the opcode are skipped, a value
+typed `label` (or, on the generic path, the token after the word `label`) is a
+Label operand, and a result on a NO_VALUE opcode or on a void type raises.
+A parsed instruction is a frozen value: a line memo shared by every parse_ir
+call in the process keeps the instruction of each line it has met, and every
+occurrence of the line shares it, so a line is parsed once until parse_ir
+empties the memo at the bound LINE_MEMO_CHARS.
 """
 
 from __future__ import annotations
@@ -92,7 +96,13 @@ class IrModule:
 # Block terminators, including ones whose bodies parse via the generic path.
 TERMINATORS = frozenset({
     "ret", "br", "switch", "unreachable", "invoke",
-    "resume", "indirectbr", "callbr", "cleanupret", "catchret",
+    "resume", "indirectbr", "callbr", "cleanupret", "catchret", "catchswitch",
+})
+
+# Opcodes that never produce a value: a result on one raises.
+NO_VALUE = frozenset({
+    "ret", "br", "switch", "unreachable", "resume", "indirectbr",
+    "cleanupret", "catchret", "store", "fence",
 })
 
 SCALAR_TYPES = frozenset({
@@ -116,7 +126,7 @@ BINARY_OPCODES = frozenset({
 
 ARITH_FLAGS = frozenset({"nuw", "nsw", "exact", "fast", "nnan", "ninf",
                          "nsz", "arcp", "contract", "afn", "reassoc",
-                         "disjoint", "samesign"})
+                         "disjoint", "samesign", "nneg"})
 
 CONSTANT_WORDS = frozenset({"true", "false", "null", "undef", "poison",
                             "none", "zeroinitializer"})
@@ -332,6 +342,8 @@ def _typed_value(fragment: list[str]) -> Operand | None:
             return _value_operand(toks[0])
         return None
     val = rest[0]
+    if got and got[0] == "label":
+        return Operand(OperandKind.LABEL, val.lstrip("%"))
     if val == "(":  # constant expression
         return Operand(OperandKind.CONSTANT, "constexpr")
     if val in ("getelementptr", "bitcast", "ptrtoint", "inttoptr", "add",
@@ -421,15 +433,17 @@ def parse_instruction(line: str, lineno: int = 0) -> IrInstruction:
     if i >= len(tokens):
         raise MalformedIr(lineno, "missing opcode")
     opcode = tokens[i]
-    rest = tokens[i + 1:]
+    i += 1
+    while i < len(tokens) and tokens[i] in ARITH_FLAGS:
+        i += 1
     try:
-        instr = _parse_opcode(opcode, rest, result_id)
+        instr = _parse_opcode(opcode, tokens[i:])
     except (ValueError, IndexError, TypeError) as exc:
         raise MalformedIr(lineno, f"cannot parse {opcode!r} instruction: {exc}") from exc
     if None in instr.operands:
         raise MalformedIr(lineno, f"{opcode} instruction with a missing operand")
     if result_id is not None:
-        if instr.type_str == "void":
+        if opcode in NO_VALUE or instr.type_str == "void":
             raise MalformedIr(lineno, f"{opcode} assigns a result but has void type")
         return replace(instr, result_id=result_id)
     if instr.type_str != "void":
@@ -451,14 +465,7 @@ LINE_MEMO_CHARS = 1 << 16
 _LINE_MEMO: dict[str, IrInstruction | tuple] = {}
 
 
-def _skip_flags(tokens: list[str]) -> list[str]:
-    i = 0
-    while i < len(tokens) and tokens[i] in ARITH_FLAGS:
-        i += 1
-    return tokens[i:]
-
-
-def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
+def _parse_opcode(opcode: str, rest: list[str]) -> IrInstruction:
     if opcode == "ret":
         if rest and rest[0] == "void":
             return IrInstruction("ret", "void", ())
@@ -466,39 +473,12 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
         return IrInstruction("ret", "void", (op,) if op else ())
 
     if opcode == "br":
-        if rest and rest[0] == "label":
-            return IrInstruction("br", "void",
-                                 (Operand(OperandKind.LABEL, rest[1].lstrip("%")),))
-        parts = _split_top_level(rest)
-        cond = _typed_value(parts[0])
-        labels = tuple(Operand(OperandKind.LABEL, p[1].lstrip("%"))
-                       for p in parts[1:] if p and p[0] == "label")
-        return IrInstruction("br", "void", (cond, *labels))
-
-    if opcode == "switch":
-        head, _, case_toks = _partition(rest, "[")
-        parts = _split_top_level(head)
-        value = _typed_value(parts[0])
-        default = Operand(OperandKind.LABEL, parts[1][1].lstrip("%"))
-        operands = [value, default]
-        if case_toks and case_toks[-1] == "]":
-            case_toks = case_toks[:-1]
-        # cases are `<ty> <const>, label %bb` pairs
-        for chunk in _split_top_level(case_toks):
-            if not chunk:
-                continue
-            if chunk[0] == "label":
-                operands.append(Operand(OperandKind.LABEL, chunk[1].lstrip("%")))
-            else:
-                operands.append(_typed_value(chunk))
-        return IrInstruction("switch", "void", tuple(o for o in operands if o))
-
-    if opcode in ("unreachable", "fence"):
-        # never a value: a result on either raises in parse_instruction
-        return IrInstruction(opcode, "void", ())
+        if not rest:
+            raise ValueError("br without a target")
+        return IrInstruction("br", "void", tuple(map(_typed_value, _split_top_level(rest))))
 
     if opcode in ("call", "invoke"):
-        return _parse_call(opcode, rest, result_id)
+        return _parse_call(opcode, rest)
 
     if opcode == "load":
         toks = [t for t in rest if t not in ("atomic", "volatile")]
@@ -541,25 +521,8 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
                 operands.append(op)
         return IrInstruction("getelementptr", "ptr", tuple(operands))
 
-    if opcode in BINARY_OPCODES:
-        toks = _skip_flags(rest)
-        got = consume_type(toks, 0, allow_named=True)
-        if got is None:
-            raise ValueError(f"{opcode} without a type")
-        type_str, j = got
-        parts = _split_top_level(toks[j:])
-        ops = tuple(_value_operand(p[-1]) if p else None for p in parts)
-        return IrInstruction(opcode, type_str, tuple(o for o in ops if o))
-
-    if opcode == "fneg":
-        toks = _skip_flags(rest)
-        got = consume_type(toks, 0)
-        type_str, j = got
-        return IrInstruction("fneg", type_str, (_value_operand(toks[j]),))
-
     if opcode in ("icmp", "fcmp"):
-        toks = _skip_flags(rest)
-        pred, toks = toks[0], toks[1:]  # noqa: F841  (predicate not retained)
+        toks = rest[1:]  # the predicate is not retained
         got = consume_type(toks, 0, allow_named=True)
         _, j = got
         parts = _split_top_level(toks[j:])
@@ -579,11 +542,10 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
         return IrInstruction("freeze", type_str, (_value_operand(rest[j]),))
 
     if opcode == "phi":
-        toks = _skip_flags(rest)
-        got = consume_type(toks, 0, allow_named=True)
+        got = consume_type(rest, 0, allow_named=True)
         type_str, j = got
         operands: list[Operand] = []
-        for pair in _split_top_level(toks[j:]):
+        for pair in _split_top_level(rest[j:]):
             if not pair or pair[0] != "[":
                 continue
             inner = pair[1:-1] if pair[-1] == "]" else pair[1:]
@@ -621,10 +583,10 @@ def _parse_opcode(opcode: str, rest: list[str], result_id: str | None) -> IrInst
         new = _typed_value(parts[2])
         return IrInstruction("cmpxchg", "{ %s , i1 }" % inner, (ptr, cmp, new))
 
-    return _parse_generic(opcode, rest, result_id)
+    return _parse_generic(opcode, rest)
 
 
-def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
+def _parse_call(opcode: str, rest: list[str]) -> IrInstruction:
     toks = [t for t in rest if t not in PARAM_ATTR_WORDS and t not in CALL_PREFIX_WORDS]
     # locate the callee: last %/@ token directly followed by "(" at top level
     callee_idx = None
@@ -640,8 +602,6 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
         if "(" in ret_type:  # full function type: keep only the return part
             ret_type = ret_type.split("(", 1)[0].strip()
     else:
-        ret_type = "void"
-    if result_id is None:
         ret_type = "void"
     arg_end = _consume_group(toks, callee_idx + 1)
     arg_toks = toks[callee_idx + 2:arg_end - 1]
@@ -661,21 +621,19 @@ def _parse_call(opcode: str, rest: list[str], result_id: str | None) -> IrInstru
         for k, t in enumerate(tail):
             if t == "label" and k + 1 < len(tail):
                 operands.append(Operand(OperandKind.LABEL, tail[k + 1].lstrip("%")))
-    return IrInstruction(opcode, ret_type, tuple(operands),
-                         result_id=None, call_target=target)
+    return IrInstruction(opcode, ret_type, tuple(operands), call_target=target)
 
 
-def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrInstruction:
-    """Any other opcode: harvest a type and any obvious value operands, but
-    not the numbers in the type that begins a comma-separated operand.
+def _parse_generic(opcode: str, rest: list[str]) -> IrInstruction:
+    """Any other opcode: harvest a type (`opaque` if there is none), the
+    token after each word `label` as a Label and any other obvious value
+    operands, but not the numbers in the type that begins a comma-separated
+    operand.  A binary op or fneg needs a type and an operand.
     extractvalue and extractelement get the member type that their indices
     select, shufflevector a vector of its mask's length (`vscale` kept) of
     its first operand's element type, and va_arg its last operand's type."""
     got = consume_type(rest, 0, allow_named=True)
-    if got is not None:
-        type_str, j = got
-    else:
-        type_str, j = ("opaque" if result_id is not None else "void"), 0
+    type_str, j = got if got is not None else ("opaque", 0)
     parts = _split_top_level(rest[j:])
     if got is not None and opcode in ("extractvalue", "extractelement"):
         member = rest[:j]
@@ -697,16 +655,16 @@ def _parse_generic(opcode: str, rest: list[str], result_id: str | None) -> IrIns
             type_str = arg_type[0]
     operands = []
     for part in parts:
-        typed = consume_type(part, 0)
-        if typed and typed[1] < len(part):  # a typed value: skip its type
-            part = part[typed[1]:]
-        for t in part:
-            if t.startswith("%") or t.startswith("@"):
+        typed = consume_type(part, 0) if len(part) > 1 else None
+        start = typed[1] if typed and typed[1] < len(part) else 0  # skip a value's type
+        for k in range(start, len(part)):
+            t = part[k]
+            if k and part[k - 1] == "label":
+                operands.append(Operand(OperandKind.LABEL, t.lstrip("%")))
+            elif t[0] in "%@" or _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
                 operands.append(_value_operand(t))
-            elif _NUMBER_RE.match(t) or t in CONSTANT_WORDS:
-                operands.append(_value_operand(t))
-    if result_id is not None and type_str == "void":
-        type_str = "opaque"
+    if (got is None or not operands) and (opcode in BINARY_OPCODES or opcode == "fneg"):
+        raise ValueError(f"{opcode} without a type or an operand")
     return IrInstruction(opcode, type_str, tuple(operands))
 
 

@@ -1356,7 +1356,8 @@ def _render_instruction(instr: IrInstruction) -> str:  # noqa: C901
                 f"seq_cst seq_cst")
     if op == "fence":
         return "fence seq_cst"
-    vals = ", ".join(_render_value(o) for o in ops)
+    vals = ", ".join(f"label %{o.token}" if o.kind == OperandKind.LABEL else _render_value(o)
+                     for o in ops)
     # an untyped `resume %x` would read its operand as a named type
     ty = instr.type_str if instr.type_str != "void" or vals else ""
     sep = " " if ty and vals else ""

@@ -198,6 +198,25 @@ def test_phi_data_edges_follow_operand_order(add_loop_text):
     assert incoming[1] == inc
 
 
+def test_indirectbr_targets_are_control_edges():
+    text = """
+define void @f(ptr %a) {
+entry:
+  indirectbr ptr %a, [label %one, label %two]
+one:
+  ret void
+two:
+  ret void
+}
+"""
+    g = build_graph(parse_ir(text))
+    assert [(n.node_type, n.token) for n in g.nodes] == [
+        ("variable", "ptrTy"), ("control", "indirectbr"),
+        ("control", "ret"), ("control", "ret")]
+    assert [(e.edge_type, e.src, e.dst) for e in g.edges] == [
+        ("data", 0, 1), ("control", 1, 2), ("control", 1, 3)]
+
+
 def test_undefined_local_propagates():
     text = "define void @f() {\nentry:\n  %a = add i32 %ghost, 1\n  ret void\n}"
     with pytest.raises(ircore.UndefinedLocal):

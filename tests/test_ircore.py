@@ -1,7 +1,10 @@
 import dataclasses
 import functools
+import importlib.util
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,11 @@ from mpisentinel.ircore import (
     parse_instruction, successors,
 )
 from oracles import TokenTriple, def_use_map, render, structurally_equal, token_triple
+
+_GEN = Path(__file__).resolve().parents[1] / "tools" / "gen_fixture_corpus.py"
+_spec = importlib.util.spec_from_file_location("gen_fixture_corpus", _GEN)
+gen_fixture_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen_fixture_corpus)
 
 
 def test_empty_text_gives_empty_module():
@@ -134,6 +142,8 @@ class TestMalformed:
 
     @pytest.mark.parametrize("line", [
         "%x = fence seq_cst", "%x = unreachable", "%x = store i32 0, ptr %p",
+        "%x = resume ptr %e", "%x = indirectbr ptr %a, [label %b]",
+        "%x = cleanupret from %c unwind to caller", "%x = catchret from %c to label %d",
     ])
     def test_result_on_a_void_instruction(self, line):
         with pytest.raises(MalformedIr, match="assigns a result but has void type"):
@@ -150,6 +160,11 @@ class TestMalformed:
         ("define void @f() {\nentry:\n  store i32 0, ptr\n  ret void\n}", 3),
         ("declare void @g()\ndeclare [4 x i32 @h()\n", 2),
         ("declare void @g()\n\ndefine <2 x i32 @f() {\nentry:\n  ret void\n}", 3),
+        # a binary op or fneg without a type or an operand
+        ("define void @f() {\nentry:\n  %x = add i32\n  ret void\n}", 3),
+        ("define void @f() {\nentry:\n  %x = add , 1\n  ret void\n}", 3),
+        ("define void @f() {\nentry:\n  %x = add\n  ret void\n}", 3),
+        ("define void @f(float %y) {\nentry:\n  %x = fneg %y\n  ret void\n}", 3),
     ])
     def test_unparseable_line_names_its_line(self, text, line):
         with pytest.raises(MalformedIr) as info:
@@ -734,16 +749,37 @@ lpad:
         ("%p = va_arg ptr %ap, i32", "i32", ["%ap"]),
         # a type after a clause word is not skipped (the landingpad path)
         ("%x = foo ptr %a, filter [1 x ptr] [ptr @t]", "ptr", ["%a", "1", "@t"]),
-        # unreachable and fence have their own branch, which keeps void
+        # unreachable and fence take the generic path: without a result
+        # their type is void
         ("unreachable", "void", []),
         ("fence seq_cst", "void", []),
         ('fence syncscope("agent") acquire', "void", []),
+        # the token after the word `label` is a Label (no `%`)
+        ("indirectbr ptr %a, [label %b, label %c]", "void", ["%a", "b", "c"]),
+        ('callbr void asm "", "r,!i"(i32 %x) to label %ft [label %ind]', "void",
+         ["%x", "ft", "ind"]),
+        ("cleanupret from %cp unwind label %next", "void", ["%cp", "next"]),
+        ("catchret from %cp to label %cont", "void", ["%cp", "cont"]),
+        ("%cs = catchswitch within none [label %h1, label %h2] unwind to caller", "opaque",
+         ["none", "h1", "h2"]),
+        # LLVM prints switch cases without a comma between them
+        ("switch i32 %x, label %d [ i32 0, label %a i32 1, label %b i32 2, label %c ]",
+         "void", ["%x", "d", "0", "a", "1", "b", "2", "c"]),
+        # binary ops harvest constant operands as the generic path does
+        ("%a = add <2 x i32> %x, <i32 1, i32 2>", "< 2 x i32 >", ["%x", "1", "2"]),
+        ("%a = add i64 %x, ptrtoint (ptr @g to i64)", "i64", ["%x", "@g"]),
+        # flags after any opcode are skipped
+        ("%r = call fast float @f(float %x)", "float", ["@f", "%x"]),
+        ("%s = select fast i1 %c, float %a, float %b", "float", ["%c", "%a", "%b"]),
+        ("%z = zext nneg i32 %x to i64", "i64", ["%x"]),
+        ("%t = trunc nuw i64 %x to i32", "i32", ["%x"]),
     ])
     def test_generic_path_types_and_operands(self, line, type_str, tokens):
         """Generic opcodes take no number from the type that begins a
         comma-separated operand; extractvalue/extractelement give the type
         their indices select, shufflevector a vector of its mask's length,
-        and va_arg its last operand's type."""
+        and va_arg its last operand's type.  Flags after any opcode are
+        skipped, and a label operand reads as a Label on every path."""
         instr = parse_instruction(line)
         assert (instr.type_str, [op.token for op in instr.operands]) == (type_str, tokens)
 
@@ -766,6 +802,14 @@ lpad:
         assert swap.params == [("%a", "ptr"), ("%b", "ptr")]
         assert oracles.validate_graph(build_graph(module)) == []
         assert embed(module, SeedVocab(0)).values.any()
+
+
+def test_instruction_parses_match_golden(fixtures_dir):
+    """Every distinct instruction line of the fixtures parses as
+    instructions.golden.json records; rerun tools/gen_fixture_corpus.py
+    after a deliberate parse change and review the diff."""
+    golden = json.loads((fixtures_dir / "instructions.golden.json").read_text())
+    assert gen_fixture_corpus.instruction_records(corpus_ll_files()) == golden
 
 
 class TestCanonicalTypes:

@@ -7,15 +7,25 @@ Files within one label share the same instruction multiset (only identifiers
 vary), so embeddings per label are identical and cross-validation behaviour
 is exactly reproducible.  Output is committed; rerun only to change the
 corpus layout.
+
+It also writes instructions.golden.json: every distinct instruction line of
+the fixtures' `.ll` files mapped to what `ircore.parse_instruction` reads from
+it (opcode, type, operand kinds and tokens, result and call target), so a
+change in how one line parses shows in its diff and fails the test that
+compares a fresh parse with it.  Rerun after a deliberate parse change.
+
+    python3 tools/gen_fixture_corpus.py
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
+GOLDEN = FIXTURES / "instructions.golden.json"
 
 # label -> (marker lines template, callee name, callee declare)
 MBI_SHAPES = {
@@ -121,6 +131,36 @@ def make_corrbench_c(label: str, k: int) -> str:
         "}\n")
 
 
+def instruction_lines(text: str) -> list[str]:
+    """The distinct instruction lines of one module, as parse_ir meets them."""
+    from mpisentinel import ircore
+    memo: dict = {}
+    module, seen, body = ircore.IrModule("", []), set(), None
+    for lineno, line in ircore._logical_lines(text.splitlines()):
+        if body is None:
+            body = ircore._module_line(module, seen, memo, line, lineno)
+        elif line == "}":
+            body = None
+        else:
+            body.feed(line, lineno)
+    return [line for line in memo if not line.startswith("\n")]  # signatures
+
+
+def instruction_records(paths) -> dict[str, dict]:
+    """Each distinct instruction line of the files, sorted, mapped to its
+    fresh parse."""
+    from mpisentinel.ircore import parse_instruction
+    lines = {line for path in paths for line in instruction_lines(Path(path).read_text())}
+    records = {}
+    for line in sorted(lines):
+        instr = parse_instruction(line)
+        records[line] = {
+            "opcode": instr.opcode, "type": instr.type_str,
+            "operands": [[op.kind, op.token] for op in instr.operands],
+            "result": instr.result_id, "call_target": instr.call_target}
+    return records
+
+
 def main() -> int:
     mbi = FIXTURES / "corpus_mbi"
     corr = FIXTURES / "corpus_corrbench"
@@ -146,10 +186,15 @@ def main() -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     from mpisentinel import ircore
-    for ll in sorted(FIXTURES.rglob("*.ll")):
+    lls = sorted(FIXTURES.rglob("*.ll"))
+    for ll in lls:
         module = ircore.parse_ir(ll.read_text(), ll.stem)
         assert module.defined_functions(), ll
+    records = instruction_records(lls)
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(line)}: {json.dumps(rec)}" for line, rec in records.items()) + "\n}\n")
     print(f"wrote {count} fixture pairs under {FIXTURES}")
+    print(f"wrote {len(records)} instruction lines to {GOLDEN}")
     return 0
 
 

@@ -143,7 +143,8 @@ def instruction_lines(text: str) -> list[str]:
             body = None
         else:
             body.feed(line, lineno)
-    return [line for line in memo if not line.startswith("\n")]  # signatures
+    # the memo also keeps each signature, under its text with a newline in front
+    return [line for line in memo if not line.startswith("\n")]
 
 
 def instruction_records(paths) -> dict[str, dict]:
